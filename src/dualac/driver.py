@@ -27,8 +27,9 @@ from .estimators import (
     mc_return,
     sample_trajectories,
     traj_deltas,
+    value_grad_terms,
 )
-from .mdp import discounted_state_occupancy, policy_value
+from .mdp import policy_value
 from .optim import (
     CgConfig,
     FitDivergedError,
@@ -241,17 +242,11 @@ def dual_ac_iteration(state: TrainingState, trace: list | None = None):
     # line 4: V^t = argmin of the sampled path-regularized objective; the
     # penalty may also anchor on the previous batch (behavior-policy replay)
     behavior = batch + state.last_batch if cfg.replay_behavior else batch
-    behavior_returns = [mc_return(traj, cfg.gamma) for traj in behavior]
-
-    def value_grad(params):
-        probe = state.value.copy()
-        probe.set_params(params)
-        return grad_v_estimate(batch, behavior, probe, cfg.gamma, cfg.k, cfg.eta_v, behavior_returns)
-
+    terms = value_grad_terms(batch, behavior, state.value, cfg.gamma, cfg.k, cfg.eta_v)
     try:
         fit = fit_value(
             state.value.get_params(),
-            value_grad,
+            lambda params: grad_v_estimate(terms, params),
             kappa=cfg.inner_v.stepsize,
             max_iters=cfg.inner_fit_iters,
             grad_tol=cfg.inner_fit_tol,
@@ -513,9 +508,3 @@ def tabular_policy_return(env, policy, gamma: float | None = None) -> float:
         mdp = dataclasses.replace(mdp, gamma=gamma)
     pi = policy.prob_matrix() if hasattr(policy, "prob_matrix") else np.asarray(policy)
     return float(mdp.mu @ policy_value(mdp, pi))
-
-
-def tabular_state_weighting(env, policy) -> np.ndarray:
-    mdp = env.as_tabular()
-    pi = policy.prob_matrix() if hasattr(policy, "prob_matrix") else np.asarray(policy)
-    return discounted_state_occupancy(mdp, pi)

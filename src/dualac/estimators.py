@@ -152,13 +152,8 @@ def grad_alpha_estimate(trajs, v, start_model, gamma: float, k: int) -> np.ndarr
     return total / len(trajs)
 
 
-def grad_pi_estimate(trajs, v, policy, gamma: float, k: int, baseline: float = 0.0) -> np.ndarray:
-    """Batch mean of start_weight * delta_k(tau) * sum_i grad log pi(a_i|s_i).
-
-    A constant baseline subtracted from delta leaves the estimator unbiased
-    (score functions have zero mean per state) and is used by the driver as a
-    variance-reduction control variate; the default 0 is the plain form.
-    """
+def grad_pi_estimate(trajs, v, policy, gamma: float, k: int) -> np.ndarray:
+    """Batch mean of start_weight * delta_k(tau) * sum_i grad log pi(a_i|s_i)."""
     if not trajs:
         raise ValueError("empty trajectory batch")
     total = np.zeros(policy.n_params)
@@ -168,21 +163,33 @@ def grad_pi_estimate(trajs, v, policy, gamma: float, k: int, baseline: float = 0
         for i in range(steps):
             _, g = policy.log_prob_and_grad(traj.states[i], traj.actions[i])
             score += g
-        total += traj.start_weight * (traj_delta(traj, v, gamma, k) - baseline) * score
+        total += traj.start_weight * traj_delta(traj, v, gamma, k) * score
     return total / len(trajs)
 
 
-def grad_v_estimate(
-    trajs, behavior_trajs, value_model, gamma: float, k: int, eta_v: float, behavior_returns=None
-) -> np.ndarray:
-    """Sampled gradient of the path-regularized objective w.r.t. value parameters.
+@dataclass(frozen=True)
+class ValueGradTerms:
+    """The sampled value gradient of one batch, split by dependence on w:
+    g(w) = constant - (2 eta_v / n_b) sum_b (returns_b - rows_b . w) rows_b."""
+
+    constant: np.ndarray  # lead and weighted residual terms
+    rows: np.ndarray      # (n_b, n_params) grad v(s_0) of each behavior trajectory
+    returns: np.ndarray   # (n_b,) mc_return of each behavior trajectory
+    eta_v: float
+
+
+def value_grad_terms(trajs, behavior_trajs, value_model, gamma: float, k: int, eta_v: float) -> ValueGradTerms:
+    """Build the parts of the sampled path-regularized value gradient that stay
+    fixed while the value parameters move:
 
     (1 - gamma^{k+1}) E_mu[grad v(s_0)]
       + E[start_weight * (gamma^j grad v(s_j) - grad v(s_0))]      j = min(k+1, len)
       - 2 eta_v E[(mc_return(tau_b) - v(s_0)) grad v(s_0)]          over behavior trajs
 
-    behavior_returns, if given, holds mc_return(tau_b, gamma) for each behavior
-    trajectory, so that an inner fit over one batch computes them only once.
+    Precondition: the value model is linear in its parameters, v(s) = w . grad v(s)
+    with grad v(s) independent of w.  LinearValue and TabularValue satisfy it;
+    then only v(s_0) in the penalty moves with w, and grad_v_estimate evaluates
+    it from the stored rows.  No rows are built when eta_v is 0.
     """
     if not trajs:
         raise ValueError("empty trajectory batch")
@@ -197,18 +204,28 @@ def grad_v_estimate(
         if traj.bootstraps_at(j):
             _, gj = value_model.eval_and_grad(traj.states[j])
             resid += traj.start_weight * gamma**j * gj
-    grad = (1.0 - gamma ** (k + 1)) * lead / len(trajs) + resid / len(trajs)
+    constant = (1.0 - gamma ** (k + 1)) * lead / len(trajs) + resid / len(trajs)
+    rows, returns = np.zeros((0, n)), np.zeros(0)
     if eta_v > 0:
         if not behavior_trajs:
             raise ValueError("empty behavior batch with eta_v > 0")
-        if behavior_returns is None:
-            behavior_returns = [mc_return(traj, gamma) for traj in behavior_trajs]
-        pen = np.zeros(n)
-        for traj, ret in zip(behavior_trajs, behavior_returns):
-            v0, g0 = value_model.eval_and_grad(traj.states[0])
-            pen += (ret - v0) * g0
-        grad -= 2.0 * eta_v * pen / len(behavior_trajs)
-    return grad
+        rows = np.array([value_model.eval_and_grad(traj.states[0])[1] for traj in behavior_trajs])
+        returns = np.array([mc_return(traj, gamma) for traj in behavior_trajs])
+    return ValueGradTerms(constant, rows, returns, float(eta_v))
+
+
+def grad_v_estimate(terms: ValueGradTerms, params) -> np.ndarray:
+    """The sampled value gradient of value_grad_terms at value parameters params.
+
+    Bitwise equal to summing the penalty trajectory by trajectory: vecdot takes
+    each row's dot product as w @ row does, and the axis-0 sum from 0.0 adds
+    the rows in order.
+    """
+    if terms.eta_v <= 0:
+        return terms.constant.copy()
+    resid = terms.returns - np.vecdot(terms.rows, params)
+    pen = (resid[:, None] * terms.rows).sum(axis=0, initial=0.0)
+    return terms.constant - 2.0 * terms.eta_v * pen / len(terms.returns)
 
 
 def traj_deltas(trajs, v, gamma: float, k: int) -> np.ndarray:

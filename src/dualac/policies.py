@@ -304,9 +304,6 @@ class LinearValue:
     def value(self, state) -> float:
         return float(self.weights @ self.feature_map(state))
 
-    def value_batch(self, states) -> np.ndarray:
-        return self.feature_map(states) @ self.weights
-
     def eval_and_grad(self, state):
         phi = self.feature_map(state)
         return float(self.weights @ phi), phi
@@ -335,9 +332,6 @@ class TabularValue:
 
     def value(self, state) -> float:
         return float(self.values[int(state)])
-
-    def value_batch(self, states) -> np.ndarray:
-        return self.values[np.asarray(states, dtype=int)]
 
     def eval_and_grad(self, state):
         grad = np.zeros_like(self.values)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -130,6 +131,32 @@ def test_iteration_determinism_bitwise():
     assert recs[0] == recs[1]  # wall_time excluded from comparison
     for a, b in zip(recs[0], recs[1]):
         assert a.to_json_line() != "" and a.mean_return == b.mean_return
+
+
+# sha256 of each run's records without wall_time, one sorted-key JSON object
+# per line; pinned so that rewrites of the sampler or the estimators can show
+# whole-run bitwise equivalence.
+GOLDEN_RUNS = {
+    ("gridworld", "full", 10): "23b5f298b642b2ef7e58999502c0755c046c719ee437cecb947e0aaff33a1200",
+    ("gridworld", "naive", 5): "c08428f418f9f176c0b6c80efa6f73b6f22b54216b32a3e74e58c1b879ff3023",
+    ("pendulum", "full", 2): "ca4767d12db7942b35d30e7162f94a1ce87dfa10e3fce39ca285286bde826bd8",
+}
+
+
+def _records_digest(records) -> str:
+    rows = []
+    for rec in records:
+        row = dataclasses.asdict(rec)
+        row.pop("wall_time")
+        rows.append(json.dumps(row, sort_keys=True))
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("env_name,ablation,iterations", list(GOLDEN_RUNS))
+def test_golden_run_records(env_name, ablation, iterations):
+    cfg = dataclasses.replace(default_config(env_name), ablation=ablation, iterations=iterations)
+    records = run_experiment(cfg, env_name)
+    assert _records_digest(records) == GOLDEN_RUNS[(env_name, ablation, iterations)]
 
 
 def test_chain_learns_oracle_policy():

@@ -22,6 +22,7 @@ from dualac.estimators import (
     save_trajectories,
     traj_delta,
     traj_deltas,
+    value_grad_terms,
 )
 from dualac.lagrangian import (
     expected_delta_dp,
@@ -30,7 +31,14 @@ from dualac.lagrangian import (
     path_reg_value_gradient,
 )
 from dualac.mdp import TabularMdp, policy_value, random_mdp
-from dualac.policies import GaussianRbfPolicy, RbfFeatureMap, TabularSoftmaxPolicy, TabularValue
+from dualac.policies import (
+    BiasedFeatureMap,
+    GaussianRbfPolicy,
+    LinearValue,
+    RbfFeatureMap,
+    TabularSoftmaxPolicy,
+    TabularValue,
+)
 from conftest import make_single_state_mdp
 
 
@@ -241,21 +249,100 @@ def test_sampled_estimators_converge_to_exact():
         assert np.max(np.abs(est_al - exact_al)) < bound, m
 
 
+def _grad_v_reference(trajs, behavior_trajs, value_model, gamma, k, eta_v):
+    """The sampled value gradient walked trajectory by trajectory, evaluating
+    every feature row at the model's current parameters."""
+    n = value_model.n_params
+    lead = np.zeros(n)
+    resid = np.zeros(n)
+    for traj in trajs:
+        _, g0 = value_model.eval_and_grad(traj.states[0])
+        j = min(k + 1, traj.n_steps)
+        lead += g0
+        resid -= traj.start_weight * g0
+        if traj.bootstraps_at(j):
+            _, gj = value_model.eval_and_grad(traj.states[j])
+            resid += traj.start_weight * gamma**j * gj
+    grad = (1.0 - gamma ** (k + 1)) * lead / len(trajs) + resid / len(trajs)
+    if eta_v > 0:
+        pen = np.zeros(n)
+        for traj in behavior_trajs:
+            v0, g0 = value_model.eval_and_grad(traj.states[0])
+            pen += (mc_return(traj, gamma) - v0) * g0
+        grad -= 2.0 * eta_v * pen / len(behavior_trajs)
+    return grad
+
+
+def _value_grad_cases():
+    """(env, policy, value model, horizon, k) covering absorbed tabular
+    trajectories and continuous ones shorter than k+1 steps."""
+    rng = np.random.default_rng(163)
+    grid = make_env("gridworld")
+    yield grid, TabularSoftmaxPolicy(25, 4, logits=rng.normal(size=(25, 4))), TabularValue(25), 60, 10
+    chain = TabularEnv(make_env("chain5").as_tabular(), horizon=30, terminal_states=(4,))
+    yield chain, TabularSoftmaxPolicy(5, 2, logits=rng.normal(size=(5, 2))), TabularValue(5), 30, 3
+    pend = make_env("pendulum")
+    fmap = RbfFeatureMap.create(30, pend.spec.obs_dim, bandwidth=1.5, seed=5)
+    yield pend, GaussianRbfPolicy(fmap, pend.spec.action_dim, seed=3), LinearValue(BiasedFeatureMap(fmap)), 8, 10
+
+
+def test_value_models_are_linear_in_their_parameters():
+    # the precondition of value_grad_terms: v(s) = w . grad v(s)
+    for env, policy, v, horizon, _ in _value_grad_cases():
+        rng = np.random.default_rng(167)
+        v.set_params(rng.normal(size=v.n_params))
+        for traj in sample_trajectories(env, policy, m=6, horizon=horizon, rng_seed=23):
+            for s in traj.states:
+                assert v.value(s) == pytest.approx(v.get_params() @ v.eval_and_grad(s)[1])
+
+
+def test_grad_v_terms_bitwise_match_trajectory_loop():
+    rng = np.random.default_rng(173)
+    for env, policy, v, horizon, k in _value_grad_cases():
+        previous = sample_trajectories(env, policy, m=12, horizon=horizon, rng_seed=(29, 1))
+        batch = sample_trajectories(env, policy, m=12, horizon=horizon, rng_seed=(29, 2))
+        for traj in previous + batch:
+            traj.start_weight = float(rng.uniform(0.1, 2.0))
+        if env.spec.tabular:
+            assert any(traj.terminated for traj in batch)
+        else:
+            assert all(traj.n_steps < k + 1 for traj in batch)
+        behavior = batch + previous
+        v.set_params(rng.normal(size=v.n_params))
+        for eta_v in (0.0, 1.0):
+            terms = value_grad_terms(batch, behavior, v, env.spec.gamma_hint, k, eta_v)
+            for _ in range(4):
+                w = rng.normal(scale=3.0, size=v.n_params)
+                probe = v.copy()
+                probe.set_params(w)
+                want = _grad_v_reference(batch, behavior, probe, env.spec.gamma_hint, k, eta_v)
+                assert np.array_equal(grad_v_estimate(terms, w), want), (env.spec, eta_v)
+
+
+def test_grad_v_terms_reject_empty_batches():
+    env = make_env("chain5")
+    trajs = sample_trajectories(env, TabularSoftmaxPolicy(5, 2), m=3, horizon=5, rng_seed=31)
+    v = TabularValue(5)
+    with pytest.raises(ValueError):
+        value_grad_terms([], trajs, v, 0.9, k=1, eta_v=1.0)
+    with pytest.raises(ValueError):
+        value_grad_terms(trajs, [], v, 0.9, k=1, eta_v=1.0)
+    terms = value_grad_terms(trajs, [], v, 0.9, k=1, eta_v=0.0)
+    assert terms.rows.shape == (0, 5)
+
+
 def test_grad_v_single_state_hand_value():
     mdp = make_single_state_mdp()  # R=1, gamma=0.9
     env = TabularEnv(mdp, horizon=300)
     policy = TabularSoftmaxPolicy(1, 1)
     trajs = sample_trajectories(env, policy, m=3, horizon=300, rng_seed=17)
     v = TabularValue(1)
-    v.values = np.array([8.0])
     k, eta_v = 0, 0.5
-    got = grad_v_estimate(trajs, trajs, v, 0.9, k=k, eta_v=eta_v)
+    got = grad_v_estimate(value_grad_terms(trajs, trajs, v, 0.9, k=k, eta_v=eta_v), np.array([8.0]))
     G = (1 - 0.9**300) / 0.1
     # lead and residual terms cancel ((1-g) + (g-1)); penalty remains
     want = -2 * eta_v * (G - 8.0)
     assert got == pytest.approx([want], abs=1e-9)
-    returns = [mc_return(traj, 0.9) for traj in trajs]
-    assert np.array_equal(grad_v_estimate(trajs, trajs, v, 0.9, k=k, eta_v=eta_v, behavior_returns=returns), got)
 
 
 def test_grad_v_penalty_vanishes_at_behavior_value():
@@ -265,9 +352,9 @@ def test_grad_v_penalty_vanishes_at_behavior_value():
     policy = TabularSoftmaxPolicy(5, 2, logits=rng.normal(size=(5, 2)))
     trajs = sample_trajectories(env, policy, m=400, horizon=400, rng_seed=19)
     v = TabularValue(5)
-    v.values = policy_value(mdp, policy.prob_matrix())
-    got = grad_v_estimate(trajs, trajs, v, mdp.gamma, k=0, eta_v=1.0)
-    no_pen = grad_v_estimate(trajs, trajs, v, mdp.gamma, k=0, eta_v=0.0)
+    v_b = policy_value(mdp, policy.prob_matrix())
+    got = grad_v_estimate(value_grad_terms(trajs, trajs, v, mdp.gamma, k=0, eta_v=1.0), v_b)
+    no_pen = grad_v_estimate(value_grad_terms(trajs, trajs, v, mdp.gamma, k=0, eta_v=0.0), v_b)
     penalty_part = got - no_pen
     assert np.max(np.abs(penalty_part)) < 0.2  # MC/truncation noise only
 
