@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .driver import DualAcConfig, IterationError, ablation_suite, run_experiment
+from .driver import ABLATIONS, DualAcConfig, IterationError, ablation_suite, run_experiment
 from .envs import make_env
 from .mdp import (
     bellman_optimality_operator,
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
     p_train.add_argument("--config", help="JSON config file mirroring DualAcConfig")
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--iterations", type=int, default=None)
-    p_train.add_argument("--ablation", choices=("full", "no_multistep", "no_pathreg", "no_unbiased_v", "naive"))
+    p_train.add_argument("--ablation", choices=ABLATIONS)
     p_train.add_argument("--out", help="output directory for records.jsonl and checkpoint.json")
     p_train.add_argument("--quiet", action="store_true", help="suppress per-iteration records on stdout")
     p_train.set_defaults(func=_cmd_train)

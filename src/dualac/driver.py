@@ -3,8 +3,8 @@
 One iteration, in order: sample a batch under the current policy, fit the
 value function on the sampled objective, refresh the closed-form start-state
 reweighting, decay the stepsize, estimate the policy gradient with the
-refreshed start weights, and take the KL prox step (natural-gradient
-approximation by default, exact prox on request).
+refreshed start weights, and take the KL prox step in its natural-gradient
+form.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .optim import (
     CgConfig,
     FitDivergedError,
     StepsizeSchedule,
-    exact_prox_pi,
     fisher_estimate,
     fit_value,
     natural_gradient_step,
@@ -84,13 +83,11 @@ class DualAcConfig:
     ablation: str = "full"
     seed: int = 0
     iterations: int = 100
-    exact_prox: bool = False
     normalize_grad: bool = False  # True: trust-region rescale of the prox step by 1/sqrt(g.F^-1.g)
     n_rbf_features: int = 100
     init_log_std: float = 0.0
     min_log_std: float | None = None  # exploration floor for Gaussian policies
     feature_seed: int = 0  # random-feature draw is architecture, shared across run seeds
-    replay_behavior: bool = True  # previous batch joins the penalty's behavior data
 
     def __post_init__(self):
         # accept plain dicts for the nested configs (JSON round trips)
@@ -207,42 +204,40 @@ def init_state(cfg: DualAcConfig, env) -> TrainingState:
     return TrainingState(env=env, cfg=cfg, policy=policy, value=value, tilde_alpha=tilde)
 
 
-def _assign_start_weights(state: TrainingState, batch: list[Trajectory]) -> np.ndarray:
-    """Refresh the closed-form reweighting from the batch deltas at the current
+def _assign_start_weights(cfg: DualAcConfig, env, value, batch: list[Trajectory]):
+    """Compute the closed-form reweighting from the batch deltas at the given
     value function and stamp (tilde_alpha + eta_mu) onto each trajectory.
 
-    Returns the per-trajectory delta values used (for the record)."""
-    cfg = state.cfg
-    deltas = traj_deltas(batch, state.value, cfg.gamma, cfg.k)
-    if state.env.spec.tabular:
-        means, _ = delta_means_by_start(batch, state.value, cfg.gamma, cfg.k, state.env.spec.n_states)
+    Returns the per-trajectory delta values (for the record) and the
+    per-state tilde_alpha on tabular envs (None otherwise)."""
+    deltas = traj_deltas(batch, value, cfg.gamma, cfg.k)
+    if env.spec.tabular:
+        means, _ = delta_means_by_start(batch, value, cfg.gamma, cfg.k, env.spec.n_states)
         tilde = alpha_closed_form(means, cfg.eta_alpha)
-        state.tilde_alpha = tilde
         for traj in batch:
             traj.start_weight = float(tilde[int(traj.states[0])] + cfg.eta_mu)
-    else:
-        tilde = alpha_closed_form(deltas, cfg.eta_alpha)
-        for traj, ta in zip(batch, tilde):
-            traj.start_weight = float(ta + cfg.eta_mu)
-    return deltas
+        return deltas, tilde
+    for traj, ta in zip(batch, alpha_closed_form(deltas, cfg.eta_alpha)):
+        traj.start_weight = float(ta + cfg.eta_mu)
+    return deltas, None
 
 
-def dual_ac_iteration(state: TrainingState, trace: list | None = None):
-    """Run one outer iteration in place; returns (state, IterationRecord)."""
-    cfg = state.cfg
+def dual_ac_iteration(state: TrainingState):
+    """Run one outer iteration; returns (state, IterationRecord).
+
+    The state is updated in place only after the policy step succeeds; on an
+    IterationError it still holds iteration t-1."""
+    cfg, env = state.cfg, state.env
     t = state.t + 1
     tic = time.perf_counter()
 
     # line 3: sample under pi^{t-1}, weighted by the previous reweighting
-    batch = sample_trajectories(state.env, state.policy, cfg.batch_m, cfg.horizon, rng_seed=(cfg.seed, t))
-    _assign_start_weights(state, batch)  # alpha^{t-1}: closed form at V^{t-1}
-    if trace is not None:
-        trace.append("sample")
+    batch = sample_trajectories(env, state.policy, cfg.batch_m, cfg.horizon, rng_seed=(cfg.seed, t))
+    _assign_start_weights(cfg, env, state.value, batch)  # alpha^{t-1}: closed form at V^{t-1}
 
     # line 4: V^t = argmin of the sampled path-regularized objective; the
-    # penalty may also anchor on the previous batch (behavior-policy replay)
-    behavior = batch + state.last_batch if cfg.replay_behavior else batch
-    terms = value_grad_terms(batch, behavior, state.value, cfg.gamma, cfg.k, cfg.eta_v)
+    # penalty also anchors on the previous batch (behavior-policy replay)
+    terms = value_grad_terms(batch, batch + state.last_batch, state.value, cfg.gamma, cfg.k, cfg.eta_v)
     try:
         fit = fit_value(
             state.value.get_params(),
@@ -253,61 +248,44 @@ def dual_ac_iteration(state: TrainingState, trace: list | None = None):
         )
     except FitDivergedError as err:
         raise IterationError(t, f"inner value fit diverged ({err})") from err
-    state.value.set_params(fit.params)
-    if trace is not None:
-        trace.append("fit_v")
+    value = state.value.copy()
+    value.set_params(fit.params)
 
     # line 5: closed-form reweighting at V^t
-    deltas = _assign_start_weights(state, batch)
-    if trace is not None:
-        trace.append("alpha")
+    deltas, tilde = _assign_start_weights(cfg, env, value, batch)
 
     # line 6: stepsize decay
     zeta = cfg.schedule.at(t)
-    if trace is not None:
-        trace.append("stepsize")
 
     # line 7: policy gradient with (tilde_alpha + eta_mu) start weights
-    g_pi = grad_pi_estimate(batch, state.value, state.policy, cfg.gamma, cfg.k)
+    g_pi = grad_pi_estimate(batch, value, state.policy, cfg.gamma, cfg.k)
     if not np.all(np.isfinite(g_pi)):
         raise IterationError(t, "non-finite policy gradient")
-    if trace is not None:
-        trace.append("grad_pi")
 
-    # line 8: KL prox step (natural gradient or exact).  The Fisher/KL batch
-    # is the support of the weighted k-step path measure: the first k+1 steps
-    # of each trajectory, rows weighted by the trajectory's start weight.
-    old_policy = state.policy.copy()
+    # line 8: KL prox step in natural-gradient form.  The Fisher/KL batch is
+    # the support of the weighted k-step path measure: the first k+1 steps of
+    # each trajectory, rows weighted by the trajectory's start weight.
     window = [min(cfg.k + 1, traj.n_steps) for traj in batch]
     visited_states = np.concatenate([traj.states[:w] for traj, w in zip(batch, window)])
-    visited_actions = np.concatenate(
-        [np.reshape(traj.actions[:w], (w, -1)) for traj, w in zip(batch, window)]
-    )
+    visited_actions = np.concatenate([traj.actions[:w] for traj, w in zip(batch, window)])
     row_weights = np.concatenate([np.full(w, traj.start_weight) for traj, w in zip(batch, window)])
     row_weights = row_weights / row_weights.sum()
-    if state.env.spec.tabular:
-        visited_actions = visited_actions.ravel()
     try:
-        if cfg.exact_prox:
-            new_params = exact_prox_pi(state.policy, g_pi, zeta, visited_states)
-        else:
-            fisher = fisher_estimate(
-                state.policy, visited_states, visited_actions, damping=cfg.cg.damping, weights=row_weights
-            )
-            new_params = natural_gradient_step(
-                state.policy.get_params(), g_pi, fisher, zeta, normalize=cfg.normalize_grad, cg=cfg.cg
-            )
-    except (FloatingPointError, RuntimeError) as err:
+        fisher = fisher_estimate(
+            state.policy, visited_states, visited_actions, damping=cfg.cg.damping, weights=row_weights
+        )
+        new_params = natural_gradient_step(
+            state.policy.get_params(), g_pi, fisher, zeta, normalize=cfg.normalize_grad, cg=cfg.cg
+        )
+    except FloatingPointError as err:
         raise IterationError(t, f"policy update failed ({err})") from err
     if not np.all(np.isfinite(new_params)):
         raise IterationError(t, "non-finite policy parameters after update")
-    state.policy.set_params(new_params)
-    kl = float(state.policy.kl(old_policy, visited_states))
-    if trace is not None:
-        trace.append("update_pi")
+    policy = state.policy.copy()
+    policy.set_params(new_params)
+    kl = float(policy.kl(state.policy, visited_states))
 
-    state.t = t
-    state.last_batch = batch
+    state.t, state.policy, state.value, state.tilde_alpha, state.last_batch = t, policy, value, tilde, batch
     record = IterationRecord(
         iteration=t,
         mean_return=float(np.mean([traj.rewards.sum() for traj in batch])),

@@ -16,7 +16,6 @@ Conventions that matter here:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,43 +321,3 @@ def exact_grad_v(mdp: TabularMdp, v, alpha, pi, pi_b, k: int, eta_v: float) -> n
     v_b = policy_value(mdp, validate_policy(mdp, pi_b))
     grad -= 2.0 * eta_v * mdp.mu * (v_b - v)
     return grad
-
-
-# ---------------------------------------------------------------------------
-# Replay serialization (one JSON record per line)
-
-
-def save_trajectories(trajs, path: str) -> None:
-    with open(path, "w") as fh:
-        for traj in trajs:
-            fh.write(
-                json.dumps(
-                    {
-                        "states": traj.states.tolist(),
-                        "actions": traj.actions.tolist(),
-                        "rewards": traj.rewards.tolist(),
-                        "start_weight": traj.start_weight,
-                        "terminated": traj.terminated,
-                    }
-                )
-                + "\n"
-            )
-
-
-def load_trajectories(path: str) -> list[Trajectory]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(
-                Trajectory(
-                    states=np.array(rec["states"]),
-                    actions=np.array(rec["actions"]),
-                    rewards=np.array(rec["rewards"], dtype=float),
-                    start_weight=float(rec["start_weight"]),
-                    terminated=bool(rec.get("terminated", False)),
-                )
-            )
-    return out

@@ -3,8 +3,8 @@
 The one-step objective couples a value vector v with a start-state weighting
 alpha and a policy pi through the advantage-like residual
 Delta[v](s, a) = R(s, a) + gamma E[v(s')] - v(s).  Its multi-step extension
-replaces Delta with the discounted k-step residual delta along sampled paths,
-and the path-regularized variant adds a squared penalty pulling v toward the
+replaces Delta with the discounted k-step residual delta along sampled paths
+(estimators.traj_delta computes it for one trajectory), and the path-regularized variant adds a squared penalty pulling v toward the
 behavior policy's exact return.  Everything is computed in closed form or by
 exhaustive path enumeration so the stochastic estimators have a noise-free
 target.
@@ -13,8 +13,6 @@ target.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,43 +23,11 @@ class EnumerationLimitError(RuntimeError):
     """Exact path enumeration would exceed the configured path cap."""
 
 
-@dataclass(frozen=True)
-class KStepPath:
-    """A realized path s_0, a_0, r_0, ..., a_k, r_k, s_{k+1}."""
-
-    states: np.ndarray   # (k+2,)
-    actions: np.ndarray  # (k+1,)
-    rewards: np.ndarray  # (k+1,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", np.asarray(self.states))
-        object.__setattr__(self, "actions", np.asarray(self.actions))
-        object.__setattr__(self, "rewards", np.asarray(self.rewards, dtype=float))
-        n = len(self.actions)  # n = k + 1 steps
-        if len(self.states) != n + 1 or len(self.rewards) != n:
-            raise ValueError("path must have k+2 states and k+1 actions/rewards")
-
-
 def validate_distribution(w: np.ndarray, name: str = "alpha") -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
         raise ValueError(f"{name} must be a probability distribution")
     return w
-
-
-def _as_value_fn(v):
-    if callable(v):
-        return v
-    vec = np.asarray(v, dtype=float)
-    return lambda s: float(vec[s])
-
-
-def delta_k(v, path: KStepPath, gamma: float) -> float:
-    """Discounted residual sum_i gamma^i r_i + gamma^{k+1} v(s_{k+1}) - v(s_0)."""
-    vf = _as_value_fn(v)
-    n = len(path.rewards)
-    disc = gamma ** np.arange(n)
-    return float(disc @ path.rewards + gamma**n * vf(path.states[-1]) - vf(path.states[0]))
 
 
 def one_step_lagrangian(mdp: TabularMdp, v: np.ndarray, alpha: np.ndarray, pi: np.ndarray) -> float:
@@ -109,7 +75,7 @@ def iter_paths(mdp: TabularMdp, alpha: np.ndarray, pi: np.ndarray, k: int, max_p
             if count > max_paths:
                 raise EnumerationLimitError(
                     f"path enumeration exceeded cap of {max_paths}; "
-                    "raise max_paths or use the Monte Carlo mode"
+                    "raise max_paths or use expected_delta_dp"
                 )
             yield prob, states, actions
             continue
@@ -134,18 +100,6 @@ def _delta_over_paths(mdp, v, alpha, pi, k, max_paths):
     return total
 
 
-def sample_delta(mdp: TabularMdp, v, alpha, pi, k: int, rng: np.random.Generator) -> float:
-    """One Monte Carlo draw of delta_k under alpha and pi."""
-    v = np.asarray(v, dtype=float)
-    s = int(rng.choice(mdp.n_states, p=alpha))
-    s0, total = s, 0.0
-    for i in range(k + 1):
-        a = int(rng.choice(mdp.n_actions, p=pi[s]))
-        total += mdp.gamma**i * mdp.reward[s, a]
-        s = int(rng.choice(mdp.n_states, p=mdp.transition[s, a]))
-    return total + mdp.gamma ** (k + 1) * v[s] - v[s0]
-
-
 def multi_step_lagrangian(
     mdp: TabularMdp,
     v: np.ndarray,
@@ -153,28 +107,13 @@ def multi_step_lagrangian(
     pi: np.ndarray,
     k: int,
     max_paths: int = 1_000_000,
-    monte_carlo: bool = False,
-    mc_samples: int = 100_000,
-    rng: np.random.Generator | None = None,
-):
-    """(1 - gamma^{k+1}) E_mu[v] + E_alpha^pi[delta_k].
-
-    Exact mode enumerates every positive-probability path (guarded by
-    max_paths).  With monte_carlo=True the expectation is estimated from
-    mc_samples sampled paths and the return value is (estimate, stderr).
-    """
+) -> float:
+    """(1 - gamma^{k+1}) E_mu[v] + E_alpha^pi[delta_k], enumerating every
+    positive-probability path (guarded by max_paths)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     v = np.asarray(v, dtype=float)
     lead = (1.0 - mdp.gamma ** (k + 1)) * mdp.mu @ v
-    if monte_carlo:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        alpha = validate_distribution(alpha)
-        pi = validate_policy(mdp, pi)
-        draws = np.array([sample_delta(mdp, v, alpha, pi, k, rng) for _ in range(mc_samples)])
-        stderr = float(draws.std(ddof=1) / np.sqrt(mc_samples))
-        return float(lead + draws.mean()), stderr
     return float(lead + _delta_over_paths(mdp, v, alpha, pi, k, max_paths))
 
 

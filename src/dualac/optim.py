@@ -1,5 +1,6 @@
-"""Update machinery: stepsize schedule, inner value fit, Fisher/CG, and the
-KL prox step for the policy (exact, and its natural-gradient approximation).
+"""Update machinery: stepsize schedule, inner value fit, Fisher/CG, the
+natural-gradient form of the policy's KL prox step, and the exact prox solve
+that it is checked against.
 """
 
 from __future__ import annotations
@@ -8,24 +9,17 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class StepsizeSchedule:
-    """Outer stepsize zeta_t.
-
-    Default (decaying) form: C / (n0 + t^beta).  literal_mode evaluates
-    C / (n0 + 1/t^beta) instead, which grows with t; it is kept behind this
-    flag because a growing stepsize contradicts a decay schedule.
-    """
+    """Outer stepsize zeta_t = C / (n0 + t^beta), decaying in t."""
 
     c: float = 0.01
     n0: float = 1.0
     beta: float = 0.5
-    literal_mode: bool = False
 
     def __post_init__(self):
         if self.c <= 0 or self.n0 < 0:
@@ -36,13 +30,7 @@ class StepsizeSchedule:
     def at(self, t: int) -> float:
         if t < 1:
             raise ValueError("t starts at 1")
-        if self.literal_mode:
-            return self.c / (self.n0 + t ** (-self.beta))
         return self.c / (self.n0 + t**self.beta)
-
-
-def stepsize(schedule: StepsizeSchedule, t: int) -> float:
-    return schedule.at(t)
 
 
 @dataclass(frozen=True)
@@ -84,11 +72,7 @@ def fisher_estimate(policy, states, actions, damping: float = 1e-4, weights=None
     """
     if len(states) == 0:
         raise ValueError("empty Fisher batch")
-    if hasattr(policy, "score_batch"):
-        scores = policy.score_batch(states, actions)
-    else:
-        scores = np.stack([policy.log_prob_and_grad(s, a)[1] for s, a in zip(states, actions)])
-    return FisherOperator(scores, damping=damping, weights=weights)
+    return FisherOperator(policy.score_batch(states, actions), damping=damping, weights=weights)
 
 
 def cg_solve(operator, rhs: np.ndarray, cfg: CgConfig = CgConfig()) -> np.ndarray:
@@ -156,8 +140,15 @@ def exact_prox_pi(
     """Solve theta = argmin -theta.g + KL(pi_theta || pi_old)/zeta numerically.
 
     The KL is the batch mean over kl_states against the policy's current
-    parameters.  Returns the new flat parameter vector.
+    parameters.  Returns the new flat parameter vector.  This is the reference
+    that the natural-gradient step is checked against; training does not use
+    it, because on softmax policies the objective is unbounded below along
+    directions that saturate the logits.
     """
+    # imported here: scipy.optimize is slow to import, and only this
+    # reference solver needs it
+    from scipy import optimize
+
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     theta0 = policy.get_params()

@@ -16,11 +16,9 @@ and checked against finite differences in the tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -36,7 +34,10 @@ def median_trick_bandwidth(states: np.ndarray, max_points: int = 1000, rng=None)
         if rng is None:
             rng = np.random.default_rng(0)
         x = x[rng.choice(len(x), size=max_points, replace=False)]
-    med = float(np.median(pdist(x)))
+    # pairwise distances one row at a time, in pdist's order; the full
+    # (n, n, d) difference tensor would cost n^2 d floats at once
+    dists = np.concatenate([np.sqrt(((x[i + 1 :] - x[i]) ** 2).sum(axis=1)) for i in range(len(x) - 1)])
+    med = float(np.median(dists))
     if med <= 0.0:
         raise ValueError("median pairwise distance is zero (identical samples)")
     return med
@@ -337,22 +338,3 @@ class TabularValue:
         grad = np.zeros_like(self.values)
         grad[int(state)] = 1.0
         return float(self.values[int(state)]), grad
-
-    def vector(self) -> np.ndarray:
-        return self.values.copy()
-
-
-# ---------------------------------------------------------------------------
-# Named-array checkpoints (flat JSON text)
-
-
-def save_named_arrays(path: str, arrays: dict) -> None:
-    payload = {name: np.asarray(arr).tolist() for name, arr in arrays.items()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_named_arrays(path: str) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return {name: np.array(val, dtype=float) for name, val in payload.items()}

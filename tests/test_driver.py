@@ -2,14 +2,18 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from dualac import driver
 from dualac.cli import default_config
 from dualac.driver import (
     DualAcConfig,
     InnerVConfig,
+    IterationError,
     IterationRecord,
     ablation_suite,
     ablation_variants,
@@ -67,7 +71,7 @@ def test_config_env_defaults_resolved():
 
 
 def test_config_round_trip_through_dict():
-    cfg = chain_config(ablation="no_pathreg", exact_prox=True)
+    cfg = chain_config(ablation="no_pathreg", normalize_grad=True)
     back = DualAcConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert back == cfg
 
@@ -78,6 +82,21 @@ def test_default_policy_step_is_unnormalized_prox():
     assert DualAcConfig().normalize_grad is False
     assert default_config("gridworld").normalize_grad is False
     assert default_config("pendulum").normalize_grad is True
+
+
+def test_training_imports_no_scipy_solvers():
+    # scipy.optimize and scipy.spatial are slow to import; only the exact prox
+    # reference optim.exact_prox_pi needs scipy, and training does not call it
+    code = (
+        "import sys\n"
+        "from dualac import cli, driver, envs\n"
+        "driver.init_state(cli.default_config('pendulum'), envs.make_env('pendulum'))\n"
+        "print([m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.spatial'))])\n"
+    )
+    src = os.path.dirname(os.path.dirname(driver.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_validation():
@@ -103,19 +122,31 @@ def test_single_state_iteration_trivially_optimal():
     # hand-computed minimizer of the sampled objective: the return target
     # G = (1 - 0.9^300)/0.1 plus the dual tilt alpha*(1-gamma)/(2 eta_v) with
     # alpha = max(0, delta(v=0))/eta_alpha = 1, i.e. 10.05 up to truncation
-    assert state.value.vector()[0] == pytest.approx(10.05, abs=1e-4)
-    assert abs(state.value.vector()[0] - 10.0) < 0.1  # near V* as well
+    assert state.value.get_params()[0] == pytest.approx(10.05, abs=1e-4)
+    assert abs(state.value.get_params()[0] - 10.0) < 0.1  # near V* as well
     # single action: the policy gradient is identically zero
     assert rec.kl == pytest.approx(0.0, abs=1e-15)
     assert np.array_equal(state.policy.prob_matrix(), [[1.0]])
 
 
-def test_iteration_order_trace():
-    env = make_env("chain2")
-    state = init_state(chain_config(), env)
-    trace = []
-    dual_ac_iteration(state, trace=trace)
-    assert trace == ["sample", "fit_v", "alpha", "stepsize", "grad_pi", "update_pi"]
+def test_failed_iteration_leaves_state_intact(monkeypatch):
+    # run_experiment checkpoints the state on IterationError, so a failure in
+    # the last phase must not leave iteration t's value or weights behind
+    state = init_state(chain_config(), make_env("chain2"))
+    state, _ = dual_ac_iteration(state)
+    t, batch, tilde = state.t, state.last_batch, state.tilde_alpha.copy()
+    policy_params, value_params = state.policy.get_params(), state.value.get_params()
+
+    def fail(*args, **kwargs):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(driver, "natural_gradient_step", fail)
+    with pytest.raises(IterationError):
+        dual_ac_iteration(state)
+    assert state.t == t and state.last_batch is batch
+    assert np.array_equal(state.policy.get_params(), policy_params)
+    assert np.array_equal(state.value.get_params(), value_params)
+    assert np.array_equal(state.tilde_alpha, tilde)
 
 
 def test_iteration_determinism_bitwise():
@@ -293,19 +324,6 @@ def test_ablation_suite_needs_two_seeds():
 def test_final_performance_window():
     recs = [IterationRecord(i, float(i), 0.0, 0.0, True, 0.0, 0.0, 0.1) for i in range(1, 21)]
     assert final_performance(recs, window=10) == pytest.approx(np.mean(range(11, 21)))
-
-
-# ---------------------------------------------------------------------------
-# Exact prox path through the driver
-
-
-def test_driver_with_exact_prox_runs():
-    env = make_env("chain2")
-    cfg = chain_config(exact_prox=True, iterations=3)
-    state = init_state(cfg, env)
-    for _ in range(3):
-        state, rec = dual_ac_iteration(state)
-    assert np.isfinite(rec.kl)
 
 
 def test_tabular_policy_return_matches_oracle_on_optimal():

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from dualac.cli import default_config
+from dualac.driver import dual_ac_iteration, init_state, load_checkpoint, save_checkpoint
 from dualac.envs import TabularEnv, make_env
 from dualac.estimators import (
     SoftmaxStartWeighting,
@@ -16,10 +18,8 @@ from dualac.estimators import (
     grad_alpha_estimate,
     grad_pi_estimate,
     grad_v_estimate,
-    load_trajectories,
     mc_return,
     sample_trajectories,
-    save_trajectories,
     traj_delta,
     traj_deltas,
     value_grad_terms,
@@ -463,19 +463,21 @@ def test_score_zero_mean_gaussian():
 
 
 def test_trajectory_round_trip(tmp_path):
-    env = make_env("chain5", slip=0.2)
-    policy = TabularSoftmaxPolicy(5, 2)
-    trajs = sample_trajectories(env, policy, m=6, horizon=12, rng_seed=23)
-    trajs[0].start_weight = 1.7
-    path = str(tmp_path / "batch.jsonl")
-    save_trajectories(trajs, path)
-    back = load_trajectories(path)
+    # the checkpoint's last_batch is the one serialized form of a trajectory
+    state = init_state(default_config("gridworld"), make_env("gridworld"))
+    state, _ = dual_ac_iteration(state)
+    trajs = state.last_batch
+    assert any(traj.terminated for traj in trajs) and not all(traj.terminated for traj in trajs)
+    path = str(tmp_path / "checkpoint.json")
+    save_checkpoint(path, state, env_name="gridworld")
+    back = load_checkpoint(path).last_batch
     assert len(back) == len(trajs)
     for a, b in zip(trajs, back):
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.actions, b.actions)
+        assert np.array_equal(a.states, b.states) and a.states.dtype == b.states.dtype
+        assert np.array_equal(a.actions, b.actions) and a.actions.dtype == b.actions.dtype
         assert np.array_equal(a.rewards, b.rewards)
         assert a.start_weight == b.start_weight
+        assert a.terminated == b.terminated
 
 
 def test_traj_deltas_vector():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from dualac.estimators import Trajectory, traj_delta
 from dualac.lagrangian import (
     EnumerationLimitError,
-    KStepPath,
-    delta_k,
     expected_delta_dp,
     inner_min_v_exact,
     k_step_weighting,
@@ -32,29 +31,30 @@ def optimal_triple(mdp, k=0, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# delta_k
+# The k-step residual delta of one path (estimators.traj_delta); k + 1 is the
+# number of steps
 
 
 def test_delta_fixed_point_path():
-    path = KStepPath(states=[0, 0], actions=[0], rewards=[1.0])
-    assert delta_k(np.array([10.0]), path, 0.9) == pytest.approx(0.0, abs=1e-12)
+    path = Trajectory(states=[0, 0], actions=[0], rewards=[1.0])
+    assert traj_delta(path, np.array([10.0]), 0.9, k=0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_is_sampled_one_step_residual():
     # k = 0: delta = R + gamma v(s1) - v(s0) with the expectation replaced by the sample
     v = np.array([2.0, -1.0])
-    path = KStepPath(states=[0, 1], actions=[1], rewards=[0.5])
-    assert delta_k(v, path, 0.9) == pytest.approx(0.5 + 0.9 * (-1.0) - 2.0)
+    path = Trajectory(states=[0, 1], actions=[1], rewards=[0.5])
+    assert traj_delta(path, v, 0.9, k=0) == pytest.approx(0.5 + 0.9 * (-1.0) - 2.0)
 
 
 def test_delta_zero_value_is_discounted_return():
-    path = KStepPath(states=[0, 1, 0, 1], actions=[0, 1, 0], rewards=[1.0, 2.0, 4.0])
-    assert delta_k(np.zeros(2), path, 0.5) == pytest.approx(1.0 + 1.0 + 1.0)
+    path = Trajectory(states=[0, 1, 0, 1], actions=[0, 1, 0], rewards=[1.0, 2.0, 4.0])
+    assert traj_delta(path, np.zeros(2), 0.5, k=2) == pytest.approx(1.0 + 1.0 + 1.0)
 
 
 def test_path_shape_validation():
-    with pytest.raises(ValueError):
-        KStepPath(states=[0, 1], actions=[0, 1], rewards=[0.0, 0.0])
+    with pytest.raises(ValueError, match=r"n\+1 states"):
+        Trajectory(states=[0, 1], actions=[0, 1], rewards=[0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +134,6 @@ def test_multi_step_enumeration_guard():
     pi = np.full((4, 3), 1.0 / 3.0)
     with pytest.raises(EnumerationLimitError):
         multi_step_lagrangian(mdp, np.zeros(4), alpha, pi, k=4, max_paths=100)
-
-
-def test_multi_step_monte_carlo_mode():
-    rng = np.random.default_rng(67)
-    mdp = random_mdp(3, 2, 0.9, rng)
-    v = rng.normal(size=3)
-    alpha = rng.dirichlet(np.ones(3))
-    pi = rng.dirichlet(np.ones(2), size=3)
-    exact = multi_step_lagrangian(mdp, v, alpha, pi, k=2)
-    est, stderr = multi_step_lagrangian(
-        mdp, v, alpha, pi, k=2, monte_carlo=True, mc_samples=20_000, rng=np.random.default_rng(1)
-    )
-    assert stderr > 0
-    assert abs(est - exact) < 5 * stderr
 
 
 # ---------------------------------------------------------------------------

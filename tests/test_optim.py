@@ -15,7 +15,6 @@ from dualac.optim import (
     fisher_estimate,
     fit_value,
     natural_gradient_step,
-    stepsize,
 )
 from dualac.policies import TabularSoftmaxPolicy
 
@@ -24,14 +23,9 @@ from dualac.policies import TabularSoftmaxPolicy
 # Stepsize schedule
 
 
-def test_stepsize_literal_mode():
-    sched = StepsizeSchedule(c=1.0, n0=1.0, beta=1.0, literal_mode=True)
-    assert stepsize(sched, 1) == pytest.approx(0.5)
-
-
 def test_stepsize_default_mode():
     sched = StepsizeSchedule(c=1.0, n0=0.0, beta=1.0)
-    assert stepsize(sched, 4) == pytest.approx(0.25)
+    assert sched.at(4) == pytest.approx(0.25)
 
 
 def test_stepsize_default_monotone():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from dualac.policies import (
     GaussianRbfPolicy,
@@ -7,9 +8,7 @@ from dualac.policies import (
     RbfFeatureMap,
     TabularSoftmaxPolicy,
     TabularValue,
-    load_named_arrays,
     median_trick_bandwidth,
-    save_named_arrays,
 )
 
 
@@ -42,6 +41,13 @@ def test_median_trick_matches_brute_force():
     assert median_trick_bandwidth(x) == pytest.approx(brute)
     # sanity: concentrates near sqrt(2 d) for standard normal data
     assert abs(median_trick_bandwidth(x) - np.sqrt(2 * 3)) < 0.3
+
+
+def test_median_trick_equals_pdist_median():
+    rng = np.random.default_rng(102)
+    for _ in range(50):
+        x = rng.standard_normal((int(rng.integers(2, 600)), int(rng.integers(1, 5)))) * rng.uniform(0.1, 10.0)
+        assert median_trick_bandwidth(x) == np.median(pdist(x))
 
 
 def test_median_trick_identical_points_rejected():
@@ -242,13 +248,3 @@ def test_value_grads_match_finite_differences():
         return c.value(s)
 
     assert np.allclose(grad, fd_grad(f, v.get_params()), rtol=1e-6, atol=1e-9)
-
-
-def test_named_array_round_trip(tmp_path):
-    path = str(tmp_path / "params.json")
-    arrays = {"weights": np.random.default_rng(54).normal(size=(3, 4)), "log_std": np.array([0.1, -0.2])}
-    save_named_arrays(path, arrays)
-    back = load_named_arrays(path)
-    assert set(back) == {"weights", "log_std"}
-    assert np.array_equal(back["weights"], arrays["weights"])
-    assert np.array_equal(back["log_std"], arrays["log_std"])
