@@ -19,12 +19,12 @@ import numpy as np
 
 from .envs import make_env
 from .estimators import (
-    Trajectory,
+    ReplayRows,
     alpha_closed_form,
     delta_means_by_start,
     grad_pi_estimate,
     grad_v_estimate,
-    mc_return,
+    replay_rows,
     sample_trajectories,
     traj_deltas,
     value_grad_terms,
@@ -171,27 +171,41 @@ class TrainingState:
     value: object
     t: int = 0
     tilde_alpha: np.ndarray | None = None   # per-state (tabular envs only)
-    last_batch: list = field(default_factory=list)
+    last_batch: ReplayRows = field(default_factory=ReplayRows)  # the previous batch's replay rows
 
 
 def init_state(cfg: DualAcConfig, env) -> TrainingState:
     cfg = cfg.resolved(env)
+    fmap = None
+    if not env.spec.tabular:
+        bandwidth = median_trick_bandwidth(_bandwidth_probe(env, cfg.feature_seed))
+        fmap = RbfFeatureMap.create(cfg.n_rbf_features, env.spec.obs_dim, bandwidth, seed=cfg.feature_seed)
+    return _fresh_state(cfg, env, fmap)
+
+
+def _bandwidth_probe(env, feature_seed: int) -> np.ndarray:
+    """Observations of 10 rollouts of 50 uniformly random actions, rollout by
+    rollout.  One stream feeds them in turn: each rollout's start draws, then
+    its actions."""
+    rollouts, steps = 10, 50
+    dim, low, high = env.spec.action_dim, env.spec.action_low, env.spec.action_high
+    u = np.random.default_rng([feature_seed, 0xBAD]).random((rollouts, env.start_draws + steps * dim))
+    actions = (low + (high - low) * u[:, env.start_draws :]).reshape(rollouts, steps, dim)
+    s = env.initial_states(u[:, : env.start_draws])
+    obs = [env.observe(s)]
+    for i in range(steps):
+        s, _ = env.step_states(s, actions[:, i])
+        obs.append(env.observe(s))
+    return np.stack(obs, axis=1).reshape(rollouts * (steps + 1), -1)
+
+
+def _fresh_state(cfg: DualAcConfig, env, fmap: RbfFeatureMap | None) -> TrainingState:
+    """Iteration-0 state of a resolved config; fmap is the continuous envs' feature map."""
     if env.spec.tabular:
         policy = TabularSoftmaxPolicy(env.spec.n_states, env.spec.n_actions)
         value = TabularValue(env.spec.n_states)
         tilde = np.zeros(env.spec.n_states)
     else:
-        probe_rng = np.random.default_rng([cfg.feature_seed, 0xBAD])
-        probe = []
-        for _ in range(10):
-            s = env.initial_state(probe_rng)
-            probe.append(env.observe(s))
-            for _ in range(50):
-                u = probe_rng.uniform(env.spec.action_low, env.spec.action_high, size=env.spec.action_dim)
-                s, _ = env.step_state(s, u, probe_rng)
-                probe.append(env.observe(s))
-        bandwidth = median_trick_bandwidth(np.array(probe))
-        fmap = RbfFeatureMap.create(cfg.n_rbf_features, env.spec.obs_dim, bandwidth, seed=cfg.feature_seed)
         policy = GaussianRbfPolicy(
             fmap,
             env.spec.action_dim,
@@ -204,22 +218,20 @@ def init_state(cfg: DualAcConfig, env) -> TrainingState:
     return TrainingState(env=env, cfg=cfg, policy=policy, value=value, tilde_alpha=tilde)
 
 
-def _assign_start_weights(cfg: DualAcConfig, env, value, batch: list[Trajectory]):
-    """Compute the closed-form reweighting from the batch deltas at the given
+def _assign_start_weights(cfg: DualAcConfig, env, batch, deltas):
+    """Compute the closed-form reweighting from the batch's deltas at one
     value function and stamp (tilde_alpha + eta_mu) onto each trajectory.
 
-    Returns the per-trajectory delta values (for the record) and the
-    per-state tilde_alpha on tabular envs (None otherwise)."""
-    deltas = traj_deltas(batch, value, cfg.gamma, cfg.k)
+    Returns the per-state tilde_alpha on tabular envs (None otherwise)."""
     if env.spec.tabular:
-        means, _ = delta_means_by_start(batch, value, cfg.gamma, cfg.k, env.spec.n_states)
+        means, _ = delta_means_by_start(batch, deltas, env.spec.n_states)
         tilde = alpha_closed_form(means, cfg.eta_alpha)
         for traj in batch:
             traj.start_weight = float(tilde[int(traj.states[0])] + cfg.eta_mu)
-        return deltas, tilde
+        return tilde
     for traj, ta in zip(batch, alpha_closed_form(deltas, cfg.eta_alpha)):
         traj.start_weight = float(ta + cfg.eta_mu)
-    return deltas, None
+    return None
 
 
 def dual_ac_iteration(state: TrainingState):
@@ -233,11 +245,13 @@ def dual_ac_iteration(state: TrainingState):
 
     # line 3: sample under pi^{t-1}, weighted by the previous reweighting
     batch = sample_trajectories(env, state.policy, cfg.batch_m, cfg.horizon, rng_seed=(cfg.seed, t))
-    _assign_start_weights(cfg, env, state.value, batch)  # alpha^{t-1}: closed form at V^{t-1}
+    # alpha^{t-1}: closed form at V^{t-1}
+    _assign_start_weights(cfg, env, batch, traj_deltas(batch, state.value, cfg.gamma, cfg.k))
 
     # line 4: V^t = argmin of the sampled path-regularized objective; the
     # penalty also anchors on the previous batch (behavior-policy replay)
-    terms = value_grad_terms(batch, batch + state.last_batch, state.value, cfg.gamma, cfg.k, cfg.eta_v)
+    rows = replay_rows(batch, cfg.gamma)
+    terms = value_grad_terms(batch, [*rows, *state.last_batch], state.value, cfg.gamma, cfg.k, cfg.eta_v)
     try:
         fit = fit_value(
             state.value.get_params(),
@@ -252,13 +266,14 @@ def dual_ac_iteration(state: TrainingState):
     value.set_params(fit.params)
 
     # line 5: closed-form reweighting at V^t
-    deltas, tilde = _assign_start_weights(cfg, env, value, batch)
+    deltas = traj_deltas(batch, value, cfg.gamma, cfg.k)
+    tilde = _assign_start_weights(cfg, env, batch, deltas)
 
     # line 6: stepsize decay
     zeta = cfg.schedule.at(t)
 
     # line 7: policy gradient with (tilde_alpha + eta_mu) start weights
-    g_pi = grad_pi_estimate(batch, value, state.policy, cfg.gamma, cfg.k)
+    g_pi = grad_pi_estimate(batch, deltas, state.policy, cfg.k)
     if not np.all(np.isfinite(g_pi)):
         raise IterationError(t, "non-finite policy gradient")
 
@@ -285,11 +300,11 @@ def dual_ac_iteration(state: TrainingState):
     policy.set_params(new_params)
     kl = float(policy.kl(state.policy, visited_states))
 
-    state.t, state.policy, state.value, state.tilde_alpha, state.last_batch = t, policy, value, tilde, batch
+    state.t, state.policy, state.value, state.tilde_alpha, state.last_batch = t, policy, value, tilde, rows
     record = IterationRecord(
         iteration=t,
         mean_return=float(np.mean([traj.rewards.sum() for traj in batch])),
-        mean_disc_return=float(np.mean([mc_return(traj, cfg.gamma) for traj in batch])),
+        mean_disc_return=float(np.mean(rows.returns)),
         mean_delta=float(np.mean(deltas)),
         inner_converged=bool(fit.converged),
         inner_residual=float(fit.grad_norm),
@@ -305,6 +320,9 @@ def dual_ac_iteration(state: TrainingState):
 
 
 def save_checkpoint(path: str, state: TrainingState, env_name: str = "") -> None:
+    """Write the state as JSON atomically: to a temporary file beside path,
+    then renamed over it, so a failed write leaves the previous checkpoint."""
+    rows = state.last_batch
     payload = {
         "env_name": env_name or getattr(state.env, "name", ""),
         "t": state.t,
@@ -312,16 +330,11 @@ def save_checkpoint(path: str, state: TrainingState, env_name: str = "") -> None
         "policy_params": state.policy.get_params().tolist(),
         "value_params": state.value.get_params().tolist(),
         "tilde_alpha": None if state.tilde_alpha is None else state.tilde_alpha.tolist(),
-        "last_batch": [
-            {
-                "states": traj.states.tolist(),
-                "actions": traj.actions.tolist(),
-                "rewards": traj.rewards.tolist(),
-                "start_weight": traj.start_weight,
-                "terminated": traj.terminated,
-            }
-            for traj in state.last_batch
-        ],
+        "last_batch": {
+            "starts": rows.starts.tolist(),
+            "returns": rows.returns.tolist(),
+            "n_steps": rows.n_steps.tolist(),
+        },
     }
     if isinstance(state.policy, GaussianRbfPolicy):
         fmap = state.policy.feature_map
@@ -330,17 +343,27 @@ def save_checkpoint(path: str, state: TrainingState, env_name: str = "") -> None
             "phases": fmap.phases.tolist(),
             "bandwidth": fmap.bandwidth,
         }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str, env=None) -> TrainingState:
+    """Rebuild a saved state; the feature map comes from the payload, so
+    loading runs no bandwidth probe."""
     with open(path) as fh:
         payload = json.load(fh)
     if env is None:
         env = make_env(payload["env_name"])
-    cfg = DualAcConfig.from_dict(payload["config"])
-    state = init_state(cfg, env)
+    cfg = DualAcConfig.from_dict(payload["config"]).resolved(env)
+    fmap = None
     if "feature_map" in payload:
         fm = payload["feature_map"]
         fmap = RbfFeatureMap(
@@ -348,23 +371,18 @@ def load_checkpoint(path: str, env=None) -> TrainingState:
             phases=np.array(fm["phases"]),
             bandwidth=float(fm["bandwidth"]),
         )
-        state.policy.feature_map = fmap
-        state.value.feature_map = BiasedFeatureMap(fmap)
+    state = _fresh_state(cfg, env, fmap)
     state.policy.set_params(np.array(payload["policy_params"]))
     state.value.set_params(np.array(payload["value_params"]))
     state.t = int(payload["t"])
     if payload["tilde_alpha"] is not None:
         state.tilde_alpha = np.array(payload["tilde_alpha"])
-    state.last_batch = [
-        Trajectory(
-            states=np.array(rec["states"]),
-            actions=np.array(rec["actions"]),
-            rewards=np.array(rec["rewards"], dtype=float),
-            start_weight=float(rec["start_weight"]),
-            terminated=bool(rec["terminated"]),
-        )
-        for rec in payload.get("last_batch", [])
-    ]
+    rows = payload["last_batch"]
+    state.last_batch = ReplayRows(
+        starts=np.array(rows["starts"]),
+        returns=np.array(rows["returns"], dtype=float),
+        n_steps=np.array(rows["n_steps"], dtype=int),
+    )
     return state
 
 

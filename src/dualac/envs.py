@@ -1,15 +1,16 @@
-"""Desk-scale environments behind one reset/step interface.
+"""Desk-scale environments as pure kernels on batches of states.
 
 Tabular environments wrap an explicit TabularMdp (so their simulation
 statistics are checkable against the exact oracles), and the pendulum is the
 classic torque-limited swing-up task with semi-implicit Euler dynamics.
 
-Each environment exposes two layers:
+Every kernel works on m states at once, held as (m, ...) arrays, and takes
+its randomness as variates drawn beforehand:
 
-* a pure kernel - initial_state / step_state / observe - used by the batch
-  trajectory sampler, with all randomness passed in explicitly;
-* a stateful wrapper - reset(seed) / step(action) -> (obs, reward, done) -
-  for interactive use; stepping a finished episode raises.
+* draw_variates(rng, horizon) - one trajectory's whole random stream, in the
+  order a rollout stepped one state at a time consumes it;
+* initial_states(u) / step_states(states, actions, u) / observe(states) /
+  is_terminal(states) - the batched kernels the lockstep sampler calls.
 """
 
 from __future__ import annotations
@@ -35,8 +36,24 @@ class EnvSpec:
     action_high: float | None = None
 
 
+def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index drawn by each uniform u against the cumulative probabilities
+    along cdf's last axis: the count of entries <= u.  With
+    cdf = cumsum(p) / cumsum(p)[-1] this is the index that
+    Generator.choice(len(p), p=p) draws from the same uniform."""
+    return (cdf <= u[:, None]).sum(axis=-1)
+
+
+def cumulative(p: np.ndarray) -> np.ndarray:
+    """cumsum(p) / cumsum(p)[-1] along the last axis, as Generator.choice builds it."""
+    cdf = np.cumsum(p, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
 class TabularEnv:
     """Finite MDP simulator; absorbing terminals are zero-reward self-loops."""
+
+    start_draws = 1  # uniforms per start state
 
     def __init__(self, mdp: TabularMdp, horizon: int, terminal_states=(), name: str = "tabular"):
         self.mdp = mdp
@@ -49,45 +66,30 @@ class TabularEnv:
             n_states=mdp.n_states,
             n_actions=mdp.n_actions,
         )
-        self._state: int | None = None
-        self._steps = 0
-        self._done = True
+        self._start_cdf = cumulative(mdp.mu)
+        self._step_cdf = cumulative(mdp.transition)
+        self._terminal = np.isin(np.arange(mdp.n_states), list(self.terminal_states))
 
-    # pure kernel -----------------------------------------------------------
+    def draw_variates(self, rng: np.random.Generator, horizon: int):
+        """One trajectory's uniforms: the start state's, then per step the
+        policy's action draw followed by the transition's."""
+        u = rng.random(self.start_draws + 2 * horizon)
+        return u[0], u[1::2], u[2::2]
 
-    def initial_state(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.mdp.n_states, p=self.mdp.mu))
+    def initial_states(self, u: np.ndarray) -> np.ndarray:
+        return inverse_cdf(self._start_cdf, u)
 
-    def step_state(self, state: int, action: int, rng: np.random.Generator):
-        if not 0 <= action < self.mdp.n_actions:
-            raise ValueError(f"action {action} out of range")
-        reward = float(self.mdp.reward[state, action])
-        nxt = int(rng.choice(self.mdp.n_states, p=self.mdp.transition[state, action]))
-        return nxt, reward
+    def step_states(self, states: np.ndarray, actions: np.ndarray, u: np.ndarray):
+        """(next states, rewards) of a batch of (state, action) pairs."""
+        if np.any((actions < 0) | (actions >= self.mdp.n_actions)):
+            raise ValueError(f"action out of range 0..{self.mdp.n_actions - 1}")
+        return inverse_cdf(self._step_cdf[states, actions], u), self.mdp.reward[states, actions]
 
-    def observe(self, state: int) -> int:
-        return int(state)
+    def observe(self, states: np.ndarray) -> np.ndarray:
+        return states
 
-    def is_terminal(self, state) -> bool:
-        return int(state) in self.terminal_states
-
-    # stateful wrapper ------------------------------------------------------
-
-    def reset(self, seed: int) -> int:
-        self._rng = np.random.default_rng(seed)
-        self._state = self.initial_state(self._rng)
-        self._steps = 0
-        self._done = self.is_terminal(self._state)
-        return self.observe(self._state)
-
-    def step(self, action: int):
-        if self._done or self._state is None:
-            raise RuntimeError("episode is finished; call reset() first")
-        nxt, reward = self.step_state(self._state, int(action), self._rng)
-        self._state = nxt
-        self._steps += 1
-        self._done = self._steps >= self.spec.horizon or self.is_terminal(nxt)
-        return self.observe(nxt), reward, self._done
+    def is_terminal(self, states: np.ndarray) -> np.ndarray:
+        return self._terminal[states]
 
     def as_tabular(self) -> TabularMdp:
         return self.mdp
@@ -100,7 +102,10 @@ class PendulumEnv:
     constants (g = 10, m = l = 1, dt = 0.05, torque bound 2, speed cap 8);
     the per-step reward is -(wrap(theta)^2 + 0.1 theta_dot^2 + 0.001 u^2)
     evaluated before the state update.  Episodes run a fixed horizon.
+    clip_count counts the actions whose torque was clipped to the bound.
     """
+
+    start_draws = 2  # uniforms per start state: theta, then theta_dot
 
     def __init__(
         self,
@@ -126,65 +131,50 @@ class PendulumEnv:
             action_high=max_torque,
         )
         self.clip_count = 0
-        self._state: np.ndarray | None = None
-        self._steps = 0
-        self._done = True
 
-    # pure kernel -----------------------------------------------------------
+    def draw_variates(self, rng: np.random.Generator, horizon: int):
+        """One trajectory's stream: the start state's uniforms, then the
+        Gaussian policy's standard normal action noise for every step;
+        transitions are deterministic and draw nothing."""
+        return rng.random(self.start_draws), rng.standard_normal((horizon, self.spec.action_dim)), None
 
-    def initial_state(self, rng: np.random.Generator) -> np.ndarray:
-        return np.array([rng.uniform(-math.pi, math.pi), rng.uniform(-1.0, 1.0)])
+    def initial_states(self, u: np.ndarray) -> np.ndarray:
+        """theta ~ U(-pi, pi), theta_dot ~ U(-1, 1), as low + (high - low) * u."""
+        lows, highs = np.array([-math.pi, -1.0]), np.array([math.pi, 1.0])
+        return lows + (highs - lows) * u
 
-    def step_state(self, state: np.ndarray, action, rng=None):
-        th, thdot = float(state[0]), float(state[1])
-        u = float(np.asarray(action).reshape(-1)[0])
-        if abs(u) > self.max_torque:
-            self.clip_count += 1
-            u = max(-self.max_torque, min(self.max_torque, u))
-        reward = -(wrap_angle(th) ** 2 + 0.1 * thdot**2 + 0.001 * u**2)
-        thdot = thdot + (3.0 * self.g / (2.0 * self.l) * math.sin(th) + 3.0 * u / (self.m * self.l**2)) * self.dt
-        thdot = max(-self.max_speed, min(self.max_speed, thdot))
+    def step_states(self, states: np.ndarray, actions: np.ndarray, u=None):
+        """(next states, rewards) of a batch: states (m, 2), actions (m, action_dim);
+        transitions are deterministic, so u is unused.
+
+        Squares are np.float_power, the libm pow of Python's x ** 2: x * x
+        rounds differently in about 0.1% of values."""
+        th, thdot = states[:, 0], states[:, 1]
+        torque = actions[:, 0]
+        self.clip_count += int(np.count_nonzero(np.abs(torque) > self.max_torque))
+        torque = np.clip(torque, -self.max_torque, self.max_torque)
+        sq = np.float_power
+        rewards = -(sq(wrap_angle(th), 2) + 0.1 * sq(thdot, 2) + 0.001 * sq(torque, 2))
+        thdot = thdot + (3.0 * self.g / (2.0 * self.l) * np.sin(th) + 3.0 * torque / (self.m * self.l**2)) * self.dt
+        thdot = np.clip(thdot, -self.max_speed, self.max_speed)
         th = wrap_angle(th + thdot * self.dt)
-        return np.array([th, thdot]), reward
+        return np.stack([th, thdot], axis=1), rewards
 
-    def observe(self, state: np.ndarray) -> np.ndarray:
-        th, thdot = float(state[0]), float(state[1])
-        return np.array([math.cos(th), math.sin(th), thdot])
+    def observe(self, states: np.ndarray) -> np.ndarray:
+        th, thdot = states[:, 0], states[:, 1]
+        return np.stack([np.cos(th), np.sin(th), thdot], axis=1)
 
-    def is_terminal(self, state) -> bool:
-        return False
-
-    # stateful wrapper ------------------------------------------------------
-
-    def reset(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        self._state = self.initial_state(rng)
-        self._steps = 0
-        self._done = False
-        return self.observe(self._state)
-
-    def step(self, action):
-        if self._done or self._state is None:
-            raise RuntimeError("episode is finished; call reset() first")
-        self._state, reward = self.step_state(self._state, action)
-        self._steps += 1
-        self._done = self._steps >= self.spec.horizon
-        return self.observe(self._state), reward, self._done
+    def is_terminal(self, states: np.ndarray) -> np.ndarray:
+        return np.zeros(len(states), dtype=bool)
 
     def as_tabular(self):
         raise NotImplementedError("the pendulum has no tabular representation")
 
-    def energy(self, state) -> float:
-        """Mechanical energy of the free rod: (1/6) m l^2 w^2 + (m g l / 2) cos(theta)."""
-        th, thdot = float(state[0]), float(state[1])
-        return self.m * self.l**2 * thdot**2 / 6.0 + self.m * self.g * self.l * math.cos(th) / 2.0
 
-
-def wrap_angle(theta: float) -> float:
-    """Wrap to (-pi, pi]."""
-    out = math.fmod(theta + math.pi, 2.0 * math.pi)
-    if out <= 0.0:
-        out += 2.0 * math.pi
+def wrap_angle(theta):
+    """Wrap to (-pi, pi], elementwise."""
+    out = np.fmod(theta + math.pi, 2.0 * math.pi)
+    out = np.where(out <= 0.0, out + 2.0 * math.pi, out)
     return out - math.pi
 
 

@@ -16,7 +16,8 @@ Conventions that matter here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,38 +58,48 @@ class Trajectory:
 
 
 def sample_trajectories(env, policy, m: int, horizon: int, rng_seed) -> list[Trajectory]:
-    """Roll out m trajectories of length <= horizon under the given policy.
+    """Roll out m trajectories of length <= horizon under the given policy,
+    all m in lockstep.
 
-    Each trajectory consumes its own random stream derived from
-    (rng_seed, index), so results are reproducible and independent of any
-    worker partitioning.  rng_seed may be an int or a sequence of ints.
+    Trajectory l consumes its own random stream, seeded by (rng_seed..., l)
+    and drawn up front (env.draw_variates), so each trajectory is
+    reproducible, independent of the others and of m, and bitwise the one
+    that stepping it alone would give.  rng_seed may be an int or a sequence
+    of ints.
     """
     if m < 1 or horizon < 1:
         raise ValueError("m and horizon must be >= 1")
     seed_prefix = [int(s) for s in np.atleast_1d(rng_seed)]
-    out = []
-    for l in range(m):
-        rng = np.random.default_rng(seed_prefix + [l])
-        state = env.initial_state(rng)
-        states = [env.observe(state)]
-        actions, rewards = [], []
-        for _ in range(horizon):
-            if env.is_terminal(state):
-                break
-            a = policy.sample(states[-1], rng)
-            state, r = env.step_state(state, a, rng)
-            actions.append(a)
-            rewards.append(r)
-            states.append(env.observe(state))
-        out.append(
-            Trajectory(
-                np.array(states),
-                np.array(actions),
-                np.array(rewards),
-                terminated=env.is_terminal(state),
-            )
-        )
-    return out
+    streams = [env.draw_variates(np.random.default_rng(seed_prefix + [l]), horizon) for l in range(m)]
+    start_u, action_u, step_u = (None if part[0] is None else np.array(part) for part in zip(*streams))
+    state = env.initial_states(start_u)
+    first = env.observe(state)
+    obs = np.zeros((m, horizon + 1) + first.shape[1:], dtype=first.dtype)
+    obs[:, 0] = first
+    actions, rewards = None, np.zeros((m, horizon))
+    lengths = np.zeros(m, dtype=int)
+    draw = policy.action_sampler()
+    live = np.flatnonzero(~env.is_terminal(state))
+    for i in range(horizon):
+        if live.size == 0:
+            break
+        a = draw(obs[live, i], action_u[live, i])
+        nxt, r = env.step_states(state[live], a, None if step_u is None else step_u[live, i])
+        if actions is None:
+            actions = np.zeros((m, horizon) + a.shape[1:], dtype=a.dtype)
+        state[live] = nxt
+        obs[live, i + 1] = env.observe(nxt)
+        actions[live, i] = a
+        rewards[live, i] = r
+        lengths[live] += 1
+        live = live[~env.is_terminal(nxt)]
+    if actions is None:  # every start was terminal
+        actions = np.zeros((m, 0))
+    terminated = env.is_terminal(state)
+    return [
+        Trajectory(obs[l, : n + 1], actions[l, :n], rewards[l, :n], terminated=bool(terminated[l]))
+        for l, n in enumerate(lengths)
+    ]
 
 
 def mc_return(traj: Trajectory, gamma: float, k: int | None = None) -> float:
@@ -97,6 +108,37 @@ def mc_return(traj: Trajectory, gamma: float, k: int | None = None) -> float:
     stop = n if k is None else min(k + 1, n)
     disc = gamma ** np.arange(stop)
     return float(disc @ traj.rewards[:stop])
+
+
+class ReplayRow(NamedTuple):
+    start: np.ndarray  # observation s_0
+    mc_return: float   # full-length discounted return
+    n_steps: int
+
+
+@dataclass(frozen=True, eq=False)
+class ReplayRows:
+    """What the inner value fit's behavior replay reads of a past batch, one
+    row per trajectory: its start observation, full-length mc_return and
+    n_steps.  Held by column; iterating yields a ReplayRow per trajectory."""
+
+    starts: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    returns: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    n_steps: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+
+    def __len__(self) -> int:
+        return len(self.returns)
+
+    def __iter__(self):
+        return map(ReplayRow, self.starts, self.returns, self.n_steps)
+
+
+def replay_rows(trajs, gamma: float) -> ReplayRows:
+    return ReplayRows(
+        starts=np.array([traj.states[0] for traj in trajs]),
+        returns=np.array([mc_return(traj, gamma) for traj in trajs]),
+        n_steps=np.array([traj.n_steps for traj in trajs], dtype=int),
+    )
 
 
 def _value_fn(v):
@@ -151,18 +193,19 @@ def grad_alpha_estimate(trajs, v, start_model, gamma: float, k: int) -> np.ndarr
     return total / len(trajs)
 
 
-def grad_pi_estimate(trajs, v, policy, gamma: float, k: int) -> np.ndarray:
-    """Batch mean of start_weight * delta_k(tau) * sum_i grad log pi(a_i|s_i)."""
+def grad_pi_estimate(trajs, deltas, policy, k: int) -> np.ndarray:
+    """Batch mean of start_weight * delta_k(tau) * sum_i grad log pi(a_i|s_i),
+    given each trajectory's delta_k (traj_deltas)."""
     if not trajs:
         raise ValueError("empty trajectory batch")
     total = np.zeros(policy.n_params)
-    for traj in trajs:
+    for traj, delta in zip(trajs, deltas):
         steps = min(k + 1, traj.n_steps)
         score = np.zeros(policy.n_params)
         for i in range(steps):
             _, g = policy.log_prob_and_grad(traj.states[i], traj.actions[i])
             score += g
-        total += traj.start_weight * traj_delta(traj, v, gamma, k) * score
+        total += traj.start_weight * delta * score
     return total / len(trajs)
 
 
@@ -172,18 +215,20 @@ class ValueGradTerms:
     g(w) = constant - (2 eta_v / n_b) sum_b (returns_b - rows_b . w) rows_b."""
 
     constant: np.ndarray  # lead and weighted residual terms
-    rows: np.ndarray      # (n_b, n_params) grad v(s_0) of each behavior trajectory
-    returns: np.ndarray   # (n_b,) mc_return of each behavior trajectory
+    rows: np.ndarray      # (n_b, n_params) grad v(s_0) of each behavior row
+    returns: np.ndarray   # (n_b,) mc_return of each behavior row
     eta_v: float
 
 
-def value_grad_terms(trajs, behavior_trajs, value_model, gamma: float, k: int, eta_v: float) -> ValueGradTerms:
+def value_grad_terms(trajs, behavior, value_model, gamma: float, k: int, eta_v: float) -> ValueGradTerms:
     """Build the parts of the sampled path-regularized value gradient that stay
     fixed while the value parameters move:
 
     (1 - gamma^{k+1}) E_mu[grad v(s_0)]
       + E[start_weight * (gamma^j grad v(s_j) - grad v(s_0))]      j = min(k+1, len)
-      - 2 eta_v E[(mc_return(tau_b) - v(s_0)) grad v(s_0)]          over behavior trajs
+      - 2 eta_v E[(mc_return(tau_b) - v(s_0)) grad v(s_0)]          over behavior rows
+
+    behavior is an iterable of ReplayRow, one per behavior trajectory.
 
     Precondition: the value model is linear in its parameters, v(s) = w . grad v(s)
     with grad v(s) independent of w.  LinearValue and TabularValue satisfy it;
@@ -206,10 +251,11 @@ def value_grad_terms(trajs, behavior_trajs, value_model, gamma: float, k: int, e
     constant = (1.0 - gamma ** (k + 1)) * lead / len(trajs) + resid / len(trajs)
     rows, returns = np.zeros((0, n)), np.zeros(0)
     if eta_v > 0:
-        if not behavior_trajs:
+        behavior = list(behavior)
+        if not behavior:
             raise ValueError("empty behavior batch with eta_v > 0")
-        rows = np.array([value_model.eval_and_grad(traj.states[0])[1] for traj in behavior_trajs])
-        returns = np.array([mc_return(traj, gamma) for traj in behavior_trajs])
+        rows = np.array([value_model.eval_and_grad(row.start)[1] for row in behavior])
+        returns = np.array([row.mc_return for row in behavior])
     return ValueGradTerms(constant, rows, returns, float(eta_v))
 
 
@@ -231,16 +277,17 @@ def traj_deltas(trajs, v, gamma: float, k: int) -> np.ndarray:
     return np.array([traj_delta(traj, v, gamma, k) for traj in trajs])
 
 
-def delta_means_by_start(trajs, v, gamma: float, k: int, n_states: int):
-    """Per-start-state batch means of delta_k (tabular grouping).
+def delta_means_by_start(trajs, deltas, n_states: int):
+    """Per-start-state batch means of the trajectories' delta_k (tabular
+    grouping), summed in batch order.
 
     Returns (means, counts); states with no sampled trajectory keep mean 0.
     """
     sums = np.zeros(n_states)
     counts = np.zeros(n_states, dtype=int)
-    for traj in trajs:
+    for traj, delta in zip(trajs, deltas):
         s0 = int(traj.states[0])
-        sums[s0] += traj_delta(traj, v, gamma, k)
+        sums[s0] += delta
         counts[s0] += 1
     means = np.zeros(n_states)
     seen = counts > 0

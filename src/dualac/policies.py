@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envs import cumulative, inverse_cdf
+
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -85,6 +87,13 @@ class RbfFeatureMap:
         if x.shape[1] != self.state_dim:
             raise ValueError(f"state dim {x.shape[1]} != feature map dim {self.state_dim}")
         return np.cos(x @ self.frequencies.T / self.bandwidth + self.phases)
+
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        """Features of a batch (N, D) -> (N, F), each row bitwise equal to the
+        map of that state alone: a stacked matrix-vector product, where
+        x @ frequencies.T rounds differently in most rows."""
+        x = np.asarray(states, dtype=float)
+        return np.cos(np.matmul(self.frequencies, x[..., None])[..., 0] / self.bandwidth + self.phases)
 
 
 class BiasedFeatureMap:
@@ -158,8 +167,12 @@ class GaussianRbfPolicy:
     def mean_batch(self, states: np.ndarray) -> np.ndarray:
         return self.feature_map(states) @ self.weights.T
 
-    def sample(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.mean(state) + np.exp(self.log_std) * rng.standard_normal(self.action_dim)
+    def action_sampler(self):
+        """The current policy's action draw for a batch of states (N, D), one
+        row of standard normal noise (N, action_dim) each: mean(state) +
+        exp(log_std) * noise, bitwise for every row."""
+        weights, scale, features = self.weights.copy(), np.exp(self.log_std), self.feature_map.rows
+        return lambda states, noise: np.matmul(weights, features(states)[..., None])[..., 0] + scale * noise
 
     def log_prob(self, state: np.ndarray, action: np.ndarray) -> float:
         z = (np.asarray(action, dtype=float) - self.mean(state)) / np.exp(self.log_std)
@@ -240,8 +253,13 @@ class TabularSoftmaxPolicy:
         p = self.prob_matrix()[state]
         return p / p.sum()
 
-    def sample(self, state: int, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.n_actions, p=self.probs(state)))
+    def action_sampler(self):
+        """The current policy's action draw for a batch of states, one uniform
+        each, by inverse CDF: the action Generator.choice(n_actions,
+        p=probs(s)) draws from the same uniform."""
+        p = self.prob_matrix()
+        cdf = cumulative(p / p.sum(axis=1, keepdims=True))
+        return lambda states, u: inverse_cdf(cdf[states], u)
 
     def log_prob(self, state: int, action: int) -> float:
         return float(self.log_prob_matrix()[state, action])

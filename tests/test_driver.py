@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from dualac import driver
+from dualac import driver, estimators
 from dualac.cli import default_config
 from dualac.driver import (
     DualAcConfig,
@@ -190,6 +190,25 @@ def test_golden_run_records(env_name, ablation, iterations):
     assert _records_digest(records) == GOLDEN_RUNS[(env_name, ablation, iterations)]
 
 
+def test_iteration_computes_deltas_once_per_value_function(monkeypatch):
+    # delta_k of each trajectory at V^{t-1} and at V^t; the reweighting, its
+    # per-start means and the policy gradient reuse them
+    calls = []
+    original = estimators.traj_delta
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "traj_delta", counted)
+    for name in ("gridworld", "chain2"):
+        state = init_state(dataclasses.replace(default_config(name), batch_m=24), make_env(name))
+        for _ in range(2):
+            calls.clear()
+            state, _ = dual_ac_iteration(state)
+            assert len(calls) == 2 * state.cfg.batch_m, name
+
+
 def test_chain_learns_oracle_policy():
     env = make_env("chain2")
     cfg = chain_config(iterations=200)
@@ -277,6 +296,55 @@ def test_checkpoint_round_trip_continuous(tmp_path):
     _, direct = dual_ac_iteration(state)
     _, reloaded = dual_ac_iteration(resumed)
     assert direct == reloaded
+
+
+@pytest.mark.parametrize("env_name", ["gridworld", "pendulum"])
+def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path, env_name):
+    cfg = default_config(env_name)
+    state = init_state(cfg, make_env(env_name))
+    direct = [dual_ac_iteration(state)[1] for _ in range(4)]
+    state = init_state(cfg, make_env(env_name))
+    resumed = [dual_ac_iteration(state)[1] for _ in range(2)]
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(path, state, env_name=env_name)
+    state = load_checkpoint(path)
+    resumed += [dual_ac_iteration(state)[1] for _ in range(2)]
+    assert _records_digest(resumed) == _records_digest(direct)
+
+
+def test_load_checkpoint_runs_no_bandwidth_probe(tmp_path, monkeypatch):
+    cfg = dataclasses.replace(default_config("pendulum"), iterations=0)
+    path = str(tmp_path / "ck.json")
+    state = init_state(cfg, make_env("pendulum"))
+    save_checkpoint(path, state, env_name="pendulum")
+
+    def probe(*args, **kwargs):
+        raise AssertionError("the bandwidth probe ran")
+
+    monkeypatch.setattr(driver, "_bandwidth_probe", probe)
+    resumed = load_checkpoint(path)
+    for name in ("frequencies", "phases", "bandwidth"):
+        assert np.array_equal(getattr(resumed.policy.feature_map, name), getattr(state.policy.feature_map, name))
+    assert np.array_equal(resumed.policy.get_params(), state.policy.get_params())
+
+
+def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
+    state = init_state(chain_config(), make_env("chain2"))
+    state, _ = dual_ac_iteration(state)
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(path, state, env_name="chain2")
+    before = open(path).read()
+    state, _ = dual_ac_iteration(state)
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(driver.json, "dump", fail)
+    with pytest.raises(OSError):
+        save_checkpoint(path, state, env_name="chain2")
+    assert open(path).read() == before
+    assert os.listdir(tmp_path) == ["ck.json"]
+    assert load_checkpoint(path).t == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 
 from dualac.envs import PendulumEnv, gridworld_5x5, make_env, two_state_chain, wrap_angle
+from dualac.estimators import sample_trajectories
 from dualac.mdp import greedy_policy, save_mdp, value_iteration
+from dualac.policies import GaussianRbfPolicy, RbfFeatureMap
 
 
 # ---------------------------------------------------------------------------
@@ -14,76 +16,90 @@ from dualac.mdp import greedy_policy, save_mdp, value_iteration
 
 def test_pendulum_upright_rest_is_free():
     env = PendulumEnv()
-    state = np.array([0.0, 0.0])
-    nxt, reward = env.step_state(state, 0.0)
-    assert reward == 0.0
+    state = np.array([[0.0, 0.0]])
+    nxt, reward = env.step_states(state, np.array([[0.0]]))
+    assert reward.tolist() == [0.0]
     assert np.allclose(nxt, state)
 
 
 def test_pendulum_reward_symmetry():
     env = PendulumEnv()
     rng = np.random.default_rng(61)
-    for _ in range(25):
-        th = rng.uniform(-math.pi + 1e-6, math.pi)  # avoid the wrap boundary
-        thdot = rng.uniform(-8, 8)
-        u = rng.uniform(-2, 2)
-        _, r1 = env.step_state(np.array([th, thdot]), u)
-        _, r2 = env.step_state(np.array([-th, -thdot]), -u)
-        assert r1 == pytest.approx(r2, abs=1e-12)
+    n = 25
+    th = rng.uniform(-math.pi + 1e-6, math.pi, size=n)  # avoid the wrap boundary
+    thdot = rng.uniform(-8, 8, size=n)
+    u = rng.uniform(-2, 2, size=(n, 1))
+    _, r1 = env.step_states(np.stack([th, thdot], axis=1), u)
+    _, r2 = env.step_states(np.stack([-th, -thdot], axis=1), -u)
+    assert np.allclose(r1, r2, rtol=0.0, atol=1e-12)
 
 
 def test_pendulum_reward_bounds():
     env = PendulumEnv()
     rng = np.random.default_rng(62)
     lo = -(math.pi**2 + 0.1 * 64 + 0.001 * 4)
-    for _ in range(200):
-        state = np.array([rng.uniform(-math.pi, math.pi), rng.uniform(-8, 8)])
-        _, r = env.step_state(state, rng.uniform(-2, 2))
-        assert lo - 1e-12 <= r <= 0.0
+    states = np.stack([rng.uniform(-math.pi, math.pi, size=200), rng.uniform(-8, 8, size=200)], axis=1)
+    _, r = env.step_states(states, rng.uniform(-2, 2, size=(200, 1)))
+    assert np.all((lo - 1e-12 <= r) & (r <= 0.0))
+
+
+def _starts(env, seeds):
+    """Start states drawn from each seed's stream, as the sampler draws them."""
+    return env.initial_states(np.array([env.draw_variates(np.random.default_rng(s), 1)[0] for s in seeds]))
 
 
 def test_pendulum_reset_deterministic_per_seed():
     env = PendulumEnv()
-    assert np.array_equal(env.reset(123), env.reset(123))
+    assert np.array_equal(_starts(env, [123, 124]), _starts(env, [123, 124]))
+    assert not np.array_equal(_starts(env, [123]), _starts(env, [124]))
 
 
 def test_pendulum_reset_distribution():
     env = PendulumEnv()
-    sins = np.array([env.reset(seed)[1] for seed in range(10_000)])
+    sins = env.observe(_starts(env, range(10_000)))[:, 1]
     # sin(theta) for theta ~ U(-pi, pi] has mean 0, variance 1/2
     assert abs(sins.mean()) < 3 * math.sqrt(0.5 / len(sins))
 
 
 def test_pendulum_energy_drift_small():
     env = PendulumEnv()
-    state = np.array([math.pi, 1.0])  # hanging down, gentle swing; no speed clamp
-    e0 = env.energy(state)
+
+    def energy(state):
+        """Mechanical energy of the free rod: (1/6) m l^2 w^2 + (m g l / 2) cos(theta)."""
+        th, thdot = state[:, 0], state[:, 1]
+        return env.m * env.l**2 * thdot**2 / 6.0 + env.m * env.g * env.l * np.cos(th) / 2.0
+
+    state = np.array([[math.pi, 1.0]])  # hanging down, gentle swing; no speed clamp
+    e0 = energy(state)
     for _ in range(200):
-        state, _ = env.step_state(state, 0.0)
-        assert abs(state[1]) < 8.0
-    assert abs(env.energy(state) - e0) / abs(e0) < 0.02
+        state, _ = env.step_states(state, np.array([[0.0]]))
+        assert abs(state[0, 1]) < 8.0
+    assert abs(energy(state) - e0) / abs(e0) < 0.02
 
 
 def test_pendulum_observation_and_horizon():
     env = PendulumEnv(horizon=5)
-    obs = env.reset(7)
-    assert obs.shape == (3,)
-    assert obs[0] == pytest.approx(math.cos(env._state[0]))
-    done = False
-    for i in range(5):
-        obs, reward, done = env.step(0.0)
-        assert reward <= 0.0
-    assert done
-    with pytest.raises(RuntimeError):
-        env.step(0.0)
+    fmap = RbfFeatureMap.create(10, env.spec.obs_dim, bandwidth=1.0, seed=3)
+    policy = GaussianRbfPolicy(fmap, env.spec.action_dim, seed=4)
+    trajs = sample_trajectories(env, policy, m=3, horizon=env.spec.horizon, rng_seed=7)
+    for traj in trajs:
+        assert traj.states.shape == (6, 3) and traj.n_steps == 5 and not traj.terminated
+        assert np.all(traj.rewards <= 0.0)
+    states = np.array([[0.3, -1.5], [-2.0, 4.0]])
+    obs = env.observe(states)
+    assert obs.shape == (2, 3)
+    assert np.array_equal(obs, [[math.cos(s[0]), math.sin(s[0]), s[1]] for s in states])
 
 
 def test_pendulum_clips_and_counts():
     env = PendulumEnv()
-    env.reset(0)
+    states = np.array([[0.5, 1.0], [0.5, 1.0], [0.5, 1.0]])
     before = env.clip_count
-    env.step(10.0)
-    assert env.clip_count == before + 1
+    nxt, reward = env.step_states(states, np.array([[10.0], [1.0], [-3.0]]))
+    assert env.clip_count == before + 2
+    want, want_reward = env.step_states(states, np.array([[2.0], [1.0], [-2.0]]))
+    assert np.array_equal(nxt, want) and np.array_equal(reward, want_reward)
+    assert env.clip_count == before + 2
 
 
 def test_wrap_angle_range():
@@ -109,45 +125,45 @@ def test_chain_oracle_values():
     assert np.allclose(v, [1.0, 2.0], atol=1e-10)
 
 
+def _greedy_rollouts(env, pi, seeds, gamma):
+    """(start states, discounted returns) of greedy episodes, one per seed,
+    stepped together on the batched kernels; absorbed rows collect no more
+    reward."""
+    draws = [env.draw_variates(np.random.default_rng(s), env.spec.horizon) for s in seeds]
+    starts = env.initial_states(np.array([d[0] for d in draws]))
+    step_u = np.array([d[2] for d in draws])
+    states, live = starts.copy(), ~env.is_terminal(starts)
+    total, disc = np.zeros(len(seeds)), 1.0
+    for i in range(env.spec.horizon):
+        nxt, r = env.step_states(states, np.argmax(pi[states], axis=1), step_u[:, i])
+        total += live * disc * r
+        disc *= gamma
+        states = np.where(live, nxt, states)
+        live &= ~env.is_terminal(states)
+    return starts, total
+
+
 def test_chain_simulated_return_matches_oracle():
     # deterministic chain and greedy policy: each episode's discounted return
     # equals V*(start) exactly (up to horizon truncation)
     env = two_state_chain(horizon=40)
     mdp = env.as_tabular()
     v_star = value_iteration(mdp, tol=1e-12)
-    pi = greedy_policy(mdp, v_star)
-    for seed in range(10):
-        obs = env.reset(seed)
-        start = obs
-        total, disc, done = 0.0, 1.0, False
-        while not done:
-            a = int(np.argmax(pi[obs]))
-            obs, r, done = env.step(a)
-            total += disc * r
-            disc *= mdp.gamma
-        assert total == pytest.approx(v_star[start], abs=1e-9)
+    starts, returns = _greedy_rollouts(env, greedy_policy(mdp, v_star), range(10), mdp.gamma)
+    assert np.allclose(returns, v_star[starts], rtol=0.0, atol=1e-9)
 
 
 def test_point_mass_start_always_s0():
     env = make_env("chain5")
-    assert all(env.reset(seed) == 0 for seed in range(20))
+    assert _starts(env, range(20)).tolist() == [0] * 20
 
 
 def test_gridworld_simulated_return_matches_oracle():
     env = gridworld_5x5()
     mdp = env.as_tabular()
     v_star = value_iteration(mdp, tol=1e-12)
-    pi = greedy_policy(mdp, v_star)
     n = 4000
-    returns = np.empty(n)
-    for i in range(n):
-        obs = env.reset(i)
-        total, disc, done = 0.0, 1.0, False
-        while not done:
-            obs, r, done = env.step(int(np.argmax(pi[obs])))
-            total += disc * r
-            disc *= mdp.gamma
-        returns[i] = total
+    _, returns = _greedy_rollouts(env, greedy_policy(mdp, v_star), range(n), mdp.gamma)
     want = mdp.mu @ v_star
     se = returns.std(ddof=1) / math.sqrt(n)
     assert abs(returns.mean() - want) < 4 * se + 1e-6
@@ -160,10 +176,8 @@ def test_tabular_transition_frequencies_match_export():
     n_per = 10_000
     for s in range(mdp.n_states):
         for a in range(mdp.n_actions):
-            counts = np.zeros(mdp.n_states)
-            for _ in range(n_per):
-                nxt, _ = env.step_state(s, a, rng)
-                counts[nxt] += 1
+            nxt, _ = env.step_states(np.full(n_per, s), np.full(n_per, a), rng.random(n_per))
+            counts = np.bincount(nxt, minlength=mdp.n_states).astype(float)
             expected = mdp.transition[s, a] * n_per
             keep = expected > 0
             assert np.all(counts[~keep] == 0)
@@ -174,16 +188,20 @@ def test_tabular_transition_frequencies_match_export():
                 assert p > 0.001, (s, a, p)
 
 
+def test_tabular_step_rejects_out_of_range_actions():
+    env = two_state_chain()
+    with pytest.raises(ValueError):
+        env.step_states(np.array([0, 1]), np.array([0, 2]), np.array([0.5, 0.5]))
+
+
 def test_gridworld_terminal_absorption_shortens_episode():
     env = gridworld_5x5()
-    # start adjacent to the goal by resetting until mu draws cell 23
-    for seed in range(100):
-        if env.reset(seed) == 23:
-            break
-    else:
-        pytest.skip("seed search failed")
-    obs, r, done = env.step(0)  # move right onto the goal
-    assert obs == 24 and r == 1.0 and done
+    # moving right from cell 23 enters the goal, which then absorbs
+    nxt, r = env.step_states(np.array([23]), np.array([0]), np.array([0.5]))
+    assert nxt.tolist() == [24] and r.tolist() == [1.0] and env.is_terminal(nxt).tolist() == [True]
+    stay, r = env.step_states(np.full(4, 24), np.arange(4), np.full(4, 0.5))
+    assert stay.tolist() == [24] * 4 and r.tolist() == [0.0] * 4
+    assert env.is_terminal(np.arange(25)).tolist() == [False] * 24 + [True]
 
 
 def test_make_env_from_mdp_file(tmp_path):

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualac.cli import default_config
 from dualac.driver import dual_ac_iteration, init_state, load_checkpoint, save_checkpoint
@@ -19,6 +22,7 @@ from dualac.estimators import (
     grad_pi_estimate,
     grad_v_estimate,
     mc_return,
+    replay_rows,
     sample_trajectories,
     traj_delta,
     traj_deltas,
@@ -40,6 +44,7 @@ from dualac.policies import (
     TabularValue,
 )
 from conftest import make_single_state_mdp
+from reference_sampler import sample_reference
 
 
 def make_test_mdp(seed=107, mu=None):
@@ -94,6 +99,94 @@ def test_gridworld_absorption_shortens():
     for t in trajs:
         if t.n_steps < 60:
             assert t.states[-1] == 24
+
+
+def _sampler_case(env_name: str, seed: int, scale: float, log_std: float):
+    """An environment and a random policy on it; chain5 gets an absorbing
+    right end so that its trajectories can end early too."""
+    rng = np.random.default_rng(seed)
+    if env_name == "pendulum":
+        env = make_env("pendulum")
+        fmap = RbfFeatureMap.create(int(rng.integers(1, 40)), 3, bandwidth=float(rng.uniform(0.3, 4.0)), seed=seed)
+        policy = GaussianRbfPolicy(fmap, 1, init_log_std=log_std, seed=seed)
+        policy.weights = rng.normal(scale=scale, size=policy.weights.shape)
+        return env, policy
+    env = make_env(env_name)
+    if env_name == "chain5" and seed % 2:
+        env = TabularEnv(env.as_tabular(), horizon=env.spec.horizon, terminal_states=(4,))
+    s, a = env.spec.n_states, env.spec.n_actions
+    return env, TabularSoftmaxPolicy(s, a, logits=rng.normal(scale=scale, size=(s, a)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    env_name=st.sampled_from(["chain2", "chain5", "gridworld", "pendulum"]),
+    seed=st.integers(0, 2**31),
+    scale=st.floats(0.0, 6.0),
+    log_std=st.floats(-2.0, 1.0),
+    m=st.integers(1, 12),
+    horizon=st.integers(1, 80),
+    rng_seed=st.lists(st.integers(0, 2**31), min_size=1, max_size=2),
+)
+def test_lockstep_sampler_matches_per_step_reference(env_name, seed, scale, log_std, m, horizon, rng_seed):
+    env, policy = _sampler_case(env_name, seed, scale, log_std)
+    want, want_clips = sample_reference(env, policy, m, horizon, rng_seed)
+    clips = getattr(env, "clip_count", 0)
+    got = sample_trajectories(env, policy, m, horizon, rng_seed)
+    assert getattr(env, "clip_count", 0) - clips == want_clips
+    assert len(got) == m
+    for a, b in zip(got, want):
+        for name in ("states", "actions", "rewards"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y), name
+        assert a.terminated is b.terminated
+
+
+def _batch_digest(trajs) -> str:
+    h = hashlib.sha256()
+    for traj in trajs:
+        for arr in (traj.states, traj.actions, traj.rewards):
+            h.update(str(arr.dtype).encode())
+            h.update(str(arr.shape).encode())
+            h.update(arr.tobytes())
+        h.update(b"T" if traj.terminated else b"F")
+    return h.hexdigest()
+
+
+# One batch per environment (m = 16, seed (5, 3)), hashed with _batch_digest
+# from the trajectories of the one-step-at-a-time sampler that preceded the
+# lockstep one; (digest, steps, absorbed trajectories, clipped actions).
+PINNED_BATCHES = {
+    "chain2": ("7f643aee8c3394cb060ee88f8c1a2ecc5eafc8872f4936d51afcdddd1f6044bd", 192, 0, 0),
+    "chain5": ("ce3855492583cb3737da592c3cffd9da2b75e4002d445f59a18a59eb7bf1c185", 320, 0, 0),
+    "gridworld": ("a5719fbc0bee8f8cc9e8a2dbc0ee18e030163e35a1f71381ca1aed728ee5ba09", 704, 6, 0),
+    "pendulum": ("750c4b0b57514486cac303bd32276b5e8116bb0263e03cc19483c386b27dd5a2", 800, 0, 273),
+}
+
+
+def _pinned_batches():
+    rng = np.random.default_rng(2024)
+    for name, horizon in (("chain2", 12), ("chain5", 20), ("gridworld", 60)):
+        env = make_env(name)
+        s, a = env.spec.n_states, env.spec.n_actions
+        yield name, env, TabularSoftmaxPolicy(s, a, logits=rng.normal(size=(s, a))), horizon
+    env = make_env("pendulum")
+    policy = GaussianRbfPolicy(RbfFeatureMap.create(100, 3, bandwidth=1.7, seed=11), 1, init_log_std=-0.5, seed=12)
+    policy.set_params(np.concatenate([rng.normal(scale=0.25, size=100), [-0.5]]))
+    yield "pendulum", env, policy, 50
+
+
+def test_sampled_batches_pinned():
+    for name, env, policy, horizon in _pinned_batches():
+        clips = getattr(env, "clip_count", 0)
+        trajs = sample_trajectories(env, policy, m=16, horizon=horizon, rng_seed=(5, 3))
+        got = (
+            _batch_digest(trajs),
+            sum(t.n_steps for t in trajs),
+            sum(t.terminated for t in trajs),
+            getattr(env, "clip_count", 0) - clips,
+        )
+        assert got == PINNED_BATCHES[name], name
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +296,7 @@ def test_grad_estimates_zero_at_fixed_point():
     v = np.array([10.0])  # fixed point: every delta vanishes
     start = SoftmaxStartWeighting(1)
     assert np.allclose(grad_alpha_estimate(trajs, v, start, 0.9, k=2), 0.0, atol=1e-12)
-    assert np.allclose(grad_pi_estimate(trajs, v, policy, 0.9, k=2), 0.0, atol=1e-12)
+    assert np.allclose(grad_pi_estimate(trajs, traj_deltas(trajs, v, 0.9, k=2), policy, k=2), 0.0, atol=1e-12)
 
 
 def test_grad_alpha_linear_in_rewards():
@@ -220,7 +313,7 @@ def test_grad_alpha_linear_in_rewards():
 
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
-        grad_pi_estimate([], np.zeros(2), TabularSoftmaxPolicy(2, 2), 0.9, k=0)
+        grad_pi_estimate([], [], TabularSoftmaxPolicy(2, 2), k=0)
     with pytest.raises(ValueError):
         grad_alpha_estimate([], np.zeros(2), SoftmaxStartWeighting(2), 0.9, k=0)
 
@@ -239,7 +332,7 @@ def test_sampled_estimators_converge_to_exact():
     exact_al = exact_grad_alpha(mdp, v.values, start, policy.prob_matrix(), k=k)
     for m in (100, 10_000):
         trajs = sample_trajectories(env, policy, m=m, horizon=8, rng_seed=m)
-        est_pi = grad_pi_estimate(trajs, v, policy, mdp.gamma, k=k)
+        est_pi = grad_pi_estimate(trajs, traj_deltas(trajs, v, mdp.gamma, k), policy, k=k)
         est_al = grad_alpha_estimate(trajs, v, start, mdp.gamma, k=k)
         # per-trajectory statistic scale bounds the batch-mean deviation
         per = np.array([traj_delta(t, v, mdp.gamma, k) for t in trajs])
@@ -308,9 +401,10 @@ def test_grad_v_terms_bitwise_match_trajectory_loop():
         else:
             assert all(traj.n_steps < k + 1 for traj in batch)
         behavior = batch + previous
+        rows = [*replay_rows(batch, env.spec.gamma_hint), *replay_rows(previous, env.spec.gamma_hint)]
         v.set_params(rng.normal(size=v.n_params))
         for eta_v in (0.0, 1.0):
-            terms = value_grad_terms(batch, behavior, v, env.spec.gamma_hint, k, eta_v)
+            terms = value_grad_terms(batch, rows, v, env.spec.gamma_hint, k, eta_v)
             for _ in range(4):
                 w = rng.normal(scale=3.0, size=v.n_params)
                 probe = v.copy()
@@ -324,7 +418,7 @@ def test_grad_v_terms_reject_empty_batches():
     trajs = sample_trajectories(env, TabularSoftmaxPolicy(5, 2), m=3, horizon=5, rng_seed=31)
     v = TabularValue(5)
     with pytest.raises(ValueError):
-        value_grad_terms([], trajs, v, 0.9, k=1, eta_v=1.0)
+        value_grad_terms([], replay_rows(trajs, 0.9), v, 0.9, k=1, eta_v=1.0)
     with pytest.raises(ValueError):
         value_grad_terms(trajs, [], v, 0.9, k=1, eta_v=1.0)
     terms = value_grad_terms(trajs, [], v, 0.9, k=1, eta_v=0.0)
@@ -338,7 +432,7 @@ def test_grad_v_single_state_hand_value():
     trajs = sample_trajectories(env, policy, m=3, horizon=300, rng_seed=17)
     v = TabularValue(1)
     k, eta_v = 0, 0.5
-    got = grad_v_estimate(value_grad_terms(trajs, trajs, v, 0.9, k=k, eta_v=eta_v), np.array([8.0]))
+    got = grad_v_estimate(value_grad_terms(trajs, replay_rows(trajs, 0.9), v, 0.9, k=k, eta_v=eta_v), np.array([8.0]))
     G = (1 - 0.9**300) / 0.1
     # lead and residual terms cancel ((1-g) + (g-1)); penalty remains
     want = -2 * eta_v * (G - 8.0)
@@ -353,8 +447,9 @@ def test_grad_v_penalty_vanishes_at_behavior_value():
     trajs = sample_trajectories(env, policy, m=400, horizon=400, rng_seed=19)
     v = TabularValue(5)
     v_b = policy_value(mdp, policy.prob_matrix())
-    got = grad_v_estimate(value_grad_terms(trajs, trajs, v, mdp.gamma, k=0, eta_v=1.0), v_b)
-    no_pen = grad_v_estimate(value_grad_terms(trajs, trajs, v, mdp.gamma, k=0, eta_v=0.0), v_b)
+    rows = replay_rows(trajs, mdp.gamma)
+    got = grad_v_estimate(value_grad_terms(trajs, rows, v, mdp.gamma, k=0, eta_v=1.0), v_b)
+    no_pen = grad_v_estimate(value_grad_terms(trajs, rows, v, mdp.gamma, k=0, eta_v=0.0), v_b)
     penalty_part = got - no_pen
     assert np.max(np.abs(penalty_part)) < 0.2  # MC/truncation noise only
 
@@ -421,7 +516,7 @@ def test_delta_means_by_start_grouping():
         Trajectory(np.array([0, 2]), np.array([0]), np.array([3.0])),
         Trajectory(np.array([2, 1]), np.array([1]), np.array([5.0])),
     ]
-    means, counts = delta_means_by_start(trajs, v, 0.9, k=0, n_states=3)
+    means, counts = delta_means_by_start(trajs, traj_deltas(trajs, v, 0.9, k=0), n_states=3)
     assert counts.tolist() == [2, 0, 1]
     assert means[0] == pytest.approx(2.0)
     assert means[1] == 0.0
@@ -436,9 +531,9 @@ def test_score_zero_mean_softmax():
     rng = np.random.default_rng(173)
     policy = TabularSoftmaxPolicy(1, 3, logits=rng.normal(size=(1, 3)))
     m = 20_000
+    actions = policy.action_sampler()(np.zeros(m, dtype=int), rng.random(m))
     scores = np.zeros((m, policy.n_params))
-    for i in range(m):
-        a = policy.sample(0, rng)
+    for i, a in enumerate(actions):
         _, scores[i] = policy.log_prob_and_grad(0, a)
     sem = scores.std(axis=0) / np.sqrt(m)
     assert np.all(np.abs(scores.mean(axis=0)) < 3 * sem + 1e-12)
@@ -450,9 +545,9 @@ def test_score_zero_mean_gaussian():
     rng = np.random.default_rng(191)
     s = np.array([0.4, -0.6])
     m = 20_000
+    actions = policy.action_sampler()(np.tile(s, (m, 1)), rng.standard_normal((m, policy.action_dim)))
     scores = np.zeros((m, policy.n_params))
-    for i in range(m):
-        a = policy.sample(s, rng)
+    for i, a in enumerate(actions):
         _, scores[i] = policy.log_prob_and_grad(s, a)
     sem = scores.std(axis=0) / np.sqrt(m)
     assert np.all(np.abs(scores.mean(axis=0)) < 3.5 * sem + 1e-12)
@@ -463,21 +558,23 @@ def test_score_zero_mean_gaussian():
 
 
 def test_trajectory_round_trip(tmp_path):
-    # the checkpoint's last_batch is the one serialized form of a trajectory
+    # a checkpoint keeps one replay row per trajectory of the last batch:
+    # its start observation, full-length discounted return and length
     state = init_state(default_config("gridworld"), make_env("gridworld"))
+    batch = sample_trajectories(state.env, state.policy, state.cfg.batch_m, state.cfg.horizon, rng_seed=(0, 1))
     state, _ = dual_ac_iteration(state)
-    trajs = state.last_batch
-    assert any(traj.terminated for traj in trajs) and not all(traj.terminated for traj in trajs)
+    rows = state.last_batch
+    assert any(traj.terminated for traj in batch) and not all(traj.terminated for traj in batch)
+    assert len(rows) == len(batch)
+    for row, traj in zip(rows, batch):
+        assert row.start == traj.states[0] and row.n_steps == traj.n_steps
+        assert row.mc_return == mc_return(traj, state.cfg.gamma)
     path = str(tmp_path / "checkpoint.json")
     save_checkpoint(path, state, env_name="gridworld")
     back = load_checkpoint(path).last_batch
-    assert len(back) == len(trajs)
-    for a, b in zip(trajs, back):
-        assert np.array_equal(a.states, b.states) and a.states.dtype == b.states.dtype
-        assert np.array_equal(a.actions, b.actions) and a.actions.dtype == b.actions.dtype
-        assert np.array_equal(a.rewards, b.rewards)
-        assert a.start_weight == b.start_weight
-        assert a.terminated == b.terminated
+    for name in ("starts", "returns", "n_steps"):
+        a, b = getattr(rows, name), getattr(back, name)
+        assert np.array_equal(a, b) and a.dtype == b.dtype and a.shape == b.shape, name
 
 
 def test_traj_deltas_vector():

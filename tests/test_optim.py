@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualac.envs import make_env
-from dualac.estimators import grad_pi_estimate, sample_trajectories
+from dualac.estimators import grad_pi_estimate, sample_trajectories, traj_deltas
 from dualac.lagrangian import inner_min_v_exact, path_reg_value_gradient
 from dualac.mdp import random_mdp
 from dualac.optim import (
@@ -239,7 +239,7 @@ def test_logit_shift_invariance():
         policy = TabularSoftmaxPolicy(2, 2, logits=logits + shift * np.ones((2, 2)) * np.array([[1.0], [2.0]]))
         if trajs is None:
             trajs = sample_trajectories(env, policy, m=12, horizon=6, rng_seed=13)
-        g = grad_pi_estimate(trajs, np.array([1.0, 2.0]), policy, env.mdp.gamma, k=1)
+        g = grad_pi_estimate(trajs, traj_deltas(trajs, np.array([1.0, 2.0]), env.mdp.gamma, k=1), policy, k=1)
         fisher = exhaustive_fisher(policy, [0, 1], damping=1e-8)
         new_params = natural_gradient_step(
             policy.get_params(), g, fisher, zeta=0.3, normalize=False, cg=CgConfig(max_iters=50, residual_tol=1e-14)
