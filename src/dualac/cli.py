@@ -84,7 +84,7 @@ def _load_config(args, env_name: str) -> DualAcConfig:
     else:
         cfg = default_config(env_name)
     overrides = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "iterations", None) is not None:
         overrides["iterations"] = args.iterations
@@ -174,7 +174,6 @@ def main(argv=None) -> int:
     p_abl.add_argument("--env", required=True)
     p_abl.add_argument("--config", help="JSON config file for the base (full) variant")
     p_abl.add_argument("--seeds", default="0,1", help="comma-separated seed list")
-    p_abl.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     p_abl.add_argument("--iterations", type=int, default=None)
     p_abl.add_argument("--out", help="output directory for ablation.json")
     p_abl.set_defaults(func=_cmd_ablation)

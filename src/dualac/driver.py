@@ -218,20 +218,15 @@ def _fresh_state(cfg: DualAcConfig, env, fmap: RbfFeatureMap | None) -> Training
     return TrainingState(env=env, cfg=cfg, policy=policy, value=value, tilde_alpha=tilde)
 
 
-def _assign_start_weights(cfg: DualAcConfig, env, batch, deltas):
-    """Compute the closed-form reweighting from the batch's deltas at one
-    value function and stamp (tilde_alpha + eta_mu) onto each trajectory.
-
-    Returns the per-state tilde_alpha on tabular envs (None otherwise)."""
+def _start_weights(cfg: DualAcConfig, env, batch, deltas):
+    """The closed-form reweighting from the batch's deltas at one value
+    function: each trajectory's start weight (tilde_alpha(s_0) + eta_mu), and
+    the per-state tilde_alpha on tabular envs (None otherwise)."""
     if env.spec.tabular:
         means, _ = delta_means_by_start(batch, deltas, env.spec.n_states)
         tilde = alpha_closed_form(means, cfg.eta_alpha)
-        for traj in batch:
-            traj.start_weight = float(tilde[int(traj.states[0])] + cfg.eta_mu)
-        return tilde
-    for traj, ta in zip(batch, alpha_closed_form(deltas, cfg.eta_alpha)):
-        traj.start_weight = float(ta + cfg.eta_mu)
-    return None
+        return tilde[batch.obs[:, 0]] + cfg.eta_mu, tilde
+    return alpha_closed_form(deltas, cfg.eta_alpha) + cfg.eta_mu, None
 
 
 def dual_ac_iteration(state: TrainingState):
@@ -246,12 +241,12 @@ def dual_ac_iteration(state: TrainingState):
     # line 3: sample under pi^{t-1}, weighted by the previous reweighting
     batch = sample_trajectories(env, state.policy, cfg.batch_m, cfg.horizon, rng_seed=(cfg.seed, t))
     # alpha^{t-1}: closed form at V^{t-1}
-    _assign_start_weights(cfg, env, batch, traj_deltas(batch, state.value, cfg.gamma, cfg.k))
+    weights, _ = _start_weights(cfg, env, batch, traj_deltas(batch, state.value, cfg.gamma, cfg.k))
 
     # line 4: V^t = argmin of the sampled path-regularized objective; the
     # penalty also anchors on the previous batch (behavior-policy replay)
     rows = replay_rows(batch, cfg.gamma)
-    terms = value_grad_terms(batch, [*rows, *state.last_batch], state.value, cfg.gamma, cfg.k, cfg.eta_v)
+    terms = value_grad_terms(batch, weights, (rows, state.last_batch), state.value, cfg.gamma, cfg.k, cfg.eta_v)
     try:
         fit = fit_value(
             state.value.get_params(),
@@ -267,27 +262,26 @@ def dual_ac_iteration(state: TrainingState):
 
     # line 5: closed-form reweighting at V^t
     deltas = traj_deltas(batch, value, cfg.gamma, cfg.k)
-    tilde = _assign_start_weights(cfg, env, batch, deltas)
+    weights, tilde = _start_weights(cfg, env, batch, deltas)
 
     # line 6: stepsize decay
     zeta = cfg.schedule.at(t)
 
-    # line 7: policy gradient with (tilde_alpha + eta_mu) start weights
-    g_pi = grad_pi_estimate(batch, deltas, state.policy, cfg.k)
+    # line 7: policy gradient with (tilde_alpha + eta_mu) start weights over
+    # the support of the weighted k-step path measure: the first k+1 steps of
+    # each trajectory
+    window = batch.window(cfg.k)
+    g_pi = grad_pi_estimate(window, weights * deltas, state.policy)
     if not np.all(np.isfinite(g_pi)):
         raise IterationError(t, "non-finite policy gradient")
 
     # line 8: KL prox step in natural-gradient form.  The Fisher/KL batch is
-    # the support of the weighted k-step path measure: the first k+1 steps of
-    # each trajectory, rows weighted by the trajectory's start weight.
-    window = [min(cfg.k + 1, traj.n_steps) for traj in batch]
-    visited_states = np.concatenate([traj.states[:w] for traj, w in zip(batch, window)])
-    visited_actions = np.concatenate([traj.actions[:w] for traj, w in zip(batch, window)])
-    row_weights = np.concatenate([np.full(w, traj.start_weight) for traj, w in zip(batch, window)])
+    # the same window, rows weighted by their trajectory's start weight.
+    row_weights = np.repeat(weights, window.steps)
     row_weights = row_weights / row_weights.sum()
     try:
         fisher = fisher_estimate(
-            state.policy, visited_states, visited_actions, damping=cfg.cg.damping, weights=row_weights
+            state.policy, window.obs, window.actions, damping=cfg.cg.damping, weights=row_weights
         )
         new_params = natural_gradient_step(
             state.policy.get_params(), g_pi, fisher, zeta, normalize=cfg.normalize_grad, cg=cfg.cg
@@ -298,12 +292,12 @@ def dual_ac_iteration(state: TrainingState):
         raise IterationError(t, "non-finite policy parameters after update")
     policy = state.policy.copy()
     policy.set_params(new_params)
-    kl = float(policy.kl(state.policy, visited_states))
+    kl = float(policy.kl(state.policy, window.obs))
 
     state.t, state.policy, state.value, state.tilde_alpha, state.last_batch = t, policy, value, tilde, rows
     record = IterationRecord(
         iteration=t,
-        mean_return=float(np.mean([traj.rewards.sum() for traj in batch])),
+        mean_return=float(batch.rewards.sum(axis=1).mean()),
         mean_disc_return=float(np.mean(rows.returns)),
         mean_delta=float(np.mean(deltas)),
         inner_converged=bool(fit.converged),

@@ -2,14 +2,19 @@
 
 Conventions that matter here:
 
+* A sampled batch is one immutable Batch of m trajectories padded to the
+  horizon, and every estimator is an array expression on it.
 * delta is the discounted k-step residual of a trajectory,
   sum_{i<=k} gamma^i r_i + gamma^{k+1} v(s_{k+1}) - v(s_0).  Trajectories
   that end early (terminal absorption) bootstrap with v at their last state
   and the discount exponent shrinks accordingly.
 * Start states are always drawn from the environment's fixed initial
-  distribution; the dual weighting enters through Trajectory.start_weight,
-  carrying (tilde_alpha(s_0) + eta_mu).  The policy gradient and the residual
-  part of the value gradient are weighted; the lead E_mu terms are not.
+  distribution; the dual weighting enters through an (m,) array of start
+  weights, (tilde_alpha(s_0) + eta_mu) per trajectory, passed beside the
+  batch.  The policy gradient and the residual part of the value gradient
+  are weighted; the lead E_mu terms are not.
+* Value models are linear in their parameters, v(s) = w . row(s), and give
+  their feature rows for a batch of states at once (value.rows).
 * The exact_grad_* functions are the exhaustive-expectation forms of the
   same estimators, used by the tabular verification suite.
 """
@@ -25,39 +30,64 @@ from .lagrangian import iter_paths
 from .mdp import TabularMdp, policy_value, validate_policy
 
 
-@dataclass
-class Trajectory:
-    states: np.ndarray   # (n+1, ...) observations, including the final one
+class BatchRow(NamedTuple):
+    """One trajectory of a Batch, cut to its length."""
+
+    obs: np.ndarray      # (n+1, ...) observations, including the final one
     actions: np.ndarray  # (n, ...)
     rewards: np.ndarray  # (n,)
-    start_weight: float = 1.0
-    terminated: bool = False  # ended by absorption (last state is terminal)
+    n_steps: int
+    terminated: bool
 
-    def __post_init__(self):
-        self.states = np.asarray(self.states)
-        self.actions = np.asarray(self.actions)
-        self.rewards = np.asarray(self.rewards, dtype=float)
-        n = len(self.rewards)
-        if len(self.actions) != n or len(self.states) != n + 1:
-            raise ValueError("trajectory needs n+1 states for n actions/rewards")
-        if self.start_weight < 0:
-            raise ValueError("start_weight must be nonnegative")
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.rewards)
+class Window(NamedTuple):
+    """The first min(k+1, n) steps of every trajectory of a batch, the support
+    of the k-step path measure, stacked trajectory by trajectory."""
 
-    def bootstraps_at(self, j: int) -> bool:
-        """Whether the value function is evaluated at states[j] in delta_k.
+    obs: np.ndarray      # (sum of steps, ...)
+    actions: np.ndarray  # (sum of steps, ...)
+    steps: np.ndarray    # (m,) rows of each trajectory
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """m trajectories padded to the horizon H.  Trajectory l took lengths[l]
+    steps: its observations are obs[l, :lengths[l] + 1] and its actions and
+    rewards the first lengths[l] entries of its rows; the padding is zero.
+    terminated[l] says it ended by absorption (its last state is terminal).
+    Iterating yields one BatchRow per trajectory."""
+
+    obs: np.ndarray         # (m, H+1, ...)
+    actions: np.ndarray     # (m, H, ...)
+    rewards: np.ndarray     # (m, H)
+    lengths: np.ndarray     # (m,)
+    terminated: np.ndarray  # (m,)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __iter__(self):
+        for l, n in enumerate(self.lengths):
+            yield BatchRow(self.obs[l, : n + 1], self.actions[l, :n], self.rewards[l, :n], int(n), bool(self.terminated[l]))
+
+    def window(self, k: int) -> Window:
+        steps = np.minimum(k + 1, self.lengths)
+        inside = np.arange(self.rewards.shape[1]) < steps[:, None]
+        return Window(self.obs[:, :-1][inside], self.actions[inside], steps)
+
+    def bootstrap(self, k: int):
+        """(j, used): each trajectory's bootstrap index min(k+1, length), and
+        whether delta_k evaluates v there.
 
         Absorbing terminal states are zero-reward self-loops, so their exact
         value is 0 and absorbed trajectories bootstrap with 0 instead of the
         learned v (which the sampled objective could never anchor there).
         """
-        return not (self.terminated and j == self.n_steps)
+        j = np.minimum(k + 1, self.lengths)
+        return j, ~(self.terminated & (j == self.lengths))
 
 
-def sample_trajectories(env, policy, m: int, horizon: int, rng_seed) -> list[Trajectory]:
+def sample_trajectories(env, policy, m: int, horizon: int, rng_seed) -> Batch:
     """Roll out m trajectories of length <= horizon under the given policy,
     all m in lockstep.
 
@@ -94,20 +124,13 @@ def sample_trajectories(env, policy, m: int, horizon: int, rng_seed) -> list[Tra
         lengths[live] += 1
         live = live[~env.is_terminal(nxt)]
     if actions is None:  # every start was terminal
-        actions = np.zeros((m, 0))
-    terminated = env.is_terminal(state)
-    return [
-        Trajectory(obs[l, : n + 1], actions[l, :n], rewards[l, :n], terminated=bool(terminated[l]))
-        for l, n in enumerate(lengths)
-    ]
+        actions = np.zeros((m, horizon))
+    return Batch(obs, actions, rewards, lengths, env.is_terminal(state))
 
 
-def mc_return(traj: Trajectory, gamma: float, k: int | None = None) -> float:
-    """Discounted return over the first min(k+1, length) steps (all steps if k is None)."""
-    n = traj.n_steps
-    stop = n if k is None else min(k + 1, n)
-    disc = gamma ** np.arange(stop)
-    return float(disc @ traj.rewards[:stop])
+def _returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
+    """sum_i gamma^i r_i along the last axis; zero padding adds nothing."""
+    return np.vecdot(rewards, gamma ** np.arange(rewards.shape[-1]))
 
 
 class ReplayRow(NamedTuple):
@@ -119,8 +142,9 @@ class ReplayRow(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class ReplayRows:
     """What the inner value fit's behavior replay reads of a past batch, one
-    row per trajectory: its start observation, full-length mc_return and
-    n_steps.  Held by column; iterating yields a ReplayRow per trajectory."""
+    row per trajectory: its start observation, full-length discounted return
+    and n_steps.  Held by column; iterating yields a ReplayRow per
+    trajectory."""
 
     starts: np.ndarray = field(default_factory=lambda: np.zeros(0))
     returns: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -133,30 +157,25 @@ class ReplayRows:
         return map(ReplayRow, self.starts, self.returns, self.n_steps)
 
 
-def replay_rows(trajs, gamma: float) -> ReplayRows:
-    return ReplayRows(
-        starts=np.array([traj.states[0] for traj in trajs]),
-        returns=np.array([mc_return(traj, gamma) for traj in trajs]),
-        n_steps=np.array([traj.n_steps for traj in trajs], dtype=int),
-    )
+def replay_rows(batch: Batch, gamma: float) -> ReplayRows:
+    # the starts are copied so that the rows do not keep the batch alive
+    return ReplayRows(starts=batch.obs[:, 0].copy(), returns=_returns(batch.rewards, gamma), n_steps=batch.lengths)
 
 
-def _value_fn(v):
-    if hasattr(v, "value"):
-        return v.value
-    if callable(v):
-        return v
-    vec = np.asarray(v, dtype=float)
-    return lambda s: float(vec[int(s)])
+def _values(value, states) -> np.ndarray:
+    return np.vecdot(value.rows(states), value.get_params())
 
 
-def traj_delta(traj: Trajectory, v, gamma: float, k: int) -> float:
-    """delta_k of a trajectory, bootstrapping at the last state when shorter
-    than k+1 steps (with 0 instead of v there if that state is terminal)."""
-    vf = _value_fn(v)
-    j = min(k + 1, traj.n_steps)
-    tail = gamma**j * vf(traj.states[j]) if traj.bootstraps_at(j) else 0.0
-    return float(mc_return(traj, gamma, k) + tail - vf(traj.states[0]))
+def traj_deltas(batch: Batch, value, gamma: float, k: int) -> np.ndarray:
+    """delta_k of every trajectory, bootstrapping at the last state when
+    shorter than k+1 steps (with 0 instead of v there if that state is
+    terminal).  gamma^j is np.float_power, the libm pow of Python's
+    gamma ** j: np.power rounds differently for some j."""
+    m = len(batch)
+    j, used = batch.bootstrap(k)
+    v = _values(value, np.concatenate([batch.obs[:, 0], batch.obs[np.arange(m), j]]))
+    tail = np.where(used, np.float_power(gamma, j) * v[m:], 0.0)
+    return _returns(batch.rewards[:, : k + 1], gamma) + tail - v[:m]
 
 
 class SoftmaxStartWeighting:
@@ -182,31 +201,21 @@ class SoftmaxStartWeighting:
         self.logits = np.asarray(flat, dtype=float).copy()
 
 
-def grad_alpha_estimate(trajs, v, start_model, gamma: float, k: int) -> np.ndarray:
-    """Batch mean of delta_k(tau) * grad log alpha(s_0)."""
-    if not trajs:
-        raise ValueError("empty trajectory batch")
-    total = None
-    for traj in trajs:
-        g = traj_delta(traj, v, gamma, k) * start_model.log_grad(traj.states[0])
-        total = g if total is None else total + g
-    return total / len(trajs)
-
-
-def grad_pi_estimate(trajs, deltas, policy, k: int) -> np.ndarray:
-    """Batch mean of start_weight * delta_k(tau) * sum_i grad log pi(a_i|s_i),
-    given each trajectory's delta_k (traj_deltas)."""
-    if not trajs:
+def grad_pi_estimate(window: Window, coefs, policy) -> np.ndarray:
+    """Batch mean of coefs * sum_i grad log pi(a_i|s_i) over each trajectory's
+    window (Batch.window), where coefs holds each trajectory's
+    start_weight * delta_k."""
+    if len(window.steps) == 0:
         raise ValueError("empty trajectory batch")
     total = np.zeros(policy.n_params)
-    for traj, delta in zip(trajs, deltas):
-        steps = min(k + 1, traj.n_steps)
+    stops = np.cumsum(window.steps)
+    for coef, stop, n in zip(coefs, stops, window.steps):
         score = np.zeros(policy.n_params)
-        for i in range(steps):
-            _, g = policy.log_prob_and_grad(traj.states[i], traj.actions[i])
+        for i in range(stop - n, stop):
+            _, g = policy.log_prob_and_grad(window.obs[i], window.actions[i])
             score += g
-        total += traj.start_weight * delta * score
-    return total / len(trajs)
+        total += coef * score
+    return total / len(window.steps)
 
 
 @dataclass(frozen=True)
@@ -216,46 +225,45 @@ class ValueGradTerms:
 
     constant: np.ndarray  # lead and weighted residual terms
     rows: np.ndarray      # (n_b, n_params) grad v(s_0) of each behavior row
-    returns: np.ndarray   # (n_b,) mc_return of each behavior row
+    returns: np.ndarray   # (n_b,) discounted return of each behavior row
     eta_v: float
 
 
-def value_grad_terms(trajs, behavior, value_model, gamma: float, k: int, eta_v: float) -> ValueGradTerms:
+def value_grad_terms(batch: Batch, weights, behavior, value_model, gamma: float, k: int, eta_v: float) -> ValueGradTerms:
     """Build the parts of the sampled path-regularized value gradient that stay
     fixed while the value parameters move:
 
     (1 - gamma^{k+1}) E_mu[grad v(s_0)]
       + E[start_weight * (gamma^j grad v(s_j) - grad v(s_0))]      j = min(k+1, len)
-      - 2 eta_v E[(mc_return(tau_b) - v(s_0)) grad v(s_0)]          over behavior rows
+      - 2 eta_v E[(return(tau_b) - v(s_0)) grad v(s_0)]             over behavior rows
 
-    behavior is an iterable of ReplayRow, one per behavior trajectory.
+    weights holds each trajectory's start weight, and behavior is a sequence
+    of ReplayRows, one per behavior batch.  The value model is linear in its
+    parameters, v(s) = w . row(s), so only v(s_0) in the penalty moves with
+    w, and grad_v_estimate evaluates it from the stored rows.  No rows are
+    built when eta_v is 0.
 
-    Precondition: the value model is linear in its parameters, v(s) = w . grad v(s)
-    with grad v(s) independent of w.  LinearValue and TabularValue satisfy it;
-    then only v(s_0) in the penalty moves with w, and grad_v_estimate evaluates
-    it from the stored rows.  No rows are built when eta_v is 0.
+    The sums run over axis 0 from 0.0, which adds the rows in batch order:
+    bitwise the trajectory-by-trajectory sums, the residual's two terms
+    interleaved per trajectory.
     """
-    if not trajs:
+    m = len(batch)
+    if m == 0:
         raise ValueError("empty trajectory batch")
-    n = value_model.n_params
-    lead = np.zeros(n)
-    resid = np.zeros(n)
-    for traj in trajs:
-        _, g0 = value_model.eval_and_grad(traj.states[0])
-        j = min(k + 1, traj.n_steps)
-        lead += g0
-        resid -= traj.start_weight * g0
-        if traj.bootstraps_at(j):
-            _, gj = value_model.eval_and_grad(traj.states[j])
-            resid += traj.start_weight * gamma**j * gj
-    constant = (1.0 - gamma ** (k + 1)) * lead / len(trajs) + resid / len(trajs)
-    rows, returns = np.zeros((0, n)), np.zeros(0)
+    j, used = batch.bootstrap(k)
+    g0 = value_model.rows(batch.obs[:, 0])
+    gj = value_model.rows(batch.obs[np.arange(m), j])
+    tail = np.where(used, weights * np.float_power(gamma, j), 0.0)
+    resid = np.stack([-(weights[:, None] * g0), tail[:, None] * gj], axis=1).reshape(2 * m, -1)
+    lead = g0.sum(axis=0, initial=0.0)
+    constant = (1.0 - gamma ** (k + 1)) * lead / m + resid.sum(axis=0, initial=0.0) / m
+    rows, returns = np.zeros((0, value_model.n_params)), np.zeros(0)
     if eta_v > 0:
-        behavior = list(behavior)
+        behavior = [part for part in behavior if len(part)]
         if not behavior:
             raise ValueError("empty behavior batch with eta_v > 0")
-        rows = np.array([value_model.eval_and_grad(row.start)[1] for row in behavior])
-        returns = np.array([row.mc_return for row in behavior])
+        rows = np.concatenate([value_model.rows(part.starts) for part in behavior])
+        returns = np.concatenate([part.returns for part in behavior])
     return ValueGradTerms(constant, rows, returns, float(eta_v))
 
 
@@ -273,22 +281,16 @@ def grad_v_estimate(terms: ValueGradTerms, params) -> np.ndarray:
     return terms.constant - 2.0 * terms.eta_v * pen / len(terms.returns)
 
 
-def traj_deltas(trajs, v, gamma: float, k: int) -> np.ndarray:
-    return np.array([traj_delta(traj, v, gamma, k) for traj in trajs])
-
-
-def delta_means_by_start(trajs, deltas, n_states: int):
+def delta_means_by_start(batch: Batch, deltas, n_states: int):
     """Per-start-state batch means of the trajectories' delta_k (tabular
     grouping), summed in batch order.
 
     Returns (means, counts); states with no sampled trajectory keep mean 0.
     """
+    starts = batch.obs[:, 0]
     sums = np.zeros(n_states)
-    counts = np.zeros(n_states, dtype=int)
-    for traj, delta in zip(trajs, deltas):
-        s0 = int(traj.states[0])
-        sums[s0] += delta
-        counts[s0] += 1
+    np.add.at(sums, starts, deltas)
+    counts = np.bincount(starts, minlength=n_states)
     means = np.zeros(n_states)
     seen = counts > 0
     means[seen] = sums[seen] / counts[seen]
@@ -325,31 +327,32 @@ def alpha_objective(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive-expectation forms (tabular verification suite)
+# Exhaustive-expectation forms (tabular verification suite); v is a vector
+# of state values
 
 
 def exact_grad_alpha(mdp: TabularMdp, v, start_model: SoftmaxStartWeighting, pi, k: int) -> np.ndarray:
     """Exact E_alpha^pi[delta_k * grad log alpha(s_0)] by path enumeration."""
-    vf = _value_fn(v)
+    v = np.asarray(v, dtype=float)
     alpha = start_model.distribution()
     disc = mdp.gamma ** np.arange(k + 1)
     total = np.zeros(len(alpha))
     for prob, states, actions in iter_paths(mdp, alpha, pi, k):
         rewards = mdp.reward[list(states[:-1]), list(actions)]
-        delta = disc @ rewards + mdp.gamma ** (k + 1) * vf(states[-1]) - vf(states[0])
+        delta = disc @ rewards + mdp.gamma ** (k + 1) * v[states[-1]] - v[states[0]]
         total += prob * delta * start_model.log_grad(states[0])
     return total
 
 
 def exact_grad_pi(mdp: TabularMdp, v, alpha, policy, k: int) -> np.ndarray:
     """Exact E_alpha^pi[delta_k * sum_i grad log pi(a_i|s_i)] by path enumeration."""
-    vf = _value_fn(v)
+    v = np.asarray(v, dtype=float)
     pi = policy.prob_matrix()
     disc = mdp.gamma ** np.arange(k + 1)
     total = np.zeros(policy.n_params)
     for prob, states, actions in iter_paths(mdp, alpha, pi, k):
         rewards = mdp.reward[list(states[:-1]), list(actions)]
-        delta = disc @ rewards + mdp.gamma ** (k + 1) * vf(states[-1]) - vf(states[0])
+        delta = disc @ rewards + mdp.gamma ** (k + 1) * v[states[-1]] - v[states[0]]
         score = np.zeros(policy.n_params)
         for s, a in zip(states[:-1], actions):
             _, g = policy.log_prob_and_grad(s, a)

@@ -7,7 +7,8 @@ Three families, matching what the training driver needs:
 * TabularSoftmaxPolicy - per-state softmax logits (tabular verification
   vehicle for the estimator equalities).
 * LinearValue / TabularValue - value functions linear in features or in
-  state indicators.
+  state indicators, v(s) = w . row(s), giving the rows of a batch of states
+  at once.
 
 All parameter gradients are returned as flat vectors so the optimizer can
 treat every family uniformly.  No autodiff: each gradient is derived by hand
@@ -97,16 +98,14 @@ class RbfFeatureMap:
 
 
 class BiasedFeatureMap:
-    """Appends a constant 1 to a base feature map (intercept for linear values)."""
+    """Appends a constant 1 to a base feature map's rows (intercept for linear values)."""
 
     def __init__(self, base):
         self.base = base
         self.n_features = base.n_features + 1
 
-    def __call__(self, state):
-        f = self.base(state)
-        if f.ndim == 1:
-            return np.append(f, 1.0)
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        f = self.base.rows(states)
         return np.concatenate([f, np.ones((len(f), 1))], axis=1)
 
 
@@ -320,12 +319,9 @@ class LinearValue:
         clone.weights = self.weights.copy()
         return clone
 
-    def value(self, state) -> float:
-        return float(self.weights @ self.feature_map(state))
-
-    def eval_and_grad(self, state):
-        phi = self.feature_map(state)
-        return float(self.weights @ phi), phi
+    def rows(self, states) -> np.ndarray:
+        """grad v(s) = f(s) for a batch of states, one row each."""
+        return self.feature_map.rows(states)
 
 
 class TabularValue:
@@ -349,10 +345,6 @@ class TabularValue:
         clone.values = self.values.copy()
         return clone
 
-    def value(self, state) -> float:
-        return float(self.values[int(state)])
-
-    def eval_and_grad(self, state):
-        grad = np.zeros_like(self.values)
-        grad[int(state)] = 1.0
-        return float(self.values[int(state)]), grad
+    def rows(self, states) -> np.ndarray:
+        """grad v(s), the indicator of s, for a batch of states, one row each."""
+        return np.eye(len(self.values))[np.asarray(states)]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from dualac.estimators import Batch
 from dualac.mdp import TabularMdp
+from dualac.policies import TabularValue
 
 
 def make_single_state_mdp(gamma=0.9, r=1.0, n_actions=1):
@@ -23,6 +25,36 @@ def make_chain2_mdp(gamma=0.5):
     P[1, :, 1] = 1.0
     R = np.array([[0.0, 0.0], [1.0, 1.0]])
     return TabularMdp(transition=P, reward=R, gamma=gamma, mu=np.array([1.0, 0.0]))
+
+
+def make_batch(paths) -> Batch:
+    """A Batch of hand-written trajectories, padded as the sampler pads them.
+    Each path is (states, actions, rewards), optionally followed by whether
+    it ended by absorption."""
+    paths = [(np.asarray(p[0]), np.asarray(p[1]), np.asarray(p[2], dtype=float), len(p) > 3 and p[3]) for p in paths]
+    horizon = max((len(p[2]) for p in paths), default=0)
+
+    def pad(column, width):
+        arrays = [p[column] for p in paths]
+        shape = arrays[0].shape[1:] if arrays else ()
+        out = np.zeros((len(arrays), width) + shape, dtype=arrays[0].dtype if arrays else int)
+        for row, x in zip(out, arrays):
+            row[: len(x)] = x
+        return out
+
+    return Batch(
+        obs=pad(0, horizon + 1),
+        actions=pad(1, horizon),
+        rewards=pad(2, horizon),
+        lengths=np.array([len(p[2]) for p in paths], dtype=int),
+        terminated=np.array([bool(p[3]) for p in paths], dtype=bool),
+    )
+
+
+def tabular_value(values) -> TabularValue:
+    value = TabularValue(len(values))
+    value.set_params(np.asarray(values, dtype=float))
+    return value
 
 
 @pytest.fixture

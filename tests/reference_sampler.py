@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from dualac.envs import PendulumEnv
-from dualac.estimators import Trajectory
+from dualac.estimators import BatchRow
 from dualac.policies import GaussianRbfPolicy
 
 
@@ -77,12 +77,14 @@ class ScalarPendulum:
 
 def _sample_action(policy, obs, rng):
     if isinstance(policy, GaussianRbfPolicy):
-        return policy.mean(obs) + np.exp(policy.log_std) * rng.standard_normal(policy.action_dim)
-    return int(rng.choice(policy.n_actions, p=policy.probs(obs)))
+        mean = policy.weights @ policy.feature_map(obs)
+        return mean + np.exp(policy.log_std) * rng.standard_normal(policy.action_dim)
+    p = policy.prob_matrix()[obs]
+    return int(rng.choice(policy.n_actions, p=p / p.sum()))
 
 
 def sample_reference(env, policy, m: int, horizon: int, rng_seed):
-    """(trajectories, clipped actions) of the per-step loop."""
+    """(one BatchRow per trajectory, clipped actions) of the per-step loop."""
     kernel = ScalarPendulum(env) if isinstance(env, PendulumEnv) else ScalarTabular(env)
     seed_prefix = [int(s) for s in np.atleast_1d(rng_seed)]
     out = []
@@ -100,6 +102,6 @@ def sample_reference(env, policy, m: int, horizon: int, rng_seed):
             rewards.append(r)
             states.append(kernel.observe(state))
         out.append(
-            Trajectory(np.array(states), np.array(actions), np.array(rewards), terminated=kernel.is_terminal(state))
+            BatchRow(np.array(states), np.array(actions), np.array(rewards), len(rewards), kernel.is_terminal(state))
         )
     return out, kernel.clips

@@ -1,7 +1,9 @@
-"""The benchmark drives the program through `bench/workloads.py`; one repeat
-of each training workload must still run and give the records it gave
-before, so that a change to the training state or the sampler that would
-break the benchmark fails here first."""
+"""The benchmark drives the program through `bench/workloads.py` and, in its
+traced mode, `bench/tracer.py`; one repeat of each training workload must
+still run and give the records it gave before, and a traced run must still
+find the program's phase markers, so that a change to the training state,
+the sampler or the names the tracer wraps that would break the benchmark
+fails here first."""
 
 import importlib.util
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Repeat.digest() of one repeat at workload seed 0, as `bench/run.py --seed 0`
 # reports it.
@@ -19,14 +21,27 @@ SEED0_DIGESTS = {
     "pendulum": "be27d585b95345372383eb1d93c288b5a0ef742f1845f3cd11884e150ee1b8e2",
 }
 
+# The tracer's phase markers: without them a traced run books the whole
+# iteration as driver.self.
+PHASE_MARKERS = (
+    "optim.fit_value",
+    "estimators.grad_pi_estimate",
+    "optim.fisher_estimate",
+    "optim.natural_gradient_step",
+)
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 @pytest.mark.parametrize("name", sorted(SEED0_DIGESTS))
@@ -37,3 +52,17 @@ def test_training_workload_repeat_digest(workloads, name):
     assert rep.failures == []
     assert rep.attempted == len(rep.records) == len(rep.steps)
     assert rep.digest() == SEED0_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["gridworld", "pendulum"])
+def test_traced_workload_splits_phases(workloads, name):
+    tracing, check_tolerance = _load("tracer"), _load("run").CHECK_TOLERANCE
+    tracer = tracing.Tracer()
+    repeats = workloads.run(workloads.WORKLOADS[name], 0, 0.0, tracer)
+    assert [f for rep in repeats for f in rep.failures] == []
+    assert tracer.counts["estimators.sample.steps"] > 0
+    assert all(tracer.phase_s[phase] > 0 for phase in tracing.PHASES)
+    # the phases and driver.self against the traced iterations' own wall time
+    wall = sum(rec.wall_time for rep in repeats for rec, traced in zip(rep.records, rep.traced) if traced)
+    assert abs(sum(tracer.phase_s.values()) - wall) <= check_tolerance * wall
+    assert not tracer.missing & set(PHASE_MARKERS)

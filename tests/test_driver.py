@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from dualac import driver, estimators
+from dualac import driver
 from dualac.cli import default_config
 from dualac.driver import (
     DualAcConfig,
@@ -191,22 +191,22 @@ def test_golden_run_records(env_name, ablation, iterations):
 
 
 def test_iteration_computes_deltas_once_per_value_function(monkeypatch):
-    # delta_k of each trajectory at V^{t-1} and at V^t; the reweighting, its
+    # the batch's deltas at V^{t-1} and at V^t; the reweighting, its
     # per-start means and the policy gradient reuse them
     calls = []
-    original = estimators.traj_delta
+    original = driver.traj_deltas
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(estimators, "traj_delta", counted)
+    monkeypatch.setattr(driver, "traj_deltas", counted)
     for name in ("gridworld", "chain2"):
         state = init_state(dataclasses.replace(default_config(name), batch_m=24), make_env(name))
         for _ in range(2):
             calls.clear()
             state, _ = dual_ac_iteration(state)
-            assert len(calls) == 2 * state.cfg.batch_m, name
+            assert len(calls) == 2, name
 
 
 def test_chain_learns_oracle_policy():

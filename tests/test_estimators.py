@@ -3,28 +3,25 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualac.cli import default_config
 from dualac.driver import dual_ac_iteration, init_state, load_checkpoint, save_checkpoint
 from dualac.envs import TabularEnv, make_env
 from dualac.estimators import (
+    BatchRow,
     SoftmaxStartWeighting,
-    Trajectory,
     alpha_closed_form,
     alpha_objective,
     delta_means_by_start,
     exact_grad_alpha,
     exact_grad_pi,
     exact_grad_v,
-    grad_alpha_estimate,
     grad_pi_estimate,
     grad_v_estimate,
-    mc_return,
     replay_rows,
     sample_trajectories,
-    traj_delta,
     traj_deltas,
     value_grad_terms,
 )
@@ -43,7 +40,7 @@ from dualac.policies import (
     TabularSoftmaxPolicy,
     TabularValue,
 )
-from conftest import make_single_state_mdp
+from conftest import make_batch, make_single_state_mdp, tabular_value
 from reference_sampler import sample_reference
 
 
@@ -63,12 +60,10 @@ def make_test_mdp(seed=107, mu=None):
 def test_deterministic_env_identical_trajectories():
     env = TabularEnv(make_single_state_mdp(n_actions=1), horizon=4)
     policy = TabularSoftmaxPolicy(1, 1)
-    trajs = sample_trajectories(env, policy, m=5, horizon=4, rng_seed=0)
+    batch = sample_trajectories(env, policy, m=5, horizon=4, rng_seed=0)
     other = sample_trajectories(env, policy, m=5, horizon=4, rng_seed=99)
-    for a, b in zip(trajs, other):
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.actions, b.actions)
-        assert np.array_equal(a.rewards, b.rewards)
+    for name in ("obs", "actions", "rewards", "lengths", "terminated"):
+        assert np.array_equal(getattr(batch, name), getattr(other, name)), name
 
 
 def test_same_seed_bitwise_identical():
@@ -76,29 +71,26 @@ def test_same_seed_bitwise_identical():
     policy = TabularSoftmaxPolicy(5, 2, logits=np.random.default_rng(1).normal(size=(5, 2)))
     a = sample_trajectories(env, policy, m=8, horizon=20, rng_seed=42)
     b = sample_trajectories(env, policy, m=8, horizon=20, rng_seed=42)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.states, y.states)
-        assert np.array_equal(x.actions, y.actions)
-        assert np.array_equal(x.rewards, y.rewards)
+    for name in ("obs", "actions", "rewards", "lengths", "terminated"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_bandit_action_frequency():
     mdp = make_single_state_mdp(n_actions=2)
     env = TabularEnv(mdp, horizon=1)
     policy = TabularSoftmaxPolicy(1, 2)  # uniform
-    trajs = sample_trajectories(env, policy, m=100_000, horizon=1, rng_seed=7)
-    freq = np.mean([t.actions[0] for t in trajs])
+    batch = sample_trajectories(env, policy, m=100_000, horizon=1, rng_seed=7)
+    freq = np.mean(batch.actions[:, 0])
     assert abs(freq - 0.5) < 0.01
 
 
 def test_gridworld_absorption_shortens():
     env = make_env("gridworld")
     policy = TabularSoftmaxPolicy(25, 4, logits=np.zeros((25, 4)))
-    trajs = sample_trajectories(env, policy, m=50, horizon=60, rng_seed=3)
-    assert any(t.n_steps < 60 for t in trajs)
-    for t in trajs:
-        if t.n_steps < 60:
-            assert t.states[-1] == 24
+    batch = sample_trajectories(env, policy, m=50, horizon=60, rng_seed=3)
+    short = batch.lengths < 60
+    assert short.any()
+    assert np.all(batch.obs[short, batch.lengths[short]] == 24)
 
 
 def _sampler_case(env_name: str, seed: int, scale: float, log_std: float):
@@ -136,16 +128,16 @@ def test_lockstep_sampler_matches_per_step_reference(env_name, seed, scale, log_
     assert getattr(env, "clip_count", 0) - clips == want_clips
     assert len(got) == m
     for a, b in zip(got, want):
-        for name in ("states", "actions", "rewards"):
+        for name in ("obs", "actions", "rewards"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y), name
-        assert a.terminated is b.terminated
+        assert a.n_steps == b.n_steps and a.terminated is b.terminated
 
 
-def _batch_digest(trajs) -> str:
+def _batch_digest(batch) -> str:
     h = hashlib.sha256()
-    for traj in trajs:
-        for arr in (traj.states, traj.actions, traj.rewards):
+    for traj in batch:
+        for arr in (traj.obs, traj.actions, traj.rewards):
             h.update(str(arr.dtype).encode())
             h.update(str(arr.shape).encode())
             h.update(arr.tobytes())
@@ -155,7 +147,8 @@ def _batch_digest(trajs) -> str:
 
 # One batch per environment (m = 16, seed (5, 3)), hashed with _batch_digest
 # from the trajectories of the one-step-at-a-time sampler that preceded the
-# lockstep one; (digest, steps, absorbed trajectories, clipped actions).
+# lockstep one, each cut to its length; (digest, steps, absorbed
+# trajectories, clipped actions).
 PINNED_BATCHES = {
     "chain2": ("7f643aee8c3394cb060ee88f8c1a2ecc5eafc8872f4936d51afcdddd1f6044bd", 192, 0, 0),
     "chain5": ("ce3855492583cb3737da592c3cffd9da2b75e4002d445f59a18a59eb7bf1c185", 320, 0, 0),
@@ -179,36 +172,152 @@ def _pinned_batches():
 def test_sampled_batches_pinned():
     for name, env, policy, horizon in _pinned_batches():
         clips = getattr(env, "clip_count", 0)
-        trajs = sample_trajectories(env, policy, m=16, horizon=horizon, rng_seed=(5, 3))
+        batch = sample_trajectories(env, policy, m=16, horizon=horizon, rng_seed=(5, 3))
         got = (
-            _batch_digest(trajs),
-            sum(t.n_steps for t in trajs),
-            sum(t.terminated for t in trajs),
+            _batch_digest(batch),
+            int(batch.lengths.sum()),
+            int(batch.terminated.sum()),
             getattr(env, "clip_count", 0) - clips,
         )
         assert got == PINNED_BATCHES[name], name
 
 
 # ---------------------------------------------------------------------------
-# Returns and deltas
+# Returns and deltas: the array estimators against a per-trajectory scalar
+# reference (the loops that walked one trajectory at a time)
+
+
+def _reference_row(value, s) -> np.ndarray:
+    """grad v(s) of one state, as the per-state value models computed it."""
+    if isinstance(value, TabularValue):
+        row = np.zeros(value.n_params)
+        row[int(s)] = 1.0
+        return row
+    fmap = value.feature_map
+    return np.append(fmap.base(s), 1.0) if isinstance(fmap, BiasedFeatureMap) else fmap(s)
+
+
+def _reference_value(value, s) -> float:
+    if isinstance(value, TabularValue):
+        return float(value.values[int(s)])
+    return float(value.weights @ _reference_row(value, s))
+
+
+def _reference_return(rewards, gamma, k=None) -> float:
+    """Discounted return over the first min(k+1, length) steps (all steps if k is None)."""
+    stop = len(rewards) if k is None else min(k + 1, len(rewards))
+    return float(gamma ** np.arange(stop) @ rewards[:stop])
+
+
+def _bootstraps(path: BatchRow, j: int) -> bool:
+    return not (path.terminated and j == path.n_steps)
+
+
+def _reference_delta(path: BatchRow, value, gamma, k) -> float:
+    j = min(k + 1, path.n_steps)
+    tail = gamma**j * _reference_value(value, path.obs[j]) if _bootstraps(path, j) else 0.0
+    return float(_reference_return(path.rewards, gamma, k) + tail - _reference_value(value, path.obs[0]))
+
+
+def _reference_delta_means(paths, deltas, n_states):
+    sums, counts = np.zeros(n_states), np.zeros(n_states, dtype=int)
+    for path, delta in zip(paths, deltas):
+        s0 = int(path.obs[0])
+        sums[s0] += delta
+        counts[s0] += 1
+    means = np.zeros(n_states)
+    seen = counts > 0
+    means[seen] = sums[seen] / counts[seen]
+    return means, counts
+
+
+def _grad_v_reference(paths, weights, behavior_paths, value_model, gamma, k, eta_v):
+    """The sampled value gradient walked trajectory by trajectory, evaluating
+    every feature row at the model's current parameters."""
+    n = value_model.n_params
+    lead = np.zeros(n)
+    resid = np.zeros(n)
+    for path, weight in zip(paths, weights):
+        g0 = _reference_row(value_model, path.obs[0])
+        j = min(k + 1, path.n_steps)
+        lead += g0
+        resid -= weight * g0
+        if _bootstraps(path, j):
+            resid += weight * gamma**j * _reference_row(value_model, path.obs[j])
+    grad = (1.0 - gamma ** (k + 1)) * lead / len(paths) + resid / len(paths)
+    if eta_v > 0:
+        pen = np.zeros(n)
+        for path in behavior_paths:
+            v0, g0 = _reference_value(value_model, path.obs[0]), _reference_row(value_model, path.obs[0])
+            pen += (_reference_return(path.rewards, gamma) - v0) * g0
+        grad -= 2.0 * eta_v * pen / len(behavior_paths)
+    return grad
 
 
 def test_mc_return_examples():
-    traj = Trajectory(states=np.zeros(4), actions=np.zeros(3), rewards=np.array([1.0, 1.0, 1.0]))
-    assert mc_return(traj, 0.5) == pytest.approx(1.75)
-    assert mc_return(traj, 0.5, k=0) == pytest.approx(1.0)
-    long = Trajectory(states=np.zeros(201), actions=np.zeros(200), rewards=np.ones(200))
-    assert mc_return(long, 0.995) == pytest.approx((1 - 0.995**200) / 0.005)
+    batch = make_batch([(np.zeros(4, dtype=int), np.zeros(3, dtype=int), [1.0, 1.0, 1.0])])
+    assert replay_rows(batch, 0.5).returns[0] == pytest.approx(1.75)
+    # at v = 0, delta_k is the return over the first k+1 steps
+    assert traj_deltas(batch, tabular_value([0.0]), 0.5, k=0)[0] == pytest.approx(1.0)
+    long = make_batch([(np.zeros(201, dtype=int), np.zeros(200, dtype=int), np.ones(200))])
+    assert replay_rows(long, 0.995).returns[0] == pytest.approx((1 - 0.995**200) / 0.005)
 
 
 def test_traj_delta_full_and_truncated():
-    v = np.array([2.0, -1.0, 0.5])
-    full = Trajectory(states=np.array([0, 1, 2]), actions=np.zeros(2), rewards=np.array([1.0, 3.0]))
+    v = tabular_value([2.0, -1.0, 0.5])
+    full = make_batch([([0, 1, 2], [0, 0], [1.0, 3.0])])
     # k = 1: delta = 1 + 0.9*3 + 0.81*v(s2) - v(s0)
-    assert traj_delta(full, v, 0.9, k=1) == pytest.approx(1 + 2.7 + 0.81 * 0.5 - 2.0)
-    short = Trajectory(states=np.array([0, 1]), actions=np.zeros(1), rewards=np.array([1.0]))
+    assert traj_deltas(full, v, 0.9, k=1)[0] == pytest.approx(1 + 2.7 + 0.81 * 0.5 - 2.0)
+    short = make_batch([([0, 1], [0], [1.0])])
     # k = 3 but only one step: bootstrap at s_1 with gamma^1
-    assert traj_delta(short, v, 0.9, k=3) == pytest.approx(1 + 0.9 * (-1.0) - 2.0)
+    assert traj_deltas(short, v, 0.9, k=3)[0] == pytest.approx(1 + 0.9 * (-1.0) - 2.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    env_name=st.sampled_from(["chain2", "chain5", "gridworld", "pendulum"]),
+    seed=st.integers(0, 2**31),
+    scale=st.floats(0.0, 4.0),
+    m=st.integers(1, 12),
+    horizon=st.integers(1, 40),
+    k=st.integers(0, 15),
+)
+@example(env_name="gridworld", seed=3, scale=0.0, m=12, horizon=40, k=10)  # 6 of 12 absorbed
+@example(env_name="chain5", seed=1, scale=0.0, m=12, horizon=40, k=3)  # all 12 absorbed
+@example(env_name="pendulum", seed=2, scale=1.0, m=5, horizon=8, k=10)  # every trajectory shorter than k+1
+def test_array_estimators_match_per_trajectory_reference(env_name, seed, scale, m, horizon, k):
+    # chain5 with an absorbing end and gridworld give absorbed trajectories,
+    # and horizons below k+1 give trajectories shorter than the window
+    env, policy = _sampler_case(env_name, seed, scale, log_std=0.0)
+    rng = np.random.default_rng(seed)
+    if env.spec.tabular:
+        value = TabularValue(env.spec.n_states)
+    else:
+        value = LinearValue(BiasedFeatureMap(policy.feature_map))
+    value.set_params(rng.normal(scale=3.0, size=value.n_params))
+    gamma = env.spec.gamma_hint
+    batch = sample_trajectories(env, policy, m, horizon, (seed, 1))
+    previous = sample_trajectories(env, policy, int(rng.integers(1, 13)), horizon, (seed, 2))
+    paths = list(batch)
+
+    deltas = traj_deltas(batch, value, gamma, k)
+    assert np.array_equal(deltas, [_reference_delta(p, value, gamma, k) for p in paths])
+    rows = replay_rows(batch, gamma)
+    assert np.array_equal(rows.returns, [_reference_return(p.rewards, gamma) for p in paths])
+    if env.spec.tabular:
+        means, counts = delta_means_by_start(batch, deltas, env.spec.n_states)
+        want_means, want_counts = _reference_delta_means(paths, deltas, env.spec.n_states)
+        assert np.array_equal(means, want_means) and np.array_equal(counts, want_counts)
+
+    weights = rng.uniform(0.1, 2.0, size=m)
+    behavior = (rows, replay_rows(previous, gamma))
+    for eta_v in (0.0, 1.0):
+        terms = value_grad_terms(batch, weights, behavior, value, gamma, k, eta_v)
+        w = rng.normal(scale=3.0, size=value.n_params)
+        probe = value.copy()
+        probe.set_params(w)
+        want = _grad_v_reference(paths, weights, paths + list(previous), probe, gamma, k, eta_v)
+        assert np.array_equal(grad_v_estimate(terms, w), want), eta_v
 
 
 # ---------------------------------------------------------------------------
@@ -292,30 +401,14 @@ def test_grad_estimates_zero_at_fixed_point():
     mdp = make_single_state_mdp(n_actions=1)
     env = TabularEnv(mdp, horizon=6)
     policy = TabularSoftmaxPolicy(1, 1)
-    trajs = sample_trajectories(env, policy, m=4, horizon=6, rng_seed=5)
-    v = np.array([10.0])  # fixed point: every delta vanishes
-    start = SoftmaxStartWeighting(1)
-    assert np.allclose(grad_alpha_estimate(trajs, v, start, 0.9, k=2), 0.0, atol=1e-12)
-    assert np.allclose(grad_pi_estimate(trajs, traj_deltas(trajs, v, 0.9, k=2), policy, k=2), 0.0, atol=1e-12)
-
-
-def test_grad_alpha_linear_in_rewards():
-    env = make_env("chain5", slip=0.2)
-    policy = TabularSoftmaxPolicy(5, 2)
-    trajs = sample_trajectories(env, policy, m=20, horizon=10, rng_seed=11)
-    start = SoftmaxStartWeighting(5, logits=np.arange(5.0) / 5)
-    v = np.zeros(5)
-    g1 = grad_alpha_estimate(trajs, v, start, 0.9, k=3)
-    doubled = [Trajectory(t.states, t.actions, 2.0 * t.rewards, t.start_weight) for t in trajs]
-    g2 = grad_alpha_estimate(doubled, v, start, 0.9, k=3)
-    assert np.allclose(g2, 2.0 * g1, atol=1e-12)
+    batch = sample_trajectories(env, policy, m=4, horizon=6, rng_seed=5)
+    v = tabular_value([10.0])  # fixed point: every delta vanishes
+    assert np.allclose(grad_pi_estimate(batch.window(2), traj_deltas(batch, v, 0.9, k=2), policy), 0.0, atol=1e-12)
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
-        grad_pi_estimate([], [], TabularSoftmaxPolicy(2, 2), k=0)
-    with pytest.raises(ValueError):
-        grad_alpha_estimate([], np.zeros(2), SoftmaxStartWeighting(2), 0.9, k=0)
+        grad_pi_estimate(make_batch([]).window(0), np.zeros(0), TabularSoftmaxPolicy(2, 2))
 
 
 def test_sampled_estimators_converge_to_exact():
@@ -324,46 +417,18 @@ def test_sampled_estimators_converge_to_exact():
     env = TabularEnv(mdp, horizon=8)
     rng = np.random.default_rng(149)
     policy = TabularSoftmaxPolicy(2, 2, logits=rng.normal(size=(2, 2)))
-    start = SoftmaxStartWeighting(2, logits=np.log(mdp.mu))
     v = TabularValue(2)
     v.values = rng.normal(size=2)
     k = 1
     exact_pi = exact_grad_pi(mdp, v.values, mdp.mu, policy, k=k)
-    exact_al = exact_grad_alpha(mdp, v.values, start, policy.prob_matrix(), k=k)
     for m in (100, 10_000):
-        trajs = sample_trajectories(env, policy, m=m, horizon=8, rng_seed=m)
-        est_pi = grad_pi_estimate(trajs, traj_deltas(trajs, v, mdp.gamma, k), policy, k=k)
-        est_al = grad_alpha_estimate(trajs, v, start, mdp.gamma, k=k)
+        batch = sample_trajectories(env, policy, m=m, horizon=8, rng_seed=m)
+        per = traj_deltas(batch, v, mdp.gamma, k)
+        est_pi = grad_pi_estimate(batch.window(k), per, policy)
         # per-trajectory statistic scale bounds the batch-mean deviation
-        per = np.array([traj_delta(t, v, mdp.gamma, k) for t in trajs])
         sigma = max(per.std(), 1.0)
         bound = 6 * sigma / np.sqrt(m)
         assert np.max(np.abs(est_pi - exact_pi)) < bound, m
-        assert np.max(np.abs(est_al - exact_al)) < bound, m
-
-
-def _grad_v_reference(trajs, behavior_trajs, value_model, gamma, k, eta_v):
-    """The sampled value gradient walked trajectory by trajectory, evaluating
-    every feature row at the model's current parameters."""
-    n = value_model.n_params
-    lead = np.zeros(n)
-    resid = np.zeros(n)
-    for traj in trajs:
-        _, g0 = value_model.eval_and_grad(traj.states[0])
-        j = min(k + 1, traj.n_steps)
-        lead += g0
-        resid -= traj.start_weight * g0
-        if traj.bootstraps_at(j):
-            _, gj = value_model.eval_and_grad(traj.states[j])
-            resid += traj.start_weight * gamma**j * gj
-    grad = (1.0 - gamma ** (k + 1)) * lead / len(trajs) + resid / len(trajs)
-    if eta_v > 0:
-        pen = np.zeros(n)
-        for traj in behavior_trajs:
-            v0, g0 = value_model.eval_and_grad(traj.states[0])
-            pen += (mc_return(traj, gamma) - v0) * g0
-        grad -= 2.0 * eta_v * pen / len(behavior_trajs)
-    return grad
 
 
 def _value_grad_cases():
@@ -380,13 +445,16 @@ def _value_grad_cases():
 
 
 def test_value_models_are_linear_in_their_parameters():
-    # the precondition of value_grad_terms: v(s) = w . grad v(s)
+    # the precondition of value_grad_terms: v(s) = w . row(s), with each row
+    # independent of w and bitwise the row of that state alone
     for env, policy, v, horizon, _ in _value_grad_cases():
         rng = np.random.default_rng(167)
+        states = np.concatenate([path.obs for path in sample_trajectories(env, policy, 6, horizon, rng_seed=23)])
+        rows = v.rows(states)
         v.set_params(rng.normal(size=v.n_params))
-        for traj in sample_trajectories(env, policy, m=6, horizon=horizon, rng_seed=23):
-            for s in traj.states:
-                assert v.value(s) == pytest.approx(v.get_params() @ v.eval_and_grad(s)[1])
+        assert np.array_equal(v.rows(states), rows)
+        for s, row in zip(states, rows):
+            assert np.array_equal(row, _reference_row(v, s))
 
 
 def test_grad_v_terms_bitwise_match_trajectory_loop():
@@ -394,34 +462,33 @@ def test_grad_v_terms_bitwise_match_trajectory_loop():
     for env, policy, v, horizon, k in _value_grad_cases():
         previous = sample_trajectories(env, policy, m=12, horizon=horizon, rng_seed=(29, 1))
         batch = sample_trajectories(env, policy, m=12, horizon=horizon, rng_seed=(29, 2))
-        for traj in previous + batch:
-            traj.start_weight = float(rng.uniform(0.1, 2.0))
+        weights = rng.uniform(0.1, 2.0, size=12)
         if env.spec.tabular:
-            assert any(traj.terminated for traj in batch)
+            assert batch.terminated.any()
         else:
-            assert all(traj.n_steps < k + 1 for traj in batch)
-        behavior = batch + previous
-        rows = [*replay_rows(batch, env.spec.gamma_hint), *replay_rows(previous, env.spec.gamma_hint)]
+            assert np.all(batch.lengths < k + 1)
+        behavior = list(batch) + list(previous)
+        rows = (replay_rows(batch, env.spec.gamma_hint), replay_rows(previous, env.spec.gamma_hint))
         v.set_params(rng.normal(size=v.n_params))
         for eta_v in (0.0, 1.0):
-            terms = value_grad_terms(batch, rows, v, env.spec.gamma_hint, k, eta_v)
+            terms = value_grad_terms(batch, weights, rows, v, env.spec.gamma_hint, k, eta_v)
             for _ in range(4):
                 w = rng.normal(scale=3.0, size=v.n_params)
                 probe = v.copy()
                 probe.set_params(w)
-                want = _grad_v_reference(batch, behavior, probe, env.spec.gamma_hint, k, eta_v)
+                want = _grad_v_reference(list(batch), weights, behavior, probe, env.spec.gamma_hint, k, eta_v)
                 assert np.array_equal(grad_v_estimate(terms, w), want), (env.spec, eta_v)
 
 
 def test_grad_v_terms_reject_empty_batches():
     env = make_env("chain5")
-    trajs = sample_trajectories(env, TabularSoftmaxPolicy(5, 2), m=3, horizon=5, rng_seed=31)
-    v = TabularValue(5)
+    batch = sample_trajectories(env, TabularSoftmaxPolicy(5, 2), m=3, horizon=5, rng_seed=31)
+    v, weights = TabularValue(5), np.ones(3)
     with pytest.raises(ValueError):
-        value_grad_terms([], replay_rows(trajs, 0.9), v, 0.9, k=1, eta_v=1.0)
+        value_grad_terms(make_batch([]), np.zeros(0), (replay_rows(batch, 0.9),), v, 0.9, k=1, eta_v=1.0)
     with pytest.raises(ValueError):
-        value_grad_terms(trajs, [], v, 0.9, k=1, eta_v=1.0)
-    terms = value_grad_terms(trajs, [], v, 0.9, k=1, eta_v=0.0)
+        value_grad_terms(batch, weights, (), v, 0.9, k=1, eta_v=1.0)
+    terms = value_grad_terms(batch, weights, (), v, 0.9, k=1, eta_v=0.0)
     assert terms.rows.shape == (0, 5)
 
 
@@ -429,10 +496,11 @@ def test_grad_v_single_state_hand_value():
     mdp = make_single_state_mdp()  # R=1, gamma=0.9
     env = TabularEnv(mdp, horizon=300)
     policy = TabularSoftmaxPolicy(1, 1)
-    trajs = sample_trajectories(env, policy, m=3, horizon=300, rng_seed=17)
+    batch = sample_trajectories(env, policy, m=3, horizon=300, rng_seed=17)
     v = TabularValue(1)
     k, eta_v = 0, 0.5
-    got = grad_v_estimate(value_grad_terms(trajs, replay_rows(trajs, 0.9), v, 0.9, k=k, eta_v=eta_v), np.array([8.0]))
+    terms = value_grad_terms(batch, np.ones(3), (replay_rows(batch, 0.9),), v, 0.9, k=k, eta_v=eta_v)
+    got = grad_v_estimate(terms, np.array([8.0]))
     G = (1 - 0.9**300) / 0.1
     # lead and residual terms cancel ((1-g) + (g-1)); penalty remains
     want = -2 * eta_v * (G - 8.0)
@@ -444,12 +512,12 @@ def test_grad_v_penalty_vanishes_at_behavior_value():
     mdp = env.as_tabular()
     rng = np.random.default_rng(151)
     policy = TabularSoftmaxPolicy(5, 2, logits=rng.normal(size=(5, 2)))
-    trajs = sample_trajectories(env, policy, m=400, horizon=400, rng_seed=19)
-    v = TabularValue(5)
+    batch = sample_trajectories(env, policy, m=400, horizon=400, rng_seed=19)
+    v, weights = TabularValue(5), np.ones(400)
     v_b = policy_value(mdp, policy.prob_matrix())
-    rows = replay_rows(trajs, mdp.gamma)
-    got = grad_v_estimate(value_grad_terms(trajs, rows, v, mdp.gamma, k=0, eta_v=1.0), v_b)
-    no_pen = grad_v_estimate(value_grad_terms(trajs, rows, v, mdp.gamma, k=0, eta_v=0.0), v_b)
+    rows = (replay_rows(batch, mdp.gamma),)
+    got = grad_v_estimate(value_grad_terms(batch, weights, rows, v, mdp.gamma, k=0, eta_v=1.0), v_b)
+    no_pen = grad_v_estimate(value_grad_terms(batch, weights, rows, v, mdp.gamma, k=0, eta_v=0.0), v_b)
     penalty_part = got - no_pen
     assert np.max(np.abs(penalty_part)) < 0.2  # MC/truncation noise only
 
@@ -510,13 +578,9 @@ def test_reweighting_identity():
 
 
 def test_delta_means_by_start_grouping():
-    v = np.zeros(3)
-    trajs = [
-        Trajectory(np.array([0, 1]), np.array([0]), np.array([1.0])),
-        Trajectory(np.array([0, 2]), np.array([0]), np.array([3.0])),
-        Trajectory(np.array([2, 1]), np.array([1]), np.array([5.0])),
-    ]
-    means, counts = delta_means_by_start(trajs, traj_deltas(trajs, v, 0.9, k=0), n_states=3)
+    v = tabular_value(np.zeros(3))
+    batch = make_batch([([0, 1], [0], [1.0]), ([0, 2], [0], [3.0]), ([2, 1], [1], [5.0])])
+    means, counts = delta_means_by_start(batch, traj_deltas(batch, v, 0.9, k=0), n_states=3)
     assert counts.tolist() == [2, 0, 1]
     assert means[0] == pytest.approx(2.0)
     assert means[1] == 0.0
@@ -532,9 +596,7 @@ def test_score_zero_mean_softmax():
     policy = TabularSoftmaxPolicy(1, 3, logits=rng.normal(size=(1, 3)))
     m = 20_000
     actions = policy.action_sampler()(np.zeros(m, dtype=int), rng.random(m))
-    scores = np.zeros((m, policy.n_params))
-    for i, a in enumerate(actions):
-        _, scores[i] = policy.log_prob_and_grad(0, a)
+    scores = policy.score_batch(np.zeros(m, dtype=int), actions)
     sem = scores.std(axis=0) / np.sqrt(m)
     assert np.all(np.abs(scores.mean(axis=0)) < 3 * sem + 1e-12)
 
@@ -546,9 +608,7 @@ def test_score_zero_mean_gaussian():
     s = np.array([0.4, -0.6])
     m = 20_000
     actions = policy.action_sampler()(np.tile(s, (m, 1)), rng.standard_normal((m, policy.action_dim)))
-    scores = np.zeros((m, policy.n_params))
-    for i, a in enumerate(actions):
-        _, scores[i] = policy.log_prob_and_grad(s, a)
+    scores = policy.score_batch(np.tile(s, (m, 1)), actions)
     sem = scores.std(axis=0) / np.sqrt(m)
     assert np.all(np.abs(scores.mean(axis=0)) < 3.5 * sem + 1e-12)
 
@@ -564,11 +624,11 @@ def test_trajectory_round_trip(tmp_path):
     batch = sample_trajectories(state.env, state.policy, state.cfg.batch_m, state.cfg.horizon, rng_seed=(0, 1))
     state, _ = dual_ac_iteration(state)
     rows = state.last_batch
-    assert any(traj.terminated for traj in batch) and not all(traj.terminated for traj in batch)
+    assert batch.terminated.any() and not batch.terminated.all()
     assert len(rows) == len(batch)
     for row, traj in zip(rows, batch):
-        assert row.start == traj.states[0] and row.n_steps == traj.n_steps
-        assert row.mc_return == mc_return(traj, state.cfg.gamma)
+        assert row.start == traj.obs[0] and row.n_steps == traj.n_steps
+        assert row.mc_return == _reference_return(traj.rewards, state.cfg.gamma)
     path = str(tmp_path / "checkpoint.json")
     save_checkpoint(path, state, env_name="gridworld")
     back = load_checkpoint(path).last_batch
@@ -580,8 +640,8 @@ def test_trajectory_round_trip(tmp_path):
 def test_traj_deltas_vector():
     env = make_env("chain2")
     policy = TabularSoftmaxPolicy(2, 2)
-    trajs = sample_trajectories(env, policy, m=4, horizon=6, rng_seed=29)
-    v = np.array([1.0, 2.0])
-    out = traj_deltas(trajs, v, 0.5, k=1)
+    batch = sample_trajectories(env, policy, m=4, horizon=6, rng_seed=29)
+    v = tabular_value([1.0, 2.0])
+    out = traj_deltas(batch, v, 0.5, k=1)
     assert out.shape == (4,)
-    assert out[0] == pytest.approx(traj_delta(trajs[0], v, 0.5, k=1))
+    assert out[0] == pytest.approx(_reference_delta(next(iter(batch)), v, 0.5, k=1))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualac.estimators import Trajectory, traj_delta
+from dualac.estimators import traj_deltas
 from dualac.lagrangian import (
     EnumerationLimitError,
     expected_delta_dp,
@@ -20,7 +20,7 @@ from dualac.mdp import (
     random_mdp,
     value_iteration,
 )
-from conftest import make_chain2_mdp, make_single_state_mdp
+from conftest import make_batch, make_chain2_mdp, make_single_state_mdp, tabular_value
 
 
 def optimal_triple(mdp, k=0, tol=1e-12):
@@ -31,30 +31,25 @@ def optimal_triple(mdp, k=0, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# The k-step residual delta of one path (estimators.traj_delta); k + 1 is the
-# number of steps
+# The k-step residual delta of one path (estimators.traj_deltas); k + 1 is
+# the number of steps
 
 
 def test_delta_fixed_point_path():
-    path = Trajectory(states=[0, 0], actions=[0], rewards=[1.0])
-    assert traj_delta(path, np.array([10.0]), 0.9, k=0) == pytest.approx(0.0, abs=1e-12)
+    path = make_batch([([0, 0], [0], [1.0])])
+    assert traj_deltas(path, tabular_value([10.0]), 0.9, k=0)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_is_sampled_one_step_residual():
     # k = 0: delta = R + gamma v(s1) - v(s0) with the expectation replaced by the sample
-    v = np.array([2.0, -1.0])
-    path = Trajectory(states=[0, 1], actions=[1], rewards=[0.5])
-    assert traj_delta(path, v, 0.9, k=0) == pytest.approx(0.5 + 0.9 * (-1.0) - 2.0)
+    v = tabular_value([2.0, -1.0])
+    path = make_batch([([0, 1], [1], [0.5])])
+    assert traj_deltas(path, v, 0.9, k=0)[0] == pytest.approx(0.5 + 0.9 * (-1.0) - 2.0)
 
 
 def test_delta_zero_value_is_discounted_return():
-    path = Trajectory(states=[0, 1, 0, 1], actions=[0, 1, 0], rewards=[1.0, 2.0, 4.0])
-    assert traj_delta(path, np.zeros(2), 0.5, k=2) == pytest.approx(1.0 + 1.0 + 1.0)
-
-
-def test_path_shape_validation():
-    with pytest.raises(ValueError, match=r"n\+1 states"):
-        Trajectory(states=[0, 1], actions=[0, 1], rewards=[0.0, 0.0])
+    path = make_batch([([0, 1, 0, 1], [0, 1, 0], [1.0, 2.0, 4.0])])
+    assert traj_deltas(path, tabular_value(np.zeros(2)), 0.5, k=2)[0] == pytest.approx(1.0 + 1.0 + 1.0)
 
 
 # ---------------------------------------------------------------------------

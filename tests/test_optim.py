@@ -17,6 +17,7 @@ from dualac.optim import (
     natural_gradient_step,
 )
 from dualac.policies import TabularSoftmaxPolicy
+from conftest import tabular_value
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +234,13 @@ def test_logit_shift_invariance():
     env = make_env("chain2")
     rng = np.random.default_rng(251)
     logits = rng.normal(size=(2, 2))
-    trajs = None
+    batch = None
     outs = []
     for shift in (0.0, 3.7):
         policy = TabularSoftmaxPolicy(2, 2, logits=logits + shift * np.ones((2, 2)) * np.array([[1.0], [2.0]]))
-        if trajs is None:
-            trajs = sample_trajectories(env, policy, m=12, horizon=6, rng_seed=13)
-        g = grad_pi_estimate(trajs, traj_deltas(trajs, np.array([1.0, 2.0]), env.mdp.gamma, k=1), policy, k=1)
+        if batch is None:
+            batch = sample_trajectories(env, policy, m=12, horizon=6, rng_seed=13)
+        g = grad_pi_estimate(batch.window(1), traj_deltas(batch, tabular_value([1.0, 2.0]), env.mdp.gamma, k=1), policy)
         fisher = exhaustive_fisher(policy, [0, 1], damping=1e-8)
         new_params = natural_gradient_step(
             policy.get_params(), g, fisher, zeta=0.3, normalize=False, cg=CgConfig(max_iters=50, residual_tol=1e-14)

@@ -217,20 +217,23 @@ def test_softmax_kl_grad_matches_fd():
 # Value functions
 
 
+# v(s) = w . row(s), from the batched rows
+
+
 def test_linear_value_zero_weights():
     fmap = RbfFeatureMap.create(8, 2, bandwidth=1.0, seed=51)
     v = LinearValue(fmap)
     s = np.array([0.2, -0.1])
-    val, grad = v.eval_and_grad(s)
-    assert val == 0.0
+    grad = v.rows(s[None])[0]
+    assert v.get_params() @ grad == 0.0
     assert np.allclose(grad, fmap(s))
 
 
 def test_tabular_value_indicator_grad():
     v = TabularValue(5)
     v.values = np.arange(5.0)
-    val, grad = v.eval_and_grad(3)
-    assert val == 3.0
+    grad = v.rows([3])[0]
+    assert v.get_params() @ grad == 3.0
     assert np.allclose(grad, np.eye(5)[3])
 
 
@@ -240,11 +243,11 @@ def test_value_grads_match_finite_differences():
     v = LinearValue(fmap)
     v.weights = rng.normal(size=8)
     s = rng.normal(size=2)
-    _, grad = v.eval_and_grad(s)
+    grad = v.rows(s[None])[0]
 
     def f(theta):
         c = v.copy()
         c.set_params(theta)
-        return c.value(s)
+        return fmap(s) @ c.get_params()
 
     assert np.allclose(grad, fd_grad(f, v.get_params()), rtol=1e-6, atol=1e-9)
