@@ -271,18 +271,16 @@ def dual_ac_iteration(state: TrainingState):
     # the support of the weighted k-step path measure: the first k+1 steps of
     # each trajectory
     window = batch.window(cfg.k)
-    g_pi = grad_pi_estimate(window, weights * deltas, state.policy)
+    g_pi, scores = grad_pi_estimate(window, weights * deltas, state.policy)
     if not np.all(np.isfinite(g_pi)):
         raise IterationError(t, "non-finite policy gradient")
 
     # line 8: KL prox step in natural-gradient form.  The Fisher/KL batch is
-    # the same window, rows weighted by their trajectory's start weight.
+    # the same window and its score rows, each weighted by its trajectory's
+    # start weight.
     row_weights = np.repeat(weights, window.steps)
-    row_weights = row_weights / row_weights.sum()
     try:
-        fisher = fisher_estimate(
-            state.policy, window.obs, window.actions, damping=cfg.cg.damping, weights=row_weights
-        )
+        fisher = fisher_estimate(scores, damping=cfg.cg.damping, weights=row_weights / row_weights.sum())
         new_params = natural_gradient_step(
             state.policy.get_params(), g_pi, fisher, zeta, normalize=cfg.normalize_grad, cg=cfg.cg
         )

@@ -68,7 +68,8 @@ class Batch:
 
     def __iter__(self):
         for l, n in enumerate(self.lengths):
-            yield BatchRow(self.obs[l, : n + 1], self.actions[l, :n], self.rewards[l, :n], int(n), bool(self.terminated[l]))
+            obs, actions, rewards = self.obs[l, : n + 1], self.actions[l, :n], self.rewards[l, :n]
+            yield BatchRow(obs, actions, rewards, int(n), bool(self.terminated[l]))
 
     def window(self, k: int) -> Window:
         steps = np.minimum(k + 1, self.lengths)
@@ -162,10 +163,6 @@ def replay_rows(batch: Batch, gamma: float) -> ReplayRows:
     return ReplayRows(starts=batch.obs[:, 0].copy(), returns=_returns(batch.rewards, gamma), n_steps=batch.lengths)
 
 
-def _values(value, states) -> np.ndarray:
-    return np.vecdot(value.rows(states), value.get_params())
-
-
 def traj_deltas(batch: Batch, value, gamma: float, k: int) -> np.ndarray:
     """delta_k of every trajectory, bootstrapping at the last state when
     shorter than k+1 steps (with 0 instead of v there if that state is
@@ -173,7 +170,7 @@ def traj_deltas(batch: Batch, value, gamma: float, k: int) -> np.ndarray:
     gamma ** j: np.power rounds differently for some j."""
     m = len(batch)
     j, used = batch.bootstrap(k)
-    v = _values(value, np.concatenate([batch.obs[:, 0], batch.obs[np.arange(m), j]]))
+    v = np.vecdot(value.rows(np.concatenate([batch.obs[:, 0], batch.obs[np.arange(m), j]])), value.get_params())
     tail = np.where(used, np.float_power(gamma, j) * v[m:], 0.0)
     return _returns(batch.rewards[:, : k + 1], gamma) + tail - v[:m]
 
@@ -201,21 +198,19 @@ class SoftmaxStartWeighting:
         self.logits = np.asarray(flat, dtype=float).copy()
 
 
-def grad_pi_estimate(window: Window, coefs, policy) -> np.ndarray:
-    """Batch mean of coefs * sum_i grad log pi(a_i|s_i) over each trajectory's
-    window (Batch.window), where coefs holds each trajectory's
-    start_weight * delta_k."""
+def grad_pi_estimate(window: Window, coefs, policy):
+    """The policy gradient over a batch's window (Batch.window), and the
+    window's score rows grad log pi(a_i|s_i) (policy.score_batch), which the
+    Fisher matrix reuses.
+
+    The gradient is the batch mean of coefs * sum_i grad log pi(a_i|s_i) over
+    each trajectory's rows, with coefs each trajectory's
+    start_weight * delta_k: one weighted sum over the rows.
+    """
     if len(window.steps) == 0:
         raise ValueError("empty trajectory batch")
-    total = np.zeros(policy.n_params)
-    stops = np.cumsum(window.steps)
-    for coef, stop, n in zip(coefs, stops, window.steps):
-        score = np.zeros(policy.n_params)
-        for i in range(stop - n, stop):
-            _, g = policy.log_prob_and_grad(window.obs[i], window.actions[i])
-            score += g
-        total += coef * score
-    return total / len(window.steps)
+    scores = policy.score_batch(window.obs, window.actions)
+    return np.repeat(coefs, window.steps) @ scores / len(window.steps), scores
 
 
 @dataclass(frozen=True)
@@ -229,7 +224,9 @@ class ValueGradTerms:
     eta_v: float
 
 
-def value_grad_terms(batch: Batch, weights, behavior, value_model, gamma: float, k: int, eta_v: float) -> ValueGradTerms:
+def value_grad_terms(
+    batch: Batch, weights, behavior, value_model, gamma: float, k: int, eta_v: float
+) -> ValueGradTerms:
     """Build the parts of the sampled path-regularized value gradient that stay
     fixed while the value parameters move:
 
@@ -348,16 +345,16 @@ def exact_grad_pi(mdp: TabularMdp, v, alpha, policy, k: int) -> np.ndarray:
     """Exact E_alpha^pi[delta_k * sum_i grad log pi(a_i|s_i)] by path enumeration."""
     v = np.asarray(v, dtype=float)
     pi = policy.prob_matrix()
+    n_states, n_actions = pi.shape
+    # score rows of every (state, action) pair, built once
+    table = policy.score_batch(np.repeat(np.arange(n_states), n_actions), np.tile(np.arange(n_actions), n_states))
+    table = table.reshape(n_states, n_actions, -1)
     disc = mdp.gamma ** np.arange(k + 1)
     total = np.zeros(policy.n_params)
     for prob, states, actions in iter_paths(mdp, alpha, pi, k):
-        rewards = mdp.reward[list(states[:-1]), list(actions)]
-        delta = disc @ rewards + mdp.gamma ** (k + 1) * v[states[-1]] - v[states[0]]
-        score = np.zeros(policy.n_params)
-        for s, a in zip(states[:-1], actions):
-            _, g = policy.log_prob_and_grad(s, a)
-            score += g
-        total += prob * delta * score
+        visited = list(states[:-1]), list(actions)
+        delta = disc @ mdp.reward[visited] + mdp.gamma ** (k + 1) * v[states[-1]] - v[states[0]]
+        total += prob * delta * table[visited].sum(axis=0)
     return total
 
 

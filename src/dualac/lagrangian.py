@@ -4,8 +4,9 @@ The one-step objective couples a value vector v with a start-state weighting
 alpha and a policy pi through the advantage-like residual
 Delta[v](s, a) = R(s, a) + gamma E[v(s')] - v(s).  Its multi-step extension
 replaces Delta with the discounted k-step residual delta along sampled paths
-(estimators.traj_delta computes it for one trajectory), and the path-regularized variant adds a squared penalty pulling v toward the
-behavior policy's exact return.  Everything is computed in closed form or by
+(estimators.traj_deltas computes it for every trajectory of a sampled
+batch), and the path-regularized variant adds a squared penalty pulling v
+toward the behavior policy's exact return.  Everything is computed in closed form or by
 exhaustive path enumeration so the stochastic estimators have a noise-free
 target.
 

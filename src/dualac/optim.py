@@ -64,15 +64,16 @@ class FisherOperator:
         return self.scores.T @ (self.weights * (self.scores @ v)) + self.damping * v
 
 
-def fisher_estimate(policy, states, actions, damping: float = 1e-4, weights=None) -> FisherOperator:
-    """Empirical score outer-product Fisher over a batch of (state, action) pairs.
+def fisher_estimate(scores, damping: float = 1e-4, weights=None) -> FisherOperator:
+    """Empirical score outer-product Fisher over a batch of score rows, one
+    per (state, action) pair (policy.score_batch).
 
-    weights defaults to 1/m; passing exact probabilities over an exhaustive
-    batch yields the analytic Fisher.
+    weights defaults to 1/m; the rows of every pair weighted by its exact
+    probability yield the analytic Fisher.
     """
-    if len(states) == 0:
+    if len(scores) == 0:
         raise ValueError("empty Fisher batch")
-    return FisherOperator(policy.score_batch(states, actions), damping=damping, weights=weights)
+    return FisherOperator(scores, damping=damping, weights=weights)
 
 
 def cg_solve(operator, rhs: np.ndarray, cfg: CgConfig = CgConfig()) -> np.ndarray:

@@ -23,8 +23,6 @@ import numpy as np
 
 from .envs import cumulative, inverse_cdf
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
 
 def median_trick_bandwidth(states: np.ndarray, max_points: int = 1000, rng=None) -> float:
     """Median pairwise Euclidean distance of a state sample (subsampled for cost)."""
@@ -160,9 +158,6 @@ class GaussianRbfPolicy:
         clone.log_std = self.log_std.copy()
         return clone
 
-    def mean(self, state: np.ndarray) -> np.ndarray:
-        return self.weights @ self.feature_map(state)
-
     def mean_batch(self, states: np.ndarray) -> np.ndarray:
         return self.feature_map(states) @ self.weights.T
 
@@ -173,22 +168,10 @@ class GaussianRbfPolicy:
         weights, scale, features = self.weights.copy(), np.exp(self.log_std), self.feature_map.rows
         return lambda states, noise: np.matmul(weights, features(states)[..., None])[..., 0] + scale * noise
 
-    def log_prob(self, state: np.ndarray, action: np.ndarray) -> float:
-        z = (np.asarray(action, dtype=float) - self.mean(state)) / np.exp(self.log_std)
-        return float(-0.5 * z @ z - self.log_std.sum() - 0.5 * self.action_dim * _LOG_2PI)
-
-    def log_prob_and_grad(self, state, action):
-        phi = self.feature_map(state)
-        sigma = np.exp(self.log_std)
-        diff = np.asarray(action, dtype=float) - self.weights @ phi
-        z = diff / sigma
-        logp = float(-0.5 * z @ z - self.log_std.sum() - 0.5 * self.action_dim * _LOG_2PI)
-        grad_w = np.outer(diff / sigma**2, phi)
-        grad_ls = z**2 - 1.0
-        return logp, np.concatenate([grad_w.ravel(), grad_ls])
-
     def score_batch(self, states, actions) -> np.ndarray:
-        """Stacked log-probability gradients, one row per (state, action) pair."""
+        """Stacked log-probability gradients grad log pi(a|s), one row per
+        (state, action) pair: (diff / var) f(s) for the weights and
+        diff^2 / var - 1 for log_std, with diff = a - mean(s)."""
         phi = self.feature_map(np.asarray(states, dtype=float))  # (N, F)
         acts = np.asarray(actions, dtype=float).reshape(len(phi), self.action_dim)
         diff = acts - phi @ self.weights.T
@@ -248,60 +231,46 @@ class TabularSoftmaxPolicy:
     def prob_matrix(self) -> np.ndarray:
         return np.exp(self.log_prob_matrix())
 
-    def probs(self, state: int) -> np.ndarray:
-        p = self.prob_matrix()[state]
-        return p / p.sum()
-
     def action_sampler(self):
         """The current policy's action draw for a batch of states, one uniform
-        each, by inverse CDF: the action Generator.choice(n_actions,
-        p=probs(s)) draws from the same uniform."""
+        each, by inverse CDF: the action Generator.choice(n_actions, p=p(s))
+        draws from the same uniform, with p(s) the row of prob_matrix
+        normalized again."""
         p = self.prob_matrix()
         cdf = cumulative(p / p.sum(axis=1, keepdims=True))
         return lambda states, u: inverse_cdf(cdf[states], u)
 
-    def log_prob(self, state: int, action: int) -> float:
-        return float(self.log_prob_matrix()[state, action])
-
-    def log_prob_and_grad(self, state: int, action: int):
-        p = self.probs(state)
-        grad = np.zeros_like(self.logits)
-        grad[state] = -p
-        grad[state, action] += 1.0
-        return float(np.log(p[action])), grad.ravel()
-
     def score_batch(self, states, actions) -> np.ndarray:
-        p = self.prob_matrix()
-        out = np.zeros((len(states), self.n_params))
-        for i, (s, a) in enumerate(zip(states, actions)):
-            row = np.zeros_like(self.logits)
-            row[int(s)] = -p[int(s)]
-            row[int(s), int(a)] += 1.0
-            out[i] = row.ravel()
-        return out
+        """Stacked log-probability gradients grad log pi(a|s) = e_a - p(s) in
+        the logits of s, one row per (state, action) pair."""
+        states, actions = np.asarray(states, dtype=int), np.asarray(actions, dtype=int)
+        rows = np.arange(len(states))
+        out = np.zeros((len(states),) + self.logits.shape)
+        out[rows, states] = -self.prob_matrix()[states]
+        out[rows, states, actions] += 1.0
+        return out.reshape(len(states), -1)
 
     def kl(self, old: "TabularSoftmaxPolicy", states) -> float:
         lp, lq = self.log_prob_matrix(), old.log_prob_matrix()
         per_state = np.sum(np.exp(lp) * (lp - lq), axis=1)
-        return float(np.mean([per_state[s] for s in states]))
+        return float(np.mean(per_state[np.asarray(states, dtype=int)]))
 
     def kl_grad(self, old: "TabularSoftmaxPolicy", states) -> np.ndarray:
         lp, lq = self.log_prob_matrix(), old.log_prob_matrix()
         p, ratio = np.exp(lp), lp - lq
         per_state_kl = np.sum(p * ratio, axis=1)
+        states = np.asarray(states, dtype=int)
         grad = np.zeros_like(self.logits)
-        for s in states:
-            grad[s] += p[s] * (ratio[s] - per_state_kl[s])
+        np.add.at(grad, states, p[states] * (ratio[states] - per_state_kl[states, None]))
         return grad.ravel() / len(states)
 
 
 class LinearValue:
     """v(s) = w . f(s) for a fixed feature map."""
 
-    def __init__(self, feature_map, n_features: int | None = None):
+    def __init__(self, feature_map):
         self.feature_map = feature_map
-        dim = n_features if n_features is not None else feature_map.n_features
-        self.weights = np.zeros(dim)
+        self.weights = np.zeros(feature_map.n_features)
 
     @property
     def n_params(self) -> int:

@@ -305,7 +305,7 @@ def test_criterion_5_optimizer_suite():
                 states.append(s)
                 actions.append(a)
                 weights.append(p[s, a] / len(kl_states))
-        fisher = fisher_estimate(policy, states, actions, damping=1e-12, weights=np.array(weights))
+        fisher = fisher_estimate(policy.score_batch(states, actions), damping=1e-12, weights=np.array(weights))
         cfg = CgConfig(max_iters=100, residual_tol=1e-15)
         zetas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
         gaps = []
@@ -321,9 +321,7 @@ def test_criterion_5_optimizer_suite():
         for shift in (0.0, 2.5):
             pol = TabularSoftmaxPolicy(2, 3, logits=logits + shift)
             fisher2 = fisher_estimate(
-                pol,
-                states,
-                actions,
+                pol.score_batch(states, actions),
                 damping=1e-8,
                 weights=np.array([pol.prob_matrix()[s, a] / 2 for s, a in zip(states, actions)]),
             )

@@ -14,11 +14,12 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Repeat.digest() of one repeat at workload seed 0, as `bench/run.py --seed 0`
-# reports it.
+# reports it; captured when the policy gradient moved onto the Fisher's score
+# rows (policy.score_batch).
 SEED0_DIGESTS = {
-    "gridworld": "48aef55baa8d1c4a087a168b63503cb2aa1dc67a80f8de7b8e6047fe33234c98",
-    "gridworld_naive": "5c545291946b368c292254973c68831e371e35fa3cb9b8d6e6522bd905bb4169",
-    "pendulum": "be27d585b95345372383eb1d93c288b5a0ef742f1845f3cd11884e150ee1b8e2",
+    "gridworld": "02452c738b18ae62b4b04cad28a7b21e50b31836c3e6d1053c755e29607c283b",
+    "gridworld_naive": "07f2b50cecb02f23ebd19a11400d82e10b38b78a33b259f35399048d65118f71",
+    "pendulum": "21efcf7349c91fc900a8c1528fd1cd11592336ce15f354a7c565440cec5ddf59",
 }
 
 # The tracer's phase markers: without them a traced run books the whole

@@ -166,11 +166,12 @@ def test_iteration_determinism_bitwise():
 
 # sha256 of each run's records without wall_time, one sorted-key JSON object
 # per line; pinned so that rewrites of the sampler or the estimators can show
-# whole-run bitwise equivalence.
+# whole-run bitwise equivalence.  Captured when the policy gradient moved onto
+# the Fisher's score rows (policy.score_batch).
 GOLDEN_RUNS = {
-    ("gridworld", "full", 10): "23b5f298b642b2ef7e58999502c0755c046c719ee437cecb947e0aaff33a1200",
-    ("gridworld", "naive", 5): "c08428f418f9f176c0b6c80efa6f73b6f22b54216b32a3e74e58c1b879ff3023",
-    ("pendulum", "full", 2): "ca4767d12db7942b35d30e7162f94a1ce87dfa10e3fce39ca285286bde826bd8",
+    ("gridworld", "full", 10): "73a08e51b6b5ca2a9a43886edc7aac2cb45dd402e7f2f3db39fc0bb6a1dbb96b",
+    ("gridworld", "naive", 5): "c58facb7cf4ec443f2ca97fed98e53de239f2a25331fee638358cf750cfce9fb",
+    ("pendulum", "full", 2): "247b5c8c9842032196c67ae4122eede69a154b6a4544e6cc41c053afbc0f5c61",
 }
 
 

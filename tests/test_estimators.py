@@ -403,7 +403,8 @@ def test_grad_estimates_zero_at_fixed_point():
     policy = TabularSoftmaxPolicy(1, 1)
     batch = sample_trajectories(env, policy, m=4, horizon=6, rng_seed=5)
     v = tabular_value([10.0])  # fixed point: every delta vanishes
-    assert np.allclose(grad_pi_estimate(batch.window(2), traj_deltas(batch, v, 0.9, k=2), policy), 0.0, atol=1e-12)
+    g_pi, _ = grad_pi_estimate(batch.window(2), traj_deltas(batch, v, 0.9, k=2), policy)
+    assert np.allclose(g_pi, 0.0, atol=1e-12)
 
 
 def test_empty_batch_rejected():
@@ -424,7 +425,7 @@ def test_sampled_estimators_converge_to_exact():
     for m in (100, 10_000):
         batch = sample_trajectories(env, policy, m=m, horizon=8, rng_seed=m)
         per = traj_deltas(batch, v, mdp.gamma, k)
-        est_pi = grad_pi_estimate(batch.window(k), per, policy)
+        est_pi, _ = grad_pi_estimate(batch.window(k), per, policy)
         # per-trajectory statistic scale bounds the batch-mean deviation
         sigma = max(per.std(), 1.0)
         bound = 6 * sigma / np.sqrt(m)

@@ -125,7 +125,7 @@ def test_fisher_matches_analytic_categorical():
             states.append(s)
             actions.append(a)
             weights.append(p[s, a] / 2.0)  # uniform over states, exact over actions
-    op = fisher_estimate(policy, states, actions, damping=0.0, weights=np.array(weights))
+    op = fisher_estimate(policy.score_batch(states, actions), damping=0.0, weights=np.array(weights))
     # analytic: block diag of (diag(p_s) - p_s p_s^T) / n_states
     F = np.zeros((6, 6))
     for s in range(2):
@@ -227,7 +227,7 @@ def exhaustive_fisher(policy, kl_states, damping):
             states.append(s)
             actions.append(a)
             weights.append(p[s, a] / len(kl_states))
-    return fisher_estimate(policy, states, actions, damping=damping, weights=np.array(weights))
+    return fisher_estimate(policy.score_batch(states, actions), damping=damping, weights=np.array(weights))
 
 
 def test_logit_shift_invariance():
@@ -240,7 +240,8 @@ def test_logit_shift_invariance():
         policy = TabularSoftmaxPolicy(2, 2, logits=logits + shift * np.ones((2, 2)) * np.array([[1.0], [2.0]]))
         if batch is None:
             batch = sample_trajectories(env, policy, m=12, horizon=6, rng_seed=13)
-        g = grad_pi_estimate(batch.window(1), traj_deltas(batch, tabular_value([1.0, 2.0]), env.mdp.gamma, k=1), policy)
+        deltas = traj_deltas(batch, tabular_value([1.0, 2.0]), env.mdp.gamma, k=1)
+        g, _ = grad_pi_estimate(batch.window(1), deltas, policy)
         fisher = exhaustive_fisher(policy, [0, 1], damping=1e-8)
         new_params = natural_gradient_step(
             policy.get_params(), g, fisher, zeta=0.3, normalize=False, cg=CgConfig(max_iters=50, residual_tol=1e-14)

@@ -110,12 +110,22 @@ def make_gaussian(seed=11, n_features=6, state_dim=3, action_dim=2):
     return pol
 
 
+def gaussian_mean(pol, s):
+    return pol.weights @ pol.feature_map(s)
+
+
+def gaussian_log_prob(pol, s, a):
+    """log pi(a|s) of the diagonal Gaussian policy, for one state."""
+    z = (np.asarray(a, dtype=float) - gaussian_mean(pol, s)) / np.exp(pol.log_std)
+    return float(-0.5 * z @ z - pol.log_std.sum() - 0.5 * pol.action_dim * np.log(2.0 * np.pi))
+
+
 def test_gaussian_log_prob_at_mean():
     pol = make_gaussian()
     s = np.array([0.1, -0.4, 0.9])
-    a = pol.mean(s)
-    logp, grad = pol.log_prob_and_grad(s, a)
-    assert logp == pytest.approx(-0.5 * np.sum(np.log(2 * np.pi * np.exp(2 * pol.log_std))))
+    a = gaussian_mean(pol, s)
+    assert gaussian_log_prob(pol, s, a) == pytest.approx(-0.5 * np.sum(np.log(2 * np.pi * np.exp(2 * pol.log_std))))
+    grad = pol.score_batch(s[None], a[None])[0]
     assert np.allclose(grad[: pol.weights.size], 0.0)
 
 
@@ -125,12 +135,12 @@ def test_gaussian_grad_matches_finite_differences():
         pol = make_gaussian(seed=trial)
         s = rng.normal(size=3)
         a = rng.normal(size=2)
-        _, grad = pol.log_prob_and_grad(s, a)
+        grad = pol.score_batch(s[None], a[None])[0]
 
         def f(theta, pol=pol, s=s, a=a):
             c = pol.copy()
             c.set_params(theta)
-            return c.log_prob(s, a)
+            return gaussian_log_prob(c, s, a)
 
         num = fd_grad(f, pol.get_params())
         assert np.allclose(grad, num, rtol=1e-4, atol=1e-6)
@@ -141,7 +151,7 @@ def test_gaussian_sampling_round_trip():
     s = np.array([0.5, 0.0, -1.0])
     rng = np.random.default_rng(22)
     draws = pol.action_sampler()(np.tile(s, (10_000, 1)), rng.standard_normal((10_000, pol.action_dim)))
-    mu, sd = pol.mean(s), np.exp(pol.log_std)
+    mu, sd = gaussian_mean(pol, s), np.exp(pol.log_std)
     se_mean = sd / np.sqrt(len(draws))
     assert np.all(np.abs(draws.mean(axis=0) - mu) < 3 * se_mean)
     var = draws.var(axis=0, ddof=1)
@@ -172,8 +182,8 @@ def test_gaussian_kl_zero_to_self_and_fd_grad():
 
 def test_softmax_uniform_two_actions():
     pol = TabularSoftmaxPolicy(1, 2)
-    logp, grad = pol.log_prob_and_grad(0, 0)
-    assert logp == pytest.approx(np.log(0.5))
+    assert pol.log_prob_matrix()[0, 0] == pytest.approx(np.log(0.5))
+    grad = pol.score_batch([0], [0])[0]
     assert np.allclose(grad, [0.5, -0.5])
 
 
@@ -182,12 +192,12 @@ def test_softmax_grad_matches_finite_differences():
     for _ in range(100):
         pol = TabularSoftmaxPolicy(3, 4, logits=rng.normal(size=(3, 4)))
         s, a = int(rng.integers(3)), int(rng.integers(4))
-        _, grad = pol.log_prob_and_grad(s, a)
+        grad = pol.score_batch([s], [a])[0]
 
         def f(theta, pol=pol, s=s, a=a):
             c = pol.copy()
             c.set_params(theta)
-            return c.log_prob(s, a)
+            return c.log_prob_matrix()[s, a]
 
         assert np.allclose(grad, fd_grad(f, pol.get_params()), rtol=1e-4, atol=1e-7)
 
