@@ -9,6 +9,9 @@ Config files are JSON objects mirroring DualAcConfig field names, e.g.::
      "batch_m": 24, "iterations": 300, "seed": 0, "ablation": "full",
      "normalize_grad": false}
 
+A config file with an unknown field or a bad value is rejected with exit
+status 2.
+
 MDP text files (for `--env mdp:<path>` and `oracle-check --mdp-file`) are
 JSON with fields n_states, n_actions, gamma, reward [S][A],
 transition [S][A][S], and mu [S].
@@ -77,12 +80,12 @@ def default_config(env_name: str) -> DualAcConfig:
     return DualAcConfig.from_dict(payload)
 
 
-def _load_config(args, env_name: str) -> DualAcConfig:
+def _load_config(args) -> DualAcConfig:
     if args.config:
         with open(args.config) as fh:
             cfg = DualAcConfig.from_dict(json.load(fh))
     else:
-        cfg = default_config(env_name)
+        cfg = default_config(args.env)
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
@@ -94,12 +97,11 @@ def _load_config(args, env_name: str) -> DualAcConfig:
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_config(args, args.env)
     sink = None
     if not args.quiet:
         sink = lambda rec: print(rec.to_json_line())
     try:
-        run_experiment(cfg, args.env, out_dir=args.out, record_sink=sink)
+        run_experiment(args.cfg, args.env, out_dir=args.out, record_sink=sink)
     except IterationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -107,10 +109,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_ablation(args) -> int:
-    cfg = _load_config(args, args.env)
     seeds = [int(s) for s in args.seeds.split(",")]
     try:
-        result = ablation_suite(cfg, args.env, seeds)
+        result = ablation_suite(args.cfg, args.env, seeds)
     except IterationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -185,6 +186,12 @@ def main(argv=None) -> int:
     p_oracle.set_defaults(func=_cmd_oracle_check)
 
     args = parser.parse_args(argv)
+    if args.func in (_cmd_train, _cmd_ablation):
+        try:
+            args.cfg = _load_config(args)
+        except (OSError, ValueError) as err:  # a missing or malformed file, unknown fields, bad values
+            print(f"error: bad config: {err}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

@@ -84,19 +84,8 @@ class DualAcConfig:
     seed: int = 0
     iterations: int = 100
     normalize_grad: bool = False  # True: trust-region rescale of the prox step by 1/sqrt(g.F^-1.g)
-    n_rbf_features: int = 100
-    init_log_std: float = 0.0
-    min_log_std: float | None = None  # exploration floor for Gaussian policies
-    feature_seed: int = 0  # random-feature draw is architecture, shared across run seeds
 
     def __post_init__(self):
-        # accept plain dicts for the nested configs (JSON round trips)
-        if isinstance(self.schedule, dict):
-            object.__setattr__(self, "schedule", StepsizeSchedule(**self.schedule))
-        if isinstance(self.cg, dict):
-            object.__setattr__(self, "cg", CgConfig(**self.cg))
-        if isinstance(self.inner_v, dict):
-            object.__setattr__(self, "inner_v", InnerVConfig(**self.inner_v))
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}")
         if self.k < 0 or self.batch_m < 1 or self.iterations < 0:
@@ -107,40 +96,42 @@ class DualAcConfig:
             raise ValueError("need eta_alpha > 0 and eta_v >= 0")
 
     def resolved(self, env) -> "DualAcConfig":
-        """Fill env-dependent defaults and apply the ablation constraints."""
+        """Fill env-dependent defaults and apply the ablation constraints.
+        Idempotent: a resolved config resolves to itself."""
         changes: dict = {}
         if self.gamma is None:
             changes["gamma"] = env.spec.gamma_hint
         if self.horizon is None:
             changes["horizon"] = env.spec.horizon
-        if self.ablation == "no_multistep":
+        # the under-fitted variants take exactly a fixed number of inner steps
+        if self.ablation == "naive":  # a single stochastic-gradient V update per iteration
+            changes.update(k=0, eta_v=0.0, inner_v=dataclasses.replace(self.inner_v, max_iters=1, grad_tol=0.0))
+        elif self.ablation == "no_unbiased_v":
+            changes.update(inner_v=dataclasses.replace(self.inner_v, max_iters=self.inner_v.biased_iters, grad_tol=0.0))
+        elif self.ablation == "no_multistep":
             changes.update(k=0, eta_v=0.0)
         elif self.ablation == "no_pathreg":
             changes.update(eta_v=0.0)
-        elif self.ablation == "naive":
-            changes.update(k=0, eta_v=0.0)
         return dataclasses.replace(self, **changes)
-
-    @property
-    def inner_fit_iters(self) -> int:
-        if self.ablation == "naive":
-            return 1  # single stochastic-gradient V update per iteration
-        if self.ablation == "no_unbiased_v":
-            return self.inner_v.biased_iters
-        return self.inner_v.max_iters
-
-    @property
-    def inner_fit_tol(self) -> float:
-        if self.ablation in ("no_unbiased_v", "naive"):
-            return 0.0  # always take exactly the fixed number of steps
-        return self.inner_v.grad_tol
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DualAcConfig":
-        return cls(**payload)  # nested dicts are coerced in __post_init__
+        """The config of a JSON object, whose nested configs may be plain
+        dicts; a ValueError names every field it does not know, nested ones
+        as e.g. schedule.x."""
+        if not isinstance(payload, dict):
+            raise ValueError("a config is a JSON object")
+        nested = {"schedule": StepsizeSchedule, "inner_v": InnerVConfig, "cg": CgConfig}
+        unknown = [key for key in payload if key not in cls.__dataclass_fields__]
+        for name, sub in nested.items():
+            if isinstance(payload.get(name), dict):
+                unknown += [f"{name}.{key}" for key in payload[name] if key not in sub.__dataclass_fields__]
+        if unknown:
+            raise ValueError(f"unknown config fields: {', '.join(unknown)}")
+        return cls(**{k: nested[k](**v) if k in nested and isinstance(v, dict) else v for k, v in payload.items()})
 
 
 @dataclass
@@ -170,26 +161,31 @@ class TrainingState:
     policy: object
     value: object
     t: int = 0
-    tilde_alpha: np.ndarray | None = None   # per-state (tabular envs only)
     last_batch: ReplayRows = field(default_factory=ReplayRows)  # the previous batch's replay rows
+
+
+# The continuous envs' random features are architecture, shared across run
+# seeds: 100 of them, drawn (and their bandwidth probed) from seed 0.
+RBF_FEATURES = 100
+FEATURE_SEED = 0
 
 
 def init_state(cfg: DualAcConfig, env) -> TrainingState:
     cfg = cfg.resolved(env)
     fmap = None
     if not env.spec.tabular:
-        bandwidth = median_trick_bandwidth(_bandwidth_probe(env, cfg.feature_seed))
-        fmap = RbfFeatureMap.create(cfg.n_rbf_features, env.spec.obs_dim, bandwidth, seed=cfg.feature_seed)
+        bandwidth = median_trick_bandwidth(_bandwidth_probe(env))
+        fmap = RbfFeatureMap.create(RBF_FEATURES, env.spec.obs_dim, bandwidth, seed=FEATURE_SEED)
     return _fresh_state(cfg, env, fmap)
 
 
-def _bandwidth_probe(env, feature_seed: int) -> np.ndarray:
+def _bandwidth_probe(env) -> np.ndarray:
     """Observations of 10 rollouts of 50 uniformly random actions, rollout by
     rollout.  One stream feeds them in turn: each rollout's start draws, then
     its actions."""
     rollouts, steps = 10, 50
     dim, low, high = env.spec.action_dim, env.spec.action_low, env.spec.action_high
-    u = np.random.default_rng([feature_seed, 0xBAD]).random((rollouts, env.start_draws + steps * dim))
+    u = np.random.default_rng([FEATURE_SEED, 0xBAD]).random((rollouts, env.start_draws + steps * dim))
     actions = (low + (high - low) * u[:, env.start_draws :]).reshape(rollouts, steps, dim)
     s = env.initial_states(u[:, : env.start_draws])
     obs = [env.observe(s)]
@@ -204,29 +200,16 @@ def _fresh_state(cfg: DualAcConfig, env, fmap: RbfFeatureMap | None) -> Training
     if env.spec.tabular:
         policy = TabularSoftmaxPolicy(env.spec.n_states, env.spec.n_actions)
         value = TabularValue(env.spec.n_states)
-        tilde = np.zeros(env.spec.n_states)
     else:
-        policy = GaussianRbfPolicy(
-            fmap,
-            env.spec.action_dim,
-            init_log_std=cfg.init_log_std,
-            seed=cfg.seed,
-            min_log_std=cfg.min_log_std,
-        )
+        policy = GaussianRbfPolicy(fmap, env.spec.action_dim, seed=cfg.seed)
         value = LinearValue(BiasedFeatureMap(fmap))  # intercept: returns sit far from 0
-        tilde = None
-    return TrainingState(env=env, cfg=cfg, policy=policy, value=value, tilde_alpha=tilde)
+    return TrainingState(env=env, cfg=cfg, policy=policy, value=value)
 
 
-def _start_weights(cfg: DualAcConfig, env, batch, deltas):
+def _start_weights(cfg: DualAcConfig, batch, deltas) -> np.ndarray:
     """The closed-form reweighting from the batch's deltas at one value
-    function: each trajectory's start weight (tilde_alpha(s_0) + eta_mu), and
-    the per-state tilde_alpha on tabular envs (None otherwise)."""
-    if env.spec.tabular:
-        means, _ = delta_means_by_start(batch, deltas, env.spec.n_states)
-        tilde = alpha_closed_form(means, cfg.eta_alpha)
-        return tilde[batch.obs[:, 0]] + cfg.eta_mu, tilde
-    return alpha_closed_form(deltas, cfg.eta_alpha) + cfg.eta_mu, None
+    function: each trajectory's start weight tilde_alpha(s_0) + eta_mu."""
+    return alpha_closed_form(delta_means_by_start(batch, deltas), cfg.eta_alpha) + cfg.eta_mu
 
 
 def dual_ac_iteration(state: TrainingState):
@@ -241,7 +224,7 @@ def dual_ac_iteration(state: TrainingState):
     # line 3: sample under pi^{t-1}, weighted by the previous reweighting
     batch = sample_trajectories(env, state.policy, cfg.batch_m, cfg.horizon, rng_seed=(cfg.seed, t))
     # alpha^{t-1}: closed form at V^{t-1}
-    weights, _ = _start_weights(cfg, env, batch, traj_deltas(batch, state.value, cfg.gamma, cfg.k))
+    weights = _start_weights(cfg, batch, traj_deltas(batch, state.value, cfg.gamma, cfg.k))
 
     # line 4: V^t = argmin of the sampled path-regularized objective; the
     # penalty also anchors on the previous batch (behavior-policy replay)
@@ -252,8 +235,8 @@ def dual_ac_iteration(state: TrainingState):
             state.value.get_params(),
             lambda params: grad_v_estimate(terms, params),
             kappa=cfg.inner_v.stepsize,
-            max_iters=cfg.inner_fit_iters,
-            grad_tol=cfg.inner_fit_tol,
+            max_iters=cfg.inner_v.max_iters,
+            grad_tol=cfg.inner_v.grad_tol,
         )
     except FitDivergedError as err:
         raise IterationError(t, f"inner value fit diverged ({err})") from err
@@ -262,7 +245,7 @@ def dual_ac_iteration(state: TrainingState):
 
     # line 5: closed-form reweighting at V^t
     deltas = traj_deltas(batch, value, cfg.gamma, cfg.k)
-    weights, tilde = _start_weights(cfg, env, batch, deltas)
+    weights = _start_weights(cfg, batch, deltas)
 
     # line 6: stepsize decay
     zeta = cfg.schedule.at(t)
@@ -292,7 +275,7 @@ def dual_ac_iteration(state: TrainingState):
     policy.set_params(new_params)
     kl = float(policy.kl(state.policy, window.obs))
 
-    state.t, state.policy, state.value, state.tilde_alpha, state.last_batch = t, policy, value, tilde, rows
+    state.t, state.policy, state.value, state.last_batch = t, policy, value, rows
     record = IterationRecord(
         iteration=t,
         mean_return=float(batch.rewards.sum(axis=1).mean()),
@@ -311,17 +294,17 @@ def dual_ac_iteration(state: TrainingState):
 # Checkpoints
 
 
-def save_checkpoint(path: str, state: TrainingState, env_name: str = "") -> None:
+def save_checkpoint(path: str, state: TrainingState) -> None:
     """Write the state as JSON atomically: to a temporary file beside path,
-    then renamed over it, so a failed write leaves the previous checkpoint."""
+    then renamed over it, so a failed write leaves the previous checkpoint.
+    The environment is saved by its name, which make_env reads back."""
     rows = state.last_batch
     payload = {
-        "env_name": env_name or getattr(state.env, "name", ""),
+        "env_name": state.env.name,
         "t": state.t,
         "config": state.cfg.to_dict(),
         "policy_params": state.policy.get_params().tolist(),
         "value_params": state.value.get_params().tolist(),
-        "tilde_alpha": None if state.tilde_alpha is None else state.tilde_alpha.tolist(),
         "last_batch": {
             "starts": rows.starts.tolist(),
             "returns": rows.returns.tolist(),
@@ -349,7 +332,8 @@ def save_checkpoint(path: str, state: TrainingState, env_name: str = "") -> None
 
 def load_checkpoint(path: str, env=None) -> TrainingState:
     """Rebuild a saved state; the feature map comes from the payload, so
-    loading runs no bandwidth probe."""
+    loading runs no bandwidth probe.  A config with unknown fields (such as
+    one saved before a field was removed) raises ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
     if env is None:
@@ -367,8 +351,6 @@ def load_checkpoint(path: str, env=None) -> TrainingState:
     state.policy.set_params(np.array(payload["policy_params"]))
     state.value.set_params(np.array(payload["value_params"]))
     state.t = int(payload["t"])
-    if payload["tilde_alpha"] is not None:
-        state.tilde_alpha = np.array(payload["tilde_alpha"])
     rows = payload["last_batch"]
     state.last_batch = ReplayRows(
         starts=np.array(rows["starts"]),
@@ -401,7 +383,7 @@ def run_experiment(cfg: DualAcConfig, env_name: str, out_dir=None, record_sink=N
                 state, rec = dual_ac_iteration(state)
             except IterationError:
                 if out_dir is not None:
-                    save_checkpoint(os.path.join(out_dir, "checkpoint.json"), state, env_name=str(env_name))
+                    save_checkpoint(os.path.join(out_dir, "checkpoint.json"), state)
                 raise
             records.append(rec)
             if record_sink is not None:
@@ -410,7 +392,7 @@ def run_experiment(cfg: DualAcConfig, env_name: str, out_dir=None, record_sink=N
                 records_fh.write(rec.to_json_line() + "\n")
                 records_fh.flush()
         if out_dir is not None:
-            save_checkpoint(os.path.join(out_dir, "checkpoint.json"), state, env_name=str(env_name))
+            save_checkpoint(os.path.join(out_dir, "checkpoint.json"), state)
     finally:
         if records_fh is not None:
             records_fh.close()
@@ -489,10 +471,7 @@ def ablation_suite(base: DualAcConfig, env_name: str, seeds, record_sink=None, m
 # Tabular evaluation helpers (exact, oracle-based)
 
 
-def tabular_policy_return(env, policy, gamma: float | None = None) -> float:
+def tabular_policy_return(env, policy) -> float:
     """Exact E_mu[V^pi] of a softmax policy on a tabular environment."""
     mdp = env.as_tabular()
-    if gamma is not None and gamma != mdp.gamma:
-        mdp = dataclasses.replace(mdp, gamma=gamma)
-    pi = policy.prob_matrix() if hasattr(policy, "prob_matrix") else np.asarray(policy)
-    return float(mdp.mu @ policy_value(mdp, pi))
+    return float(mdp.mu @ policy_value(mdp, policy.prob_matrix()))

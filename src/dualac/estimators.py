@@ -11,8 +11,10 @@ Conventions that matter here:
 * Start states are always drawn from the environment's fixed initial
   distribution; the dual weighting enters through an (m,) array of start
   weights, (tilde_alpha(s_0) + eta_mu) per trajectory, passed beside the
-  batch.  The policy gradient and the residual part of the value gradient
-  are weighted; the lead E_mu terms are not.
+  batch.  tilde_alpha(s_0) is the closed form at the mean delta_k of the
+  trajectories that share the start observation (delta_means_by_start), on
+  every environment.  The policy gradient and the residual part of the
+  value gradient are weighted; the lead E_mu terms are not.
 * Value models are linear in their parameters, v(s) = w . row(s), and give
   their feature rows for a batch of states at once (value.rows).
 * The exact_grad_* functions are the exhaustive-expectation forms of the
@@ -278,20 +280,16 @@ def grad_v_estimate(terms: ValueGradTerms, params) -> np.ndarray:
     return terms.constant - 2.0 * terms.eta_v * pen / len(terms.returns)
 
 
-def delta_means_by_start(batch: Batch, deltas, n_states: int):
-    """Per-start-state batch means of the trajectories' delta_k (tabular
-    grouping), summed in batch order.
-
-    Returns (means, counts); states with no sampled trajectory keep mean 0.
-    """
-    starts = batch.obs[:, 0]
-    sums = np.zeros(n_states)
-    np.add.at(sums, starts, deltas)
-    counts = np.bincount(starts, minlength=n_states)
-    means = np.zeros(n_states)
-    seen = counts > 0
-    means[seen] = sums[seen] / counts[seen]
-    return means, counts
+def delta_means_by_start(batch: Batch, deltas) -> np.ndarray:
+    """Each trajectory's sampled E[delta_k | s_0]: the mean of deltas over the
+    trajectories of the batch that share its start observation, summed in
+    batch order.  One rule for every environment: tabular starts group by
+    state, and continuous starts, all distinct, are their own means."""
+    starts, group = np.unique(batch.obs[:, 0], axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    sums = np.zeros(len(starts))
+    np.add.at(sums, group, deltas)
+    return (sums / np.bincount(group))[group]
 
 
 def alpha_closed_form(delta_means, eta_alpha: float) -> np.ndarray:

@@ -108,30 +108,13 @@ class BiasedFeatureMap:
 
 
 class GaussianRbfPolicy:
-    """pi(a|s) = Normal(W f(s), diag(exp(2 log_std))).
+    """pi(a|s) = Normal(W f(s), diag(exp(2 log_std)))."""
 
-    min_log_std, when set, lower-bounds the noise scale so exploration cannot
-    collapse; the bound is enforced whenever parameters are assigned.
-    """
-
-    def __init__(
-        self,
-        feature_map: RbfFeatureMap,
-        action_dim: int,
-        init_log_std: float = 0.0,
-        seed: int = 0,
-        min_log_std: float | None = None,
-    ):
+    def __init__(self, feature_map: RbfFeatureMap, action_dim: int, init_log_std: float = 0.0, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.feature_map = feature_map
-        self.min_log_std = min_log_std
         self.weights = 0.01 * rng.standard_normal((action_dim, feature_map.n_features))
-        self.log_std = self._clamp(np.full(action_dim, float(init_log_std)))
-
-    def _clamp(self, log_std: np.ndarray) -> np.ndarray:
-        if self.min_log_std is None:
-            return log_std
-        return np.maximum(log_std, self.min_log_std)
+        self.log_std = np.full(action_dim, float(init_log_std))
 
     @property
     def action_dim(self) -> int:
@@ -148,18 +131,14 @@ class GaussianRbfPolicy:
         flat = np.asarray(flat, dtype=float)
         nw = self.weights.size
         self.weights = flat[:nw].reshape(self.weights.shape).copy()
-        self.log_std = self._clamp(flat[nw:].copy())
+        self.log_std = flat[nw:].copy()
 
     def copy(self) -> "GaussianRbfPolicy":
         clone = GaussianRbfPolicy.__new__(GaussianRbfPolicy)
         clone.feature_map = self.feature_map
-        clone.min_log_std = self.min_log_std
         clone.weights = self.weights.copy()
         clone.log_std = self.log_std.copy()
         return clone
-
-    def mean_batch(self, states: np.ndarray) -> np.ndarray:
-        return self.feature_map(states) @ self.weights.T
 
     def action_sampler(self):
         """The current policy's action draw for a batch of states (N, D), one
@@ -181,15 +160,17 @@ class GaussianRbfPolicy:
         return np.concatenate([grad_w.reshape(len(phi), -1), grad_ls], axis=1)
 
     def kl(self, old: "GaussianRbfPolicy", states: np.ndarray) -> float:
-        """Mean over states of KL(self(.|s) || old(.|s))."""
-        mu1, mu2 = self.mean_batch(states), old.mean_batch(states)
+        """Mean over states of KL(self(.|s) || old(.|s)); the two policies share
+        the feature map, so the states' features are built once."""
+        phi = self.feature_map(states)  # (N, F)
+        mu1, mu2 = phi @ self.weights.T, phi @ old.weights.T
         var1, var2 = np.exp(2 * self.log_std), np.exp(2 * old.log_std)
         per_dim = (old.log_std - self.log_std) + (var1 + (mu1 - mu2) ** 2) / (2 * var2) - 0.5
         return float(per_dim.sum(axis=1).mean())
 
     def kl_grad(self, old: "GaussianRbfPolicy", states: np.ndarray) -> np.ndarray:
         phi = self.feature_map(states)  # (N, F)
-        mu1, mu2 = phi @ self.weights.T, old.mean_batch(states)
+        mu1, mu2 = phi @ self.weights.T, phi @ old.weights.T
         var1, var2 = np.exp(2 * self.log_std), np.exp(2 * old.log_std)
         n = len(states)
         grad_w = ((mu1 - mu2) / var2).T @ phi / n

@@ -1,0 +1,42 @@
+import json
+
+import pytest
+
+from dualac import cli
+
+
+def _config_file(tmp_path, payload) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["train", "ablation"])
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"eta_mu": 2.0}, "eta_mu must lie in (0, 1]"),
+        ({"feature_seed": 0, "n_rbf_features": 100}, "unknown config fields: feature_seed, n_rbf_features"),
+        ({"inner_v": {"max_iters": 5, "min_log_std": -1.0}}, "unknown config fields: inner_v.min_log_std"),
+    ],
+    ids=["bad_value", "unknown_fields", "unknown_nested_field"],
+)
+def test_bad_config_reported_without_traceback(tmp_path, capsys, command, payload, message):
+    code = cli.main([command, "--env", "chain2", "--config", _config_file(tmp_path, payload), "--iterations", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: bad config: {message}\n"
+
+
+def test_missing_config_file_reported(tmp_path, capsys):
+    code = cli.main(["train", "--env", "chain2", "--config", str(tmp_path / "absent.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: bad config: ")
+
+
+def test_good_config_trains(tmp_path, capsys):
+    payload = {"k": 2, "batch_m": 4, "iterations": 2, "inner_v": {"max_iters": 5}}
+    code = cli.main(["train", "--env", "chain2", "--config", _config_file(tmp_path, payload)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert [json.loads(line)["iteration"] for line in out.splitlines()] == [1, 2]

@@ -11,6 +11,7 @@ import pytest
 from dualac import driver
 from dualac.cli import default_config
 from dualac.driver import (
+    ABLATIONS,
     DualAcConfig,
     InnerVConfig,
     IterationError,
@@ -28,6 +29,7 @@ from dualac.driver import (
 from dualac.envs import TabularEnv, make_env
 from dualac.mdp import greedy_policy, policy_value, value_iteration
 from dualac.optim import StepsizeSchedule
+from dualac.policies import TabularSoftmaxPolicy
 from conftest import make_single_state_mdp
 
 
@@ -58,9 +60,18 @@ def test_ablation_constraints_applied():
     cfg = chain_config(ablation="no_pathreg", k=7, eta_v=2.0).resolved(env)
     assert cfg.k == 7 and cfg.eta_v == 0.0
     cfg = chain_config(ablation="naive", k=7, eta_v=2.0).resolved(env)
-    assert cfg.k == 0 and cfg.eta_v == 0.0 and cfg.inner_fit_iters == 1
+    assert cfg.k == 0 and cfg.eta_v == 0.0 and cfg.inner_v.max_iters == 1
     cfg = chain_config(ablation="no_unbiased_v").resolved(env)
-    assert cfg.inner_fit_iters == cfg.inner_v.biased_iters
+    assert cfg.inner_v.max_iters == cfg.inner_v.biased_iters
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_resolved_is_idempotent(ablation):
+    # load_checkpoint resolves the config it saved, which was resolved already
+    env = make_env("chain2")
+    cfg = chain_config(ablation=ablation, k=7, eta_v=2.0, inner_v=InnerVConfig(max_iters=50, biased_iters=3))
+    once = cfg.resolved(env)
+    assert once.resolved(env) == once
 
 
 def test_config_env_defaults_resolved():
@@ -99,6 +110,21 @@ def test_training_imports_no_scipy_solvers():
     assert out.stdout.strip() == "[]"
 
 
+def test_config_from_dict_names_unknown_fields():
+    payload = chain_config().to_dict()
+    payload.update(feature_seed=0, min_log_std=None)
+    payload["schedule"]["gain"] = 1.0
+    payload["cg"]["tol"] = 1e-8
+    with pytest.raises(ValueError, match="feature_seed, min_log_std, schedule.gain, cg.tol"):
+        DualAcConfig.from_dict(payload)
+    payload = chain_config().to_dict()
+    payload["inner_v"]["steps"] = 3
+    with pytest.raises(ValueError, match=r"unknown config fields: inner_v\.steps$"):
+        DualAcConfig.from_dict(payload)
+    with pytest.raises(ValueError):
+        DualAcConfig.from_dict([1, 2])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         chain_config(ablation="bogus")
@@ -134,7 +160,7 @@ def test_failed_iteration_leaves_state_intact(monkeypatch):
     # the last phase must not leave iteration t's value or weights behind
     state = init_state(chain_config(), make_env("chain2"))
     state, _ = dual_ac_iteration(state)
-    t, batch, tilde = state.t, state.last_batch, state.tilde_alpha.copy()
+    t, batch = state.t, state.last_batch
     policy_params, value_params = state.policy.get_params(), state.value.get_params()
 
     def fail(*args, **kwargs):
@@ -146,7 +172,6 @@ def test_failed_iteration_leaves_state_intact(monkeypatch):
     assert state.t == t and state.last_batch is batch
     assert np.array_equal(state.policy.get_params(), policy_params)
     assert np.array_equal(state.value.get_params(), value_params)
-    assert np.array_equal(state.tilde_alpha, tilde)
 
 
 def test_iteration_determinism_bitwise():
@@ -238,9 +263,10 @@ def test_no_unbiased_v_differs_only_in_inner_steps():
     env = make_env("chain2")
     full = chain_config().resolved(env)
     biased = chain_config(ablation="no_unbiased_v").resolved(env)
-    assert dataclasses.replace(full, ablation="no_unbiased_v") == biased
-    assert full.inner_fit_iters > biased.inner_fit_iters
-    assert biased.inner_fit_tol == 0.0
+    assert dataclasses.replace(full, ablation="no_unbiased_v", inner_v=biased.inner_v) == biased
+    assert dataclasses.replace(full.inner_v, max_iters=biased.inner_v.max_iters, grad_tol=0.0) == biased.inner_v
+    assert full.inner_v.max_iters > biased.inner_v.max_iters
+    assert biased.inner_v.grad_tol == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +290,32 @@ def test_run_experiment_streams_jsonl(tmp_path):
     assert parsed == records
 
 
+def test_run_experiment_on_env_object_checkpoints_env_name(tmp_path):
+    # the checkpoint names the environment by env.name, so loading it
+    # without an env rebuilds the one the run trained on
+    out = str(tmp_path / "run")
+    cfg = chain_config(iterations=4)
+    direct = run_experiment(cfg, make_env("chain2"))
+    run_experiment(dataclasses.replace(cfg, iterations=2), make_env("chain2"), out_dir=out)
+    state = load_checkpoint(os.path.join(out, "checkpoint.json"))
+    assert state.env.name == "chain2" and state.t == 2
+    resumed = [dual_ac_iteration(state)[1] for _ in range(2)]
+    assert resumed == direct[2:]
+
+
+def test_load_checkpoint_rejects_removed_config_fields(tmp_path):
+    state = init_state(chain_config(), make_env("chain2"))
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(path, state)
+    with open(path) as fh:
+        payload = json.load(fh)
+    payload["config"]["n_rbf_features"] = 100
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(ValueError, match="unknown config fields: n_rbf_features"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_round_trip_bitwise(tmp_path):
     env = make_env("chain2")
     cfg = chain_config(iterations=6)
@@ -271,7 +323,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     for _ in range(3):
         state, _ = dual_ac_iteration(state)
     path = str(tmp_path / "ck.json")
-    save_checkpoint(path, state, env_name="chain2")
+    save_checkpoint(path, state)
     resumed = load_checkpoint(path)
     assert resumed.t == state.t
     assert np.array_equal(resumed.policy.get_params(), state.policy.get_params())
@@ -292,7 +344,7 @@ def test_checkpoint_round_trip_continuous(tmp_path):
     state = init_state(cfg, env)
     state, _ = dual_ac_iteration(state)
     path = str(tmp_path / "ck.json")
-    save_checkpoint(path, state, env_name="pendulum")
+    save_checkpoint(path, state)
     resumed = load_checkpoint(path, env=make_env("pendulum", horizon=40))
     _, direct = dual_ac_iteration(state)
     _, reloaded = dual_ac_iteration(resumed)
@@ -307,7 +359,7 @@ def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path, env_name):
     state = init_state(cfg, make_env(env_name))
     resumed = [dual_ac_iteration(state)[1] for _ in range(2)]
     path = str(tmp_path / "ck.json")
-    save_checkpoint(path, state, env_name=env_name)
+    save_checkpoint(path, state)
     state = load_checkpoint(path)
     resumed += [dual_ac_iteration(state)[1] for _ in range(2)]
     assert _records_digest(resumed) == _records_digest(direct)
@@ -317,7 +369,7 @@ def test_load_checkpoint_runs_no_bandwidth_probe(tmp_path, monkeypatch):
     cfg = dataclasses.replace(default_config("pendulum"), iterations=0)
     path = str(tmp_path / "ck.json")
     state = init_state(cfg, make_env("pendulum"))
-    save_checkpoint(path, state, env_name="pendulum")
+    save_checkpoint(path, state)
 
     def probe(*args, **kwargs):
         raise AssertionError("the bandwidth probe ran")
@@ -333,7 +385,7 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
     state = init_state(chain_config(), make_env("chain2"))
     state, _ = dual_ac_iteration(state)
     path = str(tmp_path / "ck.json")
-    save_checkpoint(path, state, env_name="chain2")
+    save_checkpoint(path, state)
     before = open(path).read()
     state, _ = dual_ac_iteration(state)
 
@@ -342,7 +394,7 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
 
     monkeypatch.setattr(driver.json, "dump", fail)
     with pytest.raises(OSError):
-        save_checkpoint(path, state, env_name="chain2")
+        save_checkpoint(path, state)
     assert open(path).read() == before
     assert os.listdir(tmp_path) == ["ck.json"]
     assert load_checkpoint(path).t == 1
@@ -400,5 +452,8 @@ def test_tabular_policy_return_matches_oracle_on_optimal():
     mdp = env.as_tabular()
     v_star = value_iteration(mdp, tol=1e-12)
     pi_star = greedy_policy(mdp, v_star)
-    got = tabular_policy_return(env, pi_star)
+    # logits 0 on the greedy action and -inf elsewhere give exactly pi*
+    policy = TabularSoftmaxPolicy(mdp.n_states, mdp.n_actions, logits=np.where(pi_star > 0, 0.0, -np.inf))
+    assert np.array_equal(policy.prob_matrix(), pi_star)
+    got = tabular_policy_return(env, policy)
     assert got == pytest.approx(mdp.mu @ v_star, abs=1e-9)

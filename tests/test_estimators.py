@@ -220,6 +220,7 @@ def _reference_delta(path: BatchRow, value, gamma, k) -> float:
 
 
 def _reference_delta_means(paths, deltas, n_states):
+    """Per-state means of the deltas, summed trajectory by trajectory."""
     sums, counts = np.zeros(n_states), np.zeros(n_states, dtype=int)
     for path, delta in zip(paths, deltas):
         s0 = int(path.obs[0])
@@ -228,7 +229,19 @@ def _reference_delta_means(paths, deltas, n_states):
     means = np.zeros(n_states)
     seen = counts > 0
     means[seen] = sums[seen] / counts[seen]
-    return means, counts
+    return means
+
+
+def _per_state_delta_means(batch, deltas, n_states):
+    """The tabular per-state means as an array expression, summed in batch order."""
+    starts = batch.obs[:, 0]
+    sums = np.zeros(n_states)
+    np.add.at(sums, starts, deltas)
+    counts = np.bincount(starts, minlength=n_states)
+    means = np.zeros(n_states)
+    seen = counts > 0
+    means[seen] = sums[seen] / counts[seen]
+    return means
 
 
 def _grad_v_reference(paths, weights, behavior_paths, value_model, gamma, k, eta_v):
@@ -304,10 +317,16 @@ def test_array_estimators_match_per_trajectory_reference(env_name, seed, scale, 
     assert np.array_equal(deltas, [_reference_delta(p, value, gamma, k) for p in paths])
     rows = replay_rows(batch, gamma)
     assert np.array_equal(rows.returns, [_reference_return(p.rewards, gamma) for p in paths])
+    # one start-weight rule: the per-state means indexed by start on tabular
+    # envs, and the deltas themselves on the pendulum, whose starts are distinct
+    means = delta_means_by_start(batch, deltas)
     if env.spec.tabular:
-        means, counts = delta_means_by_start(batch, deltas, env.spec.n_states)
-        want_means, want_counts = _reference_delta_means(paths, deltas, env.spec.n_states)
-        assert np.array_equal(means, want_means) and np.array_equal(counts, want_counts)
+        per_state = _per_state_delta_means(batch, deltas, env.spec.n_states)
+        assert np.array_equal(per_state, _reference_delta_means(paths, deltas, env.spec.n_states))
+        assert np.array_equal(means, per_state[batch.obs[:, 0]])
+    else:
+        assert len(np.unique(batch.obs[:, 0], axis=0)) == m
+        assert np.array_equal(means, deltas)
 
     weights = rng.uniform(0.1, 2.0, size=m)
     behavior = (rows, replay_rows(previous, gamma))
@@ -581,11 +600,20 @@ def test_reweighting_identity():
 def test_delta_means_by_start_grouping():
     v = tabular_value(np.zeros(3))
     batch = make_batch([([0, 1], [0], [1.0]), ([0, 2], [0], [3.0]), ([2, 1], [1], [5.0])])
-    means, counts = delta_means_by_start(batch, traj_deltas(batch, v, 0.9, k=0), n_states=3)
-    assert counts.tolist() == [2, 0, 1]
-    assert means[0] == pytest.approx(2.0)
-    assert means[1] == 0.0
+    means = delta_means_by_start(batch, traj_deltas(batch, v, 0.9, k=0))
+    assert means.shape == (3,)
+    assert means[0] == pytest.approx(2.0) and means[1] == pytest.approx(2.0)
     assert means[2] == pytest.approx(5.0)
+
+
+def test_delta_means_by_start_shared_continuous_start():
+    # two pendulum trajectories from one start observation share the mean of
+    # their deltas; the third start is alone
+    s0, s1 = [1.0, 0.0, 0.5], [0.0, 1.0, -0.5]
+    obs = np.array([[s0, s1], [s1, s0], [s0, s0]])
+    batch = make_batch([(o, np.zeros((1, 1)), [0.0]) for o in obs])
+    means = delta_means_by_start(batch, np.array([1.0, 4.0, 6.0]))
+    assert means.tolist() == [3.5, 4.0, 3.5]
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +659,7 @@ def test_trajectory_round_trip(tmp_path):
         assert row.start == traj.obs[0] and row.n_steps == traj.n_steps
         assert row.mc_return == _reference_return(traj.rewards, state.cfg.gamma)
     path = str(tmp_path / "checkpoint.json")
-    save_checkpoint(path, state, env_name="gridworld")
+    save_checkpoint(path, state)
     back = load_checkpoint(path).last_batch
     for name in ("starts", "returns", "n_steps"):
         a, b = getattr(rows, name), getattr(back, name)
