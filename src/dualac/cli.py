@@ -9,8 +9,8 @@ Config files are JSON objects mirroring DualAcConfig field names, e.g.::
      "batch_m": 24, "iterations": 300, "seed": 0, "ablation": "full",
      "normalize_grad": false}
 
-A config file with an unknown field or a bad value is rejected with exit
-status 2.
+A config file with an unknown field, a value of the wrong type or a bad value
+is rejected with exit status 2.
 
 MDP text files (for `--env mdp:<path>` and `oracle-check --mdp-file`) are
 JSON with fields n_states, n_actions, gamma, reward [S][A],
@@ -41,7 +41,6 @@ from .mdp import (
     policy_from_occupancy,
     value_iteration,
 )
-from .optim import StepsizeSchedule
 
 DEFAULT_CONFIGS = {
     "tabular": dict(
@@ -49,7 +48,7 @@ DEFAULT_CONFIGS = {
         eta_v=1.0,
         eta_alpha=1.0,
         eta_mu=0.5,
-        schedule=StepsizeSchedule(c=0.5, n0=1.0, beta=0.5),
+        schedule=dict(c=0.5, n0=1.0, beta=0.5),
         batch_m=24,
         iterations=300,
         inner_v=dict(stepsize=0.2, max_iters=80, grad_tol=1e-4, biased_iters=1),
@@ -59,7 +58,7 @@ DEFAULT_CONFIGS = {
         eta_v=1.0,
         eta_alpha=100.0,
         eta_mu=0.1,
-        schedule=StepsizeSchedule(c=21.5, n0=85.0, beta=1.0),
+        schedule=dict(c=21.5, n0=85.0, beta=1.0),
         batch_m=52,
         iterations=300,
         inner_v=dict(stepsize=0.005, max_iters=200, grad_tol=1.0, biased_iters=1),

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,9 +120,9 @@ class DualAcConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DualAcConfig":
-        """The config of a JSON object, whose nested configs may be plain
-        dicts; a ValueError names every field it does not know, nested ones
-        as e.g. schedule.x."""
+        """The config of a JSON object whose nested configs are objects too.
+        A ValueError names every field it does not know, nested ones as e.g.
+        schedule.x, or else the first field whose value has the wrong type."""
         if not isinstance(payload, dict):
             raise ValueError("a config is a JSON object")
         nested = {"schedule": StepsizeSchedule, "inner_v": InnerVConfig, "cg": CgConfig}
@@ -131,7 +132,33 @@ class DualAcConfig:
                 unknown += [f"{name}.{key}" for key in payload[name] if key not in sub.__dataclass_fields__]
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        return cls(**{k: nested[k](**v) if k in nested and isinstance(v, dict) else v for k, v in payload.items()})
+        return cls(**_typed_fields(cls, payload))
+
+
+def _typed_fields(cls, payload: dict, prefix: str = "") -> dict:
+    """payload's values checked against the field annotations of the config
+    dataclass cls, nested configs built from their objects.  An int field
+    takes an int but not a bool, a float field an int or a float, and None
+    only where the annotation allows it."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for key, value in payload.items():
+        name, hint = prefix + key, hints[key]
+        if dataclasses.is_dataclass(hint):
+            if not isinstance(value, dict):
+                raise ValueError(f"config field {name} must be an object, got {value!r}")
+            out[key] = hint(**_typed_fields(hint, value, f"{name}."))
+            continue
+        allowed = typing.get_args(hint) or (hint,)
+        if isinstance(value, bool):
+            fits = bool in allowed
+        else:
+            fits = isinstance(value, allowed) or (float in allowed and isinstance(value, int))
+        if not fits:
+            expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise ValueError(f"config field {name} must be {expected}, got {value!r}")
+        out[key] = value
+    return out
 
 
 @dataclass

@@ -18,7 +18,10 @@ Conventions that matter here:
 * Value models are linear in their parameters, v(s) = w . row(s), and give
   their feature rows for a batch of states at once (value.rows).
 * The exact_grad_* functions are the exhaustive-expectation forms of the
-  same estimators, used by the tabular verification suite.
+  same estimators, used by the tabular verification suite: weighted sums
+  over the path table of lagrangian.enumerate_paths, with each path's
+  weight prob * delta_k binned by its first state, its last state or its
+  (state, action) pairs (np.bincount).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lagrangian import iter_paths
+from .lagrangian import enumerate_paths, path_deltas
 from .mdp import TabularMdp, policy_value, validate_policy
 
 
@@ -178,7 +181,8 @@ def traj_deltas(batch: Batch, value, gamma: float, k: int) -> np.ndarray:
 
 
 class SoftmaxStartWeighting:
-    """Softmax distribution over start states; the tabular theta_alpha vehicle."""
+    """Softmax distribution alpha over start states; the tabular theta_alpha
+    vehicle.  Its score in the logits is grad log alpha(s) = e_s - alpha."""
 
     def __init__(self, n_states: int, logits: np.ndarray | None = None):
         self.logits = np.zeros(n_states) if logits is None else np.array(logits, dtype=float)
@@ -187,11 +191,6 @@ class SoftmaxStartWeighting:
         z = self.logits - self.logits.max()
         e = np.exp(z)
         return e / e.sum()
-
-    def log_grad(self, state: int) -> np.ndarray:
-        g = -self.distribution()
-        g[int(state)] += 1.0
-        return g
 
     def get_params(self) -> np.ndarray:
         return self.logits.copy()
@@ -327,42 +326,34 @@ def alpha_objective(
 
 
 def exact_grad_alpha(mdp: TabularMdp, v, start_model: SoftmaxStartWeighting, pi, k: int) -> np.ndarray:
-    """Exact E_alpha^pi[delta_k * grad log alpha(s_0)] by path enumeration."""
-    v = np.asarray(v, dtype=float)
+    """Exact E_alpha^pi[delta_k * grad log alpha(s_0)] by path enumeration,
+    with grad log alpha(s_0) = e_{s_0} - alpha for the softmax start model."""
     alpha = start_model.distribution()
-    disc = mdp.gamma ** np.arange(k + 1)
-    total = np.zeros(len(alpha))
-    for prob, states, actions in iter_paths(mdp, alpha, pi, k):
-        rewards = mdp.reward[list(states[:-1]), list(actions)]
-        delta = disc @ rewards + mdp.gamma ** (k + 1) * v[states[-1]] - v[states[0]]
-        total += prob * delta * start_model.log_grad(states[0])
-    return total
+    paths = enumerate_paths(mdp, alpha, pi, k)
+    w = paths.prob * path_deltas(mdp, v, paths)
+    return np.bincount(paths.states[:, 0], w, minlength=len(alpha)) - w.sum() * alpha
 
 
 def exact_grad_pi(mdp: TabularMdp, v, alpha, policy, k: int) -> np.ndarray:
-    """Exact E_alpha^pi[delta_k * sum_i grad log pi(a_i|s_i)] by path enumeration."""
-    v = np.asarray(v, dtype=float)
+    """Exact E_alpha^pi[delta_k * sum_i grad log pi(a_i|s_i)] by path enumeration:
+    each path's weight prob * delta_k lands on the (s_i, a_i) pairs it visits,
+    and the per-pair totals multiply the score table of every pair."""
     pi = policy.prob_matrix()
     n_states, n_actions = pi.shape
-    # score rows of every (state, action) pair, built once
     table = policy.score_batch(np.repeat(np.arange(n_states), n_actions), np.tile(np.arange(n_actions), n_states))
-    table = table.reshape(n_states, n_actions, -1)
-    disc = mdp.gamma ** np.arange(k + 1)
-    total = np.zeros(policy.n_params)
-    for prob, states, actions in iter_paths(mdp, alpha, pi, k):
-        visited = list(states[:-1]), list(actions)
-        delta = disc @ mdp.reward[visited] + mdp.gamma ** (k + 1) * v[states[-1]] - v[states[0]]
-        total += prob * delta * table[visited].sum(axis=0)
-    return total
+    paths = enumerate_paths(mdp, alpha, pi, k)
+    w = paths.prob * path_deltas(mdp, v, paths)
+    pairs = (paths.states[:, :-1] * n_actions + paths.actions).ravel()
+    return np.bincount(pairs, np.repeat(w, k + 1), minlength=n_states * n_actions) @ table
 
 
 def exact_grad_v(mdp: TabularMdp, v, alpha, pi, pi_b, k: int, eta_v: float) -> np.ndarray:
     """Exact gradient of the path-regularized objective w.r.t. tabular v, by enumeration."""
     v = np.asarray(v, dtype=float)
-    grad = (1.0 - mdp.gamma ** (k + 1)) * mdp.mu.copy()
-    for prob, states, actions in iter_paths(mdp, np.asarray(alpha, dtype=float), pi, k):
-        grad[states[-1]] += prob * mdp.gamma ** (k + 1)
-        grad[states[0]] -= prob
+    paths = enumerate_paths(mdp, alpha, pi, k)
+    S = mdp.n_states
+    first = np.bincount(paths.states[:, 0], paths.prob, minlength=S)
+    last = np.bincount(paths.states[:, -1], paths.prob, minlength=S)
     v_b = policy_value(mdp, validate_policy(mdp, pi_b))
-    grad -= 2.0 * eta_v * mdp.mu * (v_b - v)
-    return grad
+    lead = (1.0 - mdp.gamma ** (k + 1)) * mdp.mu
+    return lead + mdp.gamma ** (k + 1) * last - first - 2.0 * eta_v * mdp.mu * (v_b - v)

@@ -10,10 +10,20 @@ toward the behavior policy's exact return.  Everything is computed in closed for
 exhaustive path enumeration so the stochastic estimators have a noise-free
 target.
 
+The enumeration (enumerate_paths) is one table of every positive-probability
+k-step path, built as arrays one step at a time, with each path's delta_k
+computed once (path_deltas); the enumerated objective and the estimators'
+exact gradients are weighted sums over that table.  It holds
+S * (A * S)^(k+1) paths at most, so max_paths caps it, and the marginal
+recursions (expected_delta_dp, value_linear_coefficient) are the
+independent forms it is checked against.
+
 `alpha` arguments are plain length-S distribution vectors over start states.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,45 +70,56 @@ def expected_delta_dp(mdp: TabularMdp, v: np.ndarray, alpha: np.ndarray, pi: np.
     return float(total + mdp.gamma ** (k + 1) * d[k + 1] @ v - alpha @ v)
 
 
-def iter_paths(mdp: TabularMdp, alpha: np.ndarray, pi: np.ndarray, k: int, max_paths: int = 1_000_000):
-    """Yield (probability, states, actions) over all positive-probability k-step paths.
+class Paths(NamedTuple):
+    """Every positive-probability k-step path of an enumeration, one row each."""
 
-    Raises EnumerationLimitError once more than max_paths paths are produced.
+    prob: np.ndarray     # (n,)
+    states: np.ndarray   # (n, k+2) s_0 .. s_{k+1}
+    actions: np.ndarray  # (n, k+1) a_0 .. a_k
+
+
+def enumerate_paths(mdp: TabularMdp, alpha: np.ndarray, pi: np.ndarray, k: int, max_paths: int = 1_000_000) -> Paths:
+    """All positive-probability k-step paths from start distribution alpha
+    under pi, built one step at a time from the positive (a, s') edges of
+    each state.  A path's probability is the product
+    ((alpha(s_0) pi(a_0|s_0)) P(s_1|s_0,a_0)) ... in path order.
+
+    Raises EnumerationLimitError before building a step that would hold more
+    than max_paths paths; every path continues (the rows of pi and P sum to
+    1), so that is the check on the final count.
     """
     alpha = validate_distribution(alpha)
     pi = validate_policy(mdp, pi)
-    count = 0
-    stack = [(s0, float(alpha[s0]), (s0,), ()) for s0 in range(mdp.n_states) if alpha[s0] > 0]
-    while stack:
-        s, prob, states, actions = stack.pop()
-        if len(actions) == k + 1:
-            count += 1
-            if count > max_paths:
-                raise EnumerationLimitError(
-                    f"path enumeration exceeded cap of {max_paths}; "
-                    "raise max_paths or use expected_delta_dp"
-                )
-            yield prob, states, actions
-            continue
-        for a in range(mdp.n_actions):
-            pa = pi[s, a]
-            if pa == 0.0:
-                continue
-            for s2 in range(mdp.n_states):
-                pt = mdp.transition[s, a, s2]
-                if pt == 0.0:
-                    continue
-                stack.append((s2, prob * pa * pt, states + (s2,), actions + (a,)))
+    P = mdp.transition
+    edge_s, edge_a, edge_t = np.argwhere((pi[:, :, None] > 0) & (P > 0)).T  # grouped by state
+    fan_out = np.bincount(edge_s, minlength=mdp.n_states)
+    first_edge = np.cumsum(fan_out) - fan_out
+    states = np.flatnonzero(alpha > 0)[:, None]
+    actions = np.zeros((len(states), 0), dtype=int)
+    prob = alpha[states[:, 0]]
+    for _ in range(k + 1):
+        fan = fan_out[states[:, -1]]
+        n = int(fan.sum())
+        if n > max_paths:
+            raise EnumerationLimitError(
+                f"path enumeration exceeded cap of {max_paths}; raise max_paths or use expected_delta_dp"
+            )
+        parent = np.repeat(np.arange(len(fan)), fan)
+        # each new row takes its parent's last state's first edge plus its rank among the parent's rows
+        edge = np.repeat(first_edge[states[:, -1]] - (np.cumsum(fan) - fan), fan) + np.arange(n)
+        s, a, t = edge_s[edge], edge_a[edge], edge_t[edge]
+        prob = (prob[parent] * pi[s, a]) * P[s, a, t]
+        states = np.column_stack([states[parent], t])
+        actions = np.column_stack([actions[parent], a])
+    return Paths(prob, states, actions)
 
 
-def _delta_over_paths(mdp, v, alpha, pi, k, max_paths):
+def path_deltas(mdp: TabularMdp, v: np.ndarray, paths: Paths) -> np.ndarray:
+    """delta_k = sum_{i<=k} gamma^i R(s_i, a_i) + gamma^{k+1} v(s_{k+1}) - v(s_0) of every path."""
     v = np.asarray(v, dtype=float)
-    disc = mdp.gamma ** np.arange(k + 1)
-    total = 0.0
-    for prob, states, actions in iter_paths(mdp, alpha, pi, k, max_paths):
-        rewards = mdp.reward[list(states[:-1]), list(actions)]
-        total += prob * (disc @ rewards + mdp.gamma ** (k + 1) * v[states[-1]] - v[states[0]])
-    return total
+    k = paths.actions.shape[1] - 1
+    rewards = mdp.reward[paths.states[:, :-1], paths.actions] @ mdp.gamma ** np.arange(k + 1)
+    return rewards + mdp.gamma ** (k + 1) * v[paths.states[:, -1]] - v[paths.states[:, 0]]
 
 
 def multi_step_lagrangian(
@@ -115,7 +136,8 @@ def multi_step_lagrangian(
         raise ValueError("k must be nonnegative")
     v = np.asarray(v, dtype=float)
     lead = (1.0 - mdp.gamma ** (k + 1)) * mdp.mu @ v
-    return float(lead + _delta_over_paths(mdp, v, alpha, pi, k, max_paths))
+    paths = enumerate_paths(mdp, alpha, pi, k, max_paths)
+    return float(lead + paths.prob @ path_deltas(mdp, v, paths))
 
 
 def path_reg_lagrangian(
@@ -200,14 +222,11 @@ def inner_min_v_exact(
     if eta_v == 0.0:
         raise np.linalg.LinAlgError("inner minimization over v is singular for eta_v = 0")
     curvature = 2.0 * eta_v * mdp.mu
-    out = np.empty(mdp.n_states)
-    for s in range(mdp.n_states):
-        if curvature[s] > 0:
-            out[s] = v_b[s] - g_lin[s] / curvature[s]
-        elif abs(g_lin[s]) > 1e-14:
-            raise np.linalg.LinAlgError(
-                f"objective is unbounded below in v({s}): mu({s}) = 0 but the linear term is nonzero"
-            )
-        else:
-            out[s] = v_b[s]
-    return out
+    curved = curvature > 0
+    unbounded = np.flatnonzero(~curved & (np.abs(g_lin) > 1e-14))
+    if unbounded.size:
+        s = unbounded[0]
+        raise np.linalg.LinAlgError(
+            f"objective is unbounded below in v({s}): mu({s}) = 0 but the linear term is nonzero"
+        )
+    return np.where(curved, v_b - g_lin / np.where(curved, curvature, 1.0), v_b)

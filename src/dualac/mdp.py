@@ -132,8 +132,10 @@ def value_iteration(mdp: TabularMdp, tol: float = 1e-10, max_iters: int = 1_000_
     if tol <= 0:
         raise ValueError("tol must be positive")
     v = np.zeros(mdp.n_states)
+    # the backup's gamma * P @ v, with gamma * P scaled once instead of every sweep
+    discounted = mdp.gamma * mdp.transition
     for _ in range(max_iters):
-        v_next = bellman_optimality_operator(mdp, v)
+        v_next = (mdp.reward + discounted @ v).max(axis=1)
         if np.max(np.abs(v_next - v)) <= tol:
             return v_next
         v = v_next
@@ -183,15 +185,9 @@ def policy_from_occupancy(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("occupancy entries must be nonnegative")
-    mass = rho.sum(axis=1)
-    n_actions = rho.shape[1]
-    pi = np.empty_like(rho)
-    for s in range(rho.shape[0]):
-        if mass[s] < 1e-12:
-            pi[s] = 1.0 / n_actions
-        else:
-            pi[s] = rho[s] / mass[s]
-    return pi
+    mass = rho.sum(axis=1, keepdims=True)
+    empty = mass < 1e-12
+    return np.where(empty, 1.0 / rho.shape[1], rho / np.where(empty, 1.0, mass))
 
 
 def occupancy_flow_residual(mdp: TabularMdp, rho: np.ndarray) -> float:
@@ -220,9 +216,7 @@ def random_mdp(
     if deterministic:
         P = np.zeros((n_states, n_actions, n_states))
         targets = rng.integers(0, n_states, size=(n_states, n_actions))
-        for s in range(n_states):
-            for a in range(n_actions):
-                P[s, a, targets[s, a]] = 1.0
+        np.put_along_axis(P, targets[:, :, None], 1.0, axis=2)
     else:
         P = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
     R = rng.uniform(0.0, reward_scale, size=(n_states, n_actions))

@@ -3,7 +3,8 @@ traced mode, `bench/tracer.py`; one repeat of each training workload must
 still run and give the records it gave before, and a traced run must still
 find the program's phase markers, so that a change to the training state,
 the sampler or the names the tracer wraps that would break the benchmark
-fails here first."""
+fails here first.  One oracle case (a 100x4 deterministic MDP, k = 2) must
+pass the benchmark's exact identities at its tolerances."""
 
 import importlib.util
 import sys
@@ -67,3 +68,11 @@ def test_traced_workload_splits_phases(workloads, name):
     wall = sum(rec.wall_time for rep in repeats for rec, traced in zip(rep.records, rep.traced) if traced)
     assert abs(sum(tracer.phase_s.values()) - wall) <= check_tolerance * wall
     assert not tracer.missing & set(PHASE_MARKERS)
+
+
+def test_oracle_case_identities(workloads, tmp_path):
+    result = workloads.oracle_case(0, 0, str(tmp_path / "mdp.json"))
+    assert result["oracle_check_exit"] == 0
+    assert set(result["errors"]) == set(workloads.TOLERANCES)
+    for name, err in result["errors"].items():
+        assert err <= workloads.TOLERANCES[name], name

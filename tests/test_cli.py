@@ -18,8 +18,14 @@ def _config_file(tmp_path, payload) -> str:
         ({"eta_mu": 2.0}, "eta_mu must lie in (0, 1]"),
         ({"feature_seed": 0, "n_rbf_features": 100}, "unknown config fields: feature_seed, n_rbf_features"),
         ({"inner_v": {"max_iters": 5, "min_log_std": -1.0}}, "unknown config fields: inner_v.min_log_std"),
+        ({"k": "ten"}, "config field k must be int, got 'ten'"),
+        ({"schedule": None}, "config field schedule must be an object, got None"),
+        ({"batch_m": 2.5}, "config field batch_m must be int, got 2.5"),
+        ({"inner_v": {"max_iters": "80"}}, "config field inner_v.max_iters must be int, got '80'"),
     ],
-    ids=["bad_value", "unknown_fields", "unknown_nested_field"],
+    ids=[
+        "bad_value", "unknown_fields", "unknown_nested_field", "str_int", "null_nested", "float_int", "nested_str_int"
+    ],
 )
 def test_bad_config_reported_without_traceback(tmp_path, capsys, command, payload, message):
     code = cli.main([command, "--env", "chain2", "--config", _config_file(tmp_path, payload), "--iterations", "1"])

@@ -125,6 +125,24 @@ def test_config_from_dict_names_unknown_fields():
         DualAcConfig.from_dict([1, 2])
 
 
+def test_config_from_dict_checks_value_types():
+    good = DualAcConfig.from_dict({"eta_v": 1, "gamma": None, "horizon": 30, "cg": {"damping": 0}})
+    assert good.eta_v == 1 and good.gamma is None and good.cg.damping == 0
+    bad = [
+        ({"seed": True}, "seed must be int, got True"),
+        ({"eta_alpha": False}, "eta_alpha must be float, got False"),
+        ({"horizon": 3.0}, "horizon must be int or null, got 3.0"),
+        ({"eta_v": None}, "eta_v must be float, got None"),
+        ({"normalize_grad": 1}, "normalize_grad must be bool, got 1"),
+        ({"ablation": None}, "ablation must be str, got None"),
+        ({"cg": [20]}, r"cg must be an object, got \[20\]"),
+        ({"schedule": {"c": "0.5"}}, "schedule.c must be float, got '0.5'"),
+    ]
+    for payload, message in bad:
+        with pytest.raises(ValueError, match=f"^config field {message}$"):
+            DualAcConfig.from_dict(payload)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         chain_config(ablation="bogus")

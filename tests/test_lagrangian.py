@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualac.estimators import traj_deltas
+from dualac.estimators import SoftmaxStartWeighting, exact_grad_alpha, exact_grad_pi, exact_grad_v, traj_deltas
 from dualac.lagrangian import (
     EnumerationLimitError,
+    enumerate_paths,
     expected_delta_dp,
     inner_min_v_exact,
     k_step_weighting,
@@ -14,13 +17,16 @@ from dualac.lagrangian import (
     value_linear_coefficient,
 )
 from dualac.mdp import (
+    TabularMdp,
     discounted_state_occupancy,
     greedy_policy,
     policy_value,
     random_mdp,
     value_iteration,
 )
+from dualac.policies import TabularSoftmaxPolicy
 from conftest import make_batch, make_chain2_mdp, make_single_state_mdp, tabular_value
+import reference_paths
 
 
 def optimal_triple(mdp, k=0, tol=1e-12):
@@ -131,6 +137,62 @@ def test_multi_step_enumeration_guard():
         multi_step_lagrangian(mdp, np.zeros(4), alpha, pi, k=4, max_paths=100)
 
 
+def _rel(got, want) -> float:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want)) / max(1.0, float(np.max(np.abs(want)))))
+
+
+def _some_zero(rng, shape) -> np.ndarray:
+    """A boolean mask over shape that zeroes about 40% of each last-axis row,
+    never the whole row."""
+    zero = rng.random(shape) < 0.4
+    keep = rng.integers(shape[-1], size=shape[:-1])
+    np.put_along_axis(zero, keep[..., None], False, axis=-1)
+    return zero
+
+
+@st.composite
+def path_cases(draw):
+    """A random deterministic or dense MDP with zeros in P, pi and alpha."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    deterministic = draw(st.booleans())
+    S, A = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    k = draw(st.integers(0, 4 if deterministic else 2))
+    mdp = random_mdp(S, A, 0.9, rng, deterministic=deterministic)
+    if not deterministic:
+        P = np.where(_some_zero(rng, (S, A, S)), 0.0, mdp.transition)
+        mdp = TabularMdp(P / P.sum(axis=2, keepdims=True), mdp.reward, mdp.gamma, mdp.mu)
+    policy = TabularSoftmaxPolicy(S, A, logits=np.where(_some_zero(rng, (S, A)), -np.inf, rng.normal(size=(S, A))))
+    start = SoftmaxStartWeighting(S, logits=np.where(_some_zero(rng, (1, S))[0], -np.inf, rng.normal(size=S)))
+    return mdp, policy, start, k, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(path_cases())
+def test_enumerate_paths_matches_depth_first_reference(case):
+    mdp, policy, start, k, rng = case
+    pi, alpha = policy.prob_matrix(), start.distribution()
+    want = {(states, actions): prob for prob, states, actions in reference_paths.iter_paths(mdp, alpha, pi, k)}
+    count = len(want)
+    # the cap at its boundary: exactly count paths pass, one fewer raises
+    paths = enumerate_paths(mdp, alpha, pi, k, max_paths=count)
+    with pytest.raises(EnumerationLimitError):
+        enumerate_paths(mdp, alpha, pi, k, max_paths=count - 1)
+    assert paths.states.shape == (count, k + 2) and paths.actions.shape == (count, k + 1)
+    got = dict(zip(zip(map(tuple, paths.states.tolist()), map(tuple, paths.actions.tolist())), paths.prob.tolist()))
+    assert got == want  # the same paths, bitwise the same probabilities
+
+    v, pi_b = rng.normal(size=mdp.n_states), rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
+    forms = {
+        multi_step_lagrangian: (mdp, v, alpha, pi, k),
+        exact_grad_v: (mdp, v, alpha, pi, pi_b, k, 0.7),
+        exact_grad_alpha: (mdp, v, start, pi, k),
+        exact_grad_pi: (mdp, v, alpha, policy, k),
+    }
+    for form, args in forms.items():
+        assert _rel(form(*args), getattr(reference_paths, form.__name__)(*args)) <= 1e-12, form.__name__
+
+
 # ---------------------------------------------------------------------------
 # Path regularization
 
@@ -225,6 +287,17 @@ def test_inner_min_gradient_vanishes():
     v = inner_min_v_exact(mdp, alpha, pi, pi_b, k=2, eta_v=0.3)
     g = path_reg_value_gradient(mdp, v, alpha, pi, pi_b, k=2, eta_v=0.3)
     assert np.linalg.norm(g) <= 1e-8
+
+
+def test_inner_min_names_first_unbounded_state():
+    # mu puts no mass on states 1 and 2 but alpha does, so the linear term
+    # there is nonzero and nothing curves the objective
+    rng = np.random.default_rng(81)
+    base = random_mdp(4, 2, 0.9, rng)
+    mdp = TabularMdp(base.transition, base.reward, base.gamma, np.array([0.5, 0.0, 0.0, 0.5]))
+    pi = rng.dirichlet(np.ones(2), size=4)
+    with pytest.raises(np.linalg.LinAlgError, match=r"unbounded below in v\(1\): mu\(1\) = 0"):
+        inner_min_v_exact(mdp, np.full(4, 0.25), pi, pi, k=0, eta_v=0.5)
 
 
 def test_inner_min_eta_zero_is_singular(chain2_mdp):

@@ -20,6 +20,7 @@ from dualac.mdp import (
     save_mdp,
     value_iteration,
 )
+from dualac.envs import make_env
 from conftest import make_chain2_mdp, make_single_state_mdp
 
 
@@ -182,6 +183,42 @@ def test_value_iteration_matches_policy_enumeration_grid():
     assert np.allclose(v_star, enumerate_policy_values(mdp), atol=1e-9)
 
 
+def _value_iteration_by_backups(mdp, tol):
+    """value_iteration as a sweep of the one-step backup, which scales P by gamma every time."""
+    v = np.zeros(mdp.n_states)
+    while True:
+        v_next = bellman_optimality_operator(mdp, v)
+        if np.max(np.abs(v_next - v)) <= tol:
+            return v_next
+        v = v_next
+
+
+@pytest.mark.parametrize("case", ["chain5", "gridworld", "dense", "deterministic_100x4"])
+def test_value_iteration_bitwise_per_sweep_backups(case):
+    if case in ("chain5", "gridworld"):
+        mdp = make_env(case).as_tabular()
+    else:
+        mdp = random_mdp(*((6, 3) if case == "dense" else (100, 4)), 0.99, np.random.default_rng(23),
+                         deterministic=case != "dense")
+    for tol in (1e-6, 1e-10):
+        assert np.array_equal(value_iteration(mdp, tol=tol), _value_iteration_by_backups(mdp, tol))
+
+
+def test_random_deterministic_mdp_draws_unchanged():
+    # one target per (s, a), drawn in one call; the rest of the draws follow it
+    rng, ref = np.random.default_rng(29), np.random.default_rng(29)
+    mdp = random_mdp(7, 3, 0.9, rng, deterministic=True)
+    targets = ref.integers(0, 7, size=(7, 3))
+    P = np.zeros((7, 3, 7))
+    for s in range(7):
+        for a in range(3):
+            P[s, a, targets[s, a]] = 1.0
+    assert np.array_equal(mdp.transition, P)
+    assert np.array_equal(mdp.reward, ref.uniform(0.0, 1.0, size=(7, 3)))
+    assert np.array_equal(mdp.mu, ref.dirichlet(np.ones(7)))
+    assert rng.random() == ref.random()
+
+
 def test_greedy_single_action():
     mdp = make_single_state_mdp(n_actions=1)
     assert np.allclose(greedy_policy(mdp, np.array([0.0])), [[1.0]])
@@ -259,6 +296,15 @@ def test_policy_from_occupancy_round_trip(chain2_mdp):
 def test_policy_from_occupancy_zero_row_uniform():
     pi = policy_from_occupancy(np.array([[0.7, 0.3], [0.0, 0.0]]))
     assert np.allclose(pi[1], [0.5, 0.5])
+
+
+def test_policy_from_occupancy_bitwise_row_by_row():
+    rng = np.random.default_rng(31)
+    rho = rng.dirichlet(np.ones(4), size=6) * rng.random((6, 1))
+    rho[[1, 4]] = 0.0
+    rho[2] = 1e-13
+    want = np.array([np.full(4, 0.25) if row.sum() < 1e-12 else row / row.sum() for row in rho])
+    assert np.array_equal(policy_from_occupancy(rho), want)
 
 
 def test_policy_from_occupancy_rejects_negative():
