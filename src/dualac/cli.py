@@ -138,13 +138,13 @@ def _cmd_oracle_check(args) -> int:
     v_star = value_iteration(mdp, tol=min(tol * 1e-3, 1e-9))
     pi_star = greedy_policy(mdp, v_star)
     rho = occupancy_from_policy(mdp, pi_star)
-    bellman_residual = float(np.max(np.abs(bellman_optimality_operator(mdp, v_star) - v_star)))
-    checks = [
-        ("fixed-point residual", bellman_residual <= tol, bellman_residual),
-        ("occupancy normalization", abs(rho.sum() - 1.0) <= tol, abs(rho.sum() - 1.0)),
-        ("flow constraint residual", occupancy_flow_residual(mdp, rho) <= tol, occupancy_flow_residual(mdp, rho)),
-        ("strong duality gap", abs(duality_gap(mdp, v_star, rho)) <= tol, abs(duality_gap(mdp, v_star, rho))),
+    residuals = [
+        ("fixed-point residual", float(np.max(np.abs(bellman_optimality_operator(mdp, v_star) - v_star)))),
+        ("occupancy normalization", abs(rho.sum() - 1.0)),
+        ("flow constraint residual", occupancy_flow_residual(mdp, rho)),
+        ("strong duality gap", abs(duality_gap(mdp, v_star, rho))),
     ]
+    checks = [(name, value <= tol, value) for name, value in residuals]
     recovered = policy_from_occupancy(rho)
     support = rho.sum(axis=1) > 1e-12
     policy_ok = bool(np.allclose(recovered[support], pi_star[support], atol=tol))

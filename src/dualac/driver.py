@@ -360,11 +360,19 @@ def save_checkpoint(path: str, state: TrainingState) -> None:
 def load_checkpoint(path: str, env=None) -> TrainingState:
     """Rebuild a saved state; the feature map comes from the payload, so
     loading runs no bandwidth probe.  A config with unknown fields (such as
-    one saved before a field was removed) raises ValueError."""
+    one saved before a field was removed), or an env_name that make_env
+    cannot rebuild while env is None, raises ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
     if env is None:
-        env = make_env(payload["env_name"])
+        name = payload["env_name"]
+        try:
+            env = make_env(name)
+        except KeyError:
+            raise ValueError(
+                f"checkpoint names environment {name!r}, which make_env cannot rebuild; "
+                "pass env= to load_checkpoint"
+            ) from None
     cfg = DualAcConfig.from_dict(payload["config"]).resolved(env)
     fmap = None
     if "feature_map" in payload:

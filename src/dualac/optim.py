@@ -6,6 +6,7 @@ that it is checked against.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,9 +205,10 @@ def fit_value(params0, grad_fn, kappa, max_iters: int, grad_tol: float) -> FitRe
     grad_norm = np.inf
     for i in range(1, max_iters + 1):
         grad = np.asarray(grad_fn(params), dtype=float)
-        if not np.all(np.isfinite(grad)):
+        grad_norm = math.sqrt(grad @ grad)  # np.linalg.norm's own formula, bit for bit
+        # a NaN or inf entry makes the norm non-finite; a finite gradient may overflow it
+        if not math.isfinite(grad_norm) and not np.all(np.isfinite(grad)):
             raise FitDivergedError(params, i)
-        grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= grad_tol:
             return FitResult(params, True, grad_norm, i - 1)
         params = params - step_at(i) * grad

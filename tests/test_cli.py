@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from dualac import cli
+from dualac.mdp import random_mdp, save_mdp
 
 
 def _config_file(tmp_path, payload) -> str:
@@ -46,3 +48,40 @@ def test_good_config_trains(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
     assert [json.loads(line)["iteration"] for line in out.splitlines()] == [1, 2]
+
+
+ORACLE_CHECK_LINES = {
+    "chain5": [
+        "PASS fixed-point residual (8.603e-10)",
+        "PASS occupancy normalization (0.000e+00)",
+        "PASS flow constraint residual (4.163e-17)",
+        "PASS strong duality gap (8.603e-10)",
+        "PASS policy recovery from occupancy (0.000e+00)",
+    ],
+    "gridworld": [
+        "PASS fixed-point residual (0.000e+00)",
+        "PASS occupancy normalization (0.000e+00)",
+        "PASS flow constraint residual (0.000e+00)",
+        "PASS strong duality gap (0.000e+00)",
+        "PASS policy recovery from occupancy (0.000e+00)",
+    ],
+    "random_100x4": [
+        "PASS fixed-point residual (9.850e-10)",
+        "PASS occupancy normalization (2.220e-16)",
+        "PASS flow constraint residual (2.776e-17)",
+        "PASS strong duality gap (9.100e-10)",
+        "PASS policy recovery from occupancy (0.000e+00)",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CHECK_LINES))
+def test_oracle_check_prints_pinned_lines(tmp_path, capsys, case):
+    if case == "random_100x4":
+        path = str(tmp_path / "mdp.json")
+        save_mdp(random_mdp(100, 4, 0.99, np.random.default_rng(0), deterministic=True), path)
+        args = ["--mdp-file", path]
+    else:
+        args = ["--env", case]
+    assert cli.main(["oracle-check", *args]) == 0
+    assert capsys.readouterr().out.splitlines() == ORACLE_CHECK_LINES[case]

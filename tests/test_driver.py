@@ -321,6 +321,21 @@ def test_run_experiment_on_env_object_checkpoints_env_name(tmp_path):
     assert resumed == direct[2:]
 
 
+def test_load_checkpoint_of_unnamed_env_needs_env(tmp_path):
+    # TabularEnv's default name "tabular" is not one make_env can rebuild
+    env = TabularEnv(make_env("chain5").as_tabular(), horizon=40, terminal_states=(4,))
+    out = str(tmp_path / "run")
+    cfg = chain_config(iterations=4)
+    direct = run_experiment(cfg, env)
+    run_experiment(dataclasses.replace(cfg, iterations=2), env, out_dir=out)
+    path = os.path.join(out, "checkpoint.json")
+    with pytest.raises(ValueError, match="environment 'tabular'.*pass env= to load_checkpoint"):
+        load_checkpoint(path)
+    state = load_checkpoint(path, env=env)
+    assert state.t == 2
+    assert [dual_ac_iteration(state)[1] for _ in range(2)] == direct[2:]
+
+
 def test_load_checkpoint_rejects_removed_config_fields(tmp_path):
     state = init_state(chain_config(), make_env("chain2"))
     path = str(tmp_path / "ck.json")

@@ -1,7 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualac.mdp import (
     TabularMdp,
@@ -16,6 +19,7 @@ from dualac.mdp import (
     occupancy_from_policy,
     policy_from_occupancy,
     policy_value,
+    q_values,
     random_mdp,
     save_mdp,
     value_iteration,
@@ -184,7 +188,7 @@ def test_value_iteration_matches_policy_enumeration_grid():
 
 
 def _value_iteration_by_backups(mdp, tol):
-    """value_iteration as a sweep of the one-step backup, which scales P by gamma every time."""
+    """value_iteration as a sweep of the one-step backup, which lays out gamma * P anew every time."""
     v = np.zeros(mdp.n_states)
     while True:
         v_next = bellman_optimality_operator(mdp, v)
@@ -193,15 +197,43 @@ def _value_iteration_by_backups(mdp, tol):
         v = v_next
 
 
-@pytest.mark.parametrize("case", ["chain5", "gridworld", "dense", "deterministic_100x4"])
-def test_value_iteration_bitwise_per_sweep_backups(case):
+# Random MDPs drawn with rng 23.  On the dense 64x2, 13x9 and 257x3 shapes
+# the action-major product rounds differently from the stacked (S, A, S) @ v.
+RANDOM_SHAPES = {
+    "dense": (6, 3),
+    "deterministic_100x4": (100, 4),
+    "dense_64x2": (64, 2),
+    "dense_13x9": (13, 9),
+    "dense_257x3": (257, 3),
+}
+
+
+def _case_mdp(case):
     if case in ("chain5", "gridworld"):
-        mdp = make_env(case).as_tabular()
-    else:
-        mdp = random_mdp(*((6, 3) if case == "dense" else (100, 4)), 0.99, np.random.default_rng(23),
-                         deterministic=case != "dense")
+        return make_env(case).as_tabular()
+    return random_mdp(*RANDOM_SHAPES[case], 0.99, np.random.default_rng(23), deterministic=case.startswith("det"))
+
+
+@pytest.mark.parametrize("case", ["chain5", "gridworld", *RANDOM_SHAPES])
+def test_value_iteration_bitwise_per_sweep_backups(case):
+    mdp = _case_mdp(case)
     for tol in (1e-6, 1e-10):
         assert np.array_equal(value_iteration(mdp, tol=tol), _value_iteration_by_backups(mdp, tol))
+
+
+@pytest.mark.parametrize("case", ["chain5", "gridworld", *RANDOM_SHAPES])
+def test_q_values_match_stacked_product(case):
+    # reference: the stacked (S, A, S) @ v product
+    mdp = _case_mdp(case)
+    for v in (value_iteration(mdp, tol=1e-10), np.random.default_rng(29).normal(size=mdp.n_states)):
+        stacked = mdp.reward + mdp.gamma * mdp.transition @ v
+        q = q_values(mdp, v)
+        assert q.shape == (mdp.n_states, mdp.n_actions)
+        if case.startswith("dense"):
+            # the same terms summed in another order: a few ulps of max|Q|
+            assert np.max(np.abs(q - stacked)) <= 1e-15 * np.max(np.abs(stacked))
+        else:  # one nonzero term per sum, so both products are exact
+            assert np.array_equal(q, stacked)
 
 
 def test_random_deterministic_mdp_draws_unchanged():
@@ -431,3 +463,43 @@ def test_mdp_text_round_trip(tmp_path, chain2_mdp):
     assert np.array_equal(back.reward, chain2_mdp.reward)
     assert back.gamma == chain2_mdp.gamma
     assert np.array_equal(back.mu, chain2_mdp.mu)
+
+
+def _json_dump_reference(mdp, path):
+    """The writer save_mdp replaced: json.dump of the whole payload."""
+    payload = {
+        "n_states": mdp.n_states,
+        "n_actions": mdp.n_actions,
+        "gamma": mdp.gamma,
+        "reward": mdp.reward.tolist(),
+        "transition": mdp.transition.tolist(),
+        "mu": mdp.mu.tolist(),
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+
+
+@st.composite
+def mdps_to_save(draw):
+    n_states, n_actions = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    gamma = draw(st.floats(1e-6, 1.0, exclude_max=True))
+    base = random_mdp(n_states, n_actions, gamma, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                      deterministic=draw(st.booleans()))
+    values = st.one_of(
+        st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300, 1.7976931348623157e308])
+    )
+    reward = np.array(draw(st.lists(values, min_size=n_states * n_actions, max_size=n_states * n_actions)))
+    return TabularMdp(base.transition, reward.reshape(n_states, n_actions), base.gamma, base.mu)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mdps_to_save())
+def test_save_mdp_writes_json_dump_bytes(tmp_path_factory, mdp):
+    folder = tmp_path_factory.mktemp("mdp")
+    _json_dump_reference(mdp, str(folder / "reference.json"))
+    save_mdp(mdp, str(folder / "saved.json"))
+    assert (folder / "saved.json").read_bytes() == (folder / "reference.json").read_bytes()
+    back = load_mdp(str(folder / "saved.json"))
+    for name in ("transition", "reward", "mu"):
+        assert getattr(back, name).tobytes() == getattr(mdp, name).tobytes()
+    assert back.gamma == mdp.gamma

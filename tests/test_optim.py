@@ -97,6 +97,28 @@ def test_fit_value_divergence_carries_last_iterate():
     assert np.all(np.isfinite(exc.value.params))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_value_non_finite_gradient_raises_at_its_step(bad):
+    grads = [np.array([1.0, 2.0]), np.array([-1.0, 0.5]), np.array([3.0, bad]), np.array([1.0, 1.0])]
+
+    def grad_fn(p):
+        return grads.pop(0)
+
+    with pytest.raises(FitDivergedError) as exc:
+        fit_value(np.zeros(2), grad_fn, kappa=0.5, max_iters=10, grad_tol=0.0)
+    assert exc.value.iteration == 3
+    assert np.array_equal(exc.value.params, [0.0, -1.25])  # after steps 1 and 2 only
+
+
+def test_fit_value_overflowing_norm_is_not_divergence():
+    # every entry finite, but grad @ grad overflows to inf
+    grad = np.array([1e200, -1e200])
+    with np.errstate(over="ignore"):
+        res = fit_value(np.zeros(2), lambda p: grad, kappa=0.5, max_iters=3, grad_tol=1.0)
+    assert not res.converged and res.grad_norm == np.inf and res.n_iters == 3
+    assert np.array_equal(res.params, -0.5 * grad - 0.5 * grad - 0.5 * grad)
+
+
 # ---------------------------------------------------------------------------
 # Fisher operator
 
