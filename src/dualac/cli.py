@@ -5,9 +5,8 @@ Config files are JSON objects mirroring DualAcConfig field names, e.g.::
     {"k": 10, "eta_v": 1.0, "eta_alpha": 1.0, "eta_mu": 0.5,
      "schedule": {"c": 0.5, "n0": 1.0, "beta": 0.5},
      "inner_v": {"stepsize": 0.2, "max_iters": 80, "grad_tol": 1e-4},
-     "cg": {"max_iters": 20, "damping": 1e-4},
-     "batch_m": 24, "iterations": 300, "seed": 0, "ablation": "full",
-     "normalize_grad": false}
+     "damping": 1e-4, "batch_m": 24, "iterations": 300, "seed": 0,
+     "ablation": "full", "normalize_grad": false}
 
 A config file with an unknown field, a value of the wrong type or a bad value
 is rejected with exit status 2.

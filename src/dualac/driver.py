@@ -32,7 +32,6 @@ from .estimators import (
 )
 from .mdp import policy_value
 from .optim import (
-    CgConfig,
     FitDivergedError,
     StepsizeSchedule,
     fisher_estimate,
@@ -80,7 +79,7 @@ class DualAcConfig:
     gamma: float | None = None      # None: use the environment's gamma hint
     horizon: int | None = None      # None: use the environment's horizon
     inner_v: InnerVConfig = field(default_factory=InnerVConfig)
-    cg: CgConfig = field(default_factory=CgConfig)
+    damping: float = 1e-4  # added to the Fisher's diagonal in the policy step
     ablation: str = "full"
     seed: int = 0
     iterations: int = 100
@@ -95,6 +94,8 @@ class DualAcConfig:
             raise ValueError("eta_mu must lie in (0, 1]")
         if self.eta_alpha <= 0 or self.eta_v < 0:
             raise ValueError("need eta_alpha > 0 and eta_v >= 0")
+        if self.damping <= 0:
+            raise ValueError("damping must be positive: the policy step solves the damped Fisher")
 
     def resolved(self, env) -> "DualAcConfig":
         """Fill env-dependent defaults and apply the ablation constraints.
@@ -125,7 +126,7 @@ class DualAcConfig:
         schedule.x, or else the first field whose value has the wrong type."""
         if not isinstance(payload, dict):
             raise ValueError("a config is a JSON object")
-        nested = {"schedule": StepsizeSchedule, "inner_v": InnerVConfig, "cg": CgConfig}
+        nested = {"schedule": StepsizeSchedule, "inner_v": InnerVConfig}
         unknown = [key for key in payload if key not in cls.__dataclass_fields__]
         for name, sub in nested.items():
             if isinstance(payload.get(name), dict):
@@ -289,12 +290,10 @@ def dual_ac_iteration(state: TrainingState):
     # the same window and its score rows, each weighted by its trajectory's
     # start weight.
     row_weights = np.repeat(weights, window.steps)
+    fisher = fisher_estimate(scores, damping=cfg.damping, weights=row_weights / row_weights.sum())
     try:
-        fisher = fisher_estimate(scores, damping=cfg.cg.damping, weights=row_weights / row_weights.sum())
-        new_params = natural_gradient_step(
-            state.policy.get_params(), g_pi, fisher, zeta, normalize=cfg.normalize_grad, cg=cfg.cg
-        )
-    except FloatingPointError as err:
+        new_params = natural_gradient_step(state.policy.get_params(), g_pi, fisher, zeta, normalize=cfg.normalize_grad)
+    except np.linalg.LinAlgError as err:
         raise IterationError(t, f"policy update failed ({err})") from err
     if not np.all(np.isfinite(new_params)):
         raise IterationError(t, "non-finite policy parameters after update")

@@ -1,6 +1,9 @@
-"""Update machinery: stepsize schedule, inner value fit, Fisher/CG, the
-natural-gradient form of the policy's KL prox step, and the exact prox solve
-that it is checked against.
+"""Update machinery: stepsize schedule, inner value fit, and the policy's KL
+prox step in natural-gradient form, one dense solve of the damped Fisher.
+
+Every policy here has at most about a hundred parameters, so the Fisher is
+formed as a matrix and solved exactly; the exact prox solve that the step is
+checked against is a test reference (tests/reference_prox.py).
 """
 
 from __future__ import annotations
@@ -35,91 +38,52 @@ class StepsizeSchedule:
 
 
 @dataclass(frozen=True)
-class CgConfig:
-    max_iters: int = 20
-    damping: float = 1e-4
-    residual_tol: float = 1e-10
+class Fisher:
+    """The damped empirical Fisher sum_i w_i g_i g_i^T + damping I of the
+    score rows g_i, formed as one dense matrix."""
 
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.damping < 0:
-            raise ValueError("damping must be nonnegative")
+    scores: np.ndarray  # (m, n_params), the rows it was formed from (bench/tracer.py counts them)
+    matrix: np.ndarray  # (n_params, n_params)
 
 
-class FisherOperator:
-    """Matrix-free v -> sum_i w_i g_i (g_i . v) + damping v over score rows g_i."""
-
-    def __init__(self, scores: np.ndarray, damping: float, weights: np.ndarray | None = None):
-        self.scores = np.asarray(scores, dtype=float)
-        self.damping = float(damping)
-        m = len(self.scores)
-        self.weights = np.full(m, 1.0 / m) if weights is None else np.asarray(weights, dtype=float)
-
-    @property
-    def dim(self) -> int:
-        return self.scores.shape[1]
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return self.scores.T @ (self.weights * (self.scores @ v)) + self.damping * v
-
-
-def fisher_estimate(scores, damping: float = 1e-4, weights=None) -> FisherOperator:
+def fisher_estimate(scores, damping: float = 1e-4, weights=None) -> Fisher:
     """Empirical score outer-product Fisher over a batch of score rows, one
     per (state, action) pair (policy.score_batch).
 
     weights defaults to 1/m; the rows of every pair weighted by its exact
-    probability yield the analytic Fisher.
+    probability yield the analytic Fisher.  The weights must be nonnegative:
+    the matrix is the Gram matrix of the rows scaled by sqrt(w), which keeps
+    it exactly symmetric.
     """
-    if len(scores) == 0:
+    scores = np.asarray(scores, dtype=float)
+    m = len(scores)
+    if m == 0:
         raise ValueError("empty Fisher batch")
-    return FisherOperator(scores, damping=damping, weights=weights)
-
-
-def cg_solve(operator, rhs: np.ndarray, cfg: CgConfig = CgConfig()) -> np.ndarray:
-    """Conjugate gradients from x = 0 on a symmetric PSD operator."""
-    b = np.asarray(rhs, dtype=float)
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    for _ in range(cfg.max_iters):
-        if np.sqrt(rs) <= cfg.residual_tol:
-            break
-        ap = operator(p)
-        denom = float(p @ ap)
-        if not np.isfinite(denom) or denom <= 0.0:
-            if denom == 0.0 and rs <= 1e-300:
-                break
-            raise FloatingPointError("conjugate gradient breakdown (non-SPD or non-finite operator)")
-        step = rs / denom
-        x += step * p
-        r -= step * ap
-        rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
-            raise FloatingPointError("conjugate gradient produced non-finite residual")
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
+    w = np.full(m, 1.0 / m) if weights is None else np.asarray(weights, dtype=float)
+    rows = np.sqrt(w)[:, None] * scores
+    matrix = rows.T @ rows
+    matrix[np.diag_indices_from(matrix)] += damping
+    return Fisher(scores, matrix)
 
 
 def natural_gradient_step(
     params: np.ndarray,
     g: np.ndarray,
-    fisher: FisherOperator,
+    fisher: Fisher,
     zeta: float,
     normalize: bool = False,
-    cg: CgConfig = CgConfig(),
 ) -> np.ndarray:
-    """theta + zeta F^{-1} g, optionally rescaled by 1/sqrt(g . F^{-1} g)."""
+    """theta + zeta F^{-1} g, optionally rescaled by 1/sqrt(g . F^{-1} g).
+
+    F^{-1} g is one dense solve; np.linalg.LinAlgError if F is singular.
+    """
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     params = np.asarray(params, dtype=float)
     g = np.asarray(g, dtype=float)
     if not np.any(g):
         return params.copy()
-    direction = cg_solve(fisher, g, cg)
+    direction = np.linalg.solve(fisher.matrix, g)
     if normalize:
         sq = float(g @ direction)
         if sq > 1e-12 and np.isfinite(sq):
@@ -129,49 +93,6 @@ def natural_gradient_step(
             # would blow pure noise up to a unit-size step
             log.warning("gradient norm g.F^-1.g = %.3g not usable; using unnormalized step", sq)
     return params + zeta * direction
-
-
-def exact_prox_pi(
-    policy,
-    g: np.ndarray,
-    zeta: float,
-    kl_states,
-    max_iters: int = 2000,
-    gtol: float = 1e-12,
-) -> np.ndarray:
-    """Solve theta = argmin -theta.g + KL(pi_theta || pi_old)/zeta numerically.
-
-    The KL is the batch mean over kl_states against the policy's current
-    parameters.  Returns the new flat parameter vector.  This is the reference
-    that the natural-gradient step is checked against; training does not use
-    it, because on softmax policies the objective is unbounded below along
-    directions that saturate the logits.
-    """
-    # imported here: scipy.optimize is slow to import, and only this
-    # reference solver needs it
-    from scipy import optimize
-
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
-    theta0 = policy.get_params()
-    cand = policy.copy()
-
-    def fg(theta):
-        cand.set_params(theta)
-        val = -float((theta - theta0) @ g) + cand.kl(policy, kl_states) / zeta
-        grad = -g + cand.kl_grad(policy, kl_states) / zeta
-        return val, grad
-
-    res = optimize.minimize(
-        fg,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iters, "gtol": gtol, "ftol": 0.0},
-    )
-    if not np.all(np.isfinite(res.x)):
-        raise RuntimeError(f"prox solve diverged: {res.message}")
-    return res.x
 
 
 class FitDivergedError(RuntimeError):

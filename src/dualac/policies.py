@@ -168,15 +168,6 @@ class GaussianRbfPolicy:
         per_dim = (old.log_std - self.log_std) + (var1 + (mu1 - mu2) ** 2) / (2 * var2) - 0.5
         return float(per_dim.sum(axis=1).mean())
 
-    def kl_grad(self, old: "GaussianRbfPolicy", states: np.ndarray) -> np.ndarray:
-        phi = self.feature_map(states)  # (N, F)
-        mu1, mu2 = phi @ self.weights.T, phi @ old.weights.T
-        var1, var2 = np.exp(2 * self.log_std), np.exp(2 * old.log_std)
-        n = len(states)
-        grad_w = ((mu1 - mu2) / var2).T @ phi / n
-        grad_ls = var1 / var2 - 1.0  # state-independent
-        return np.concatenate([grad_w.ravel(), grad_ls])
-
 
 class TabularSoftmaxPolicy:
     """Per-state softmax over action logits."""
@@ -235,15 +226,6 @@ class TabularSoftmaxPolicy:
         lp, lq = self.log_prob_matrix(), old.log_prob_matrix()
         per_state = np.sum(np.exp(lp) * (lp - lq), axis=1)
         return float(np.mean(per_state[np.asarray(states, dtype=int)]))
-
-    def kl_grad(self, old: "TabularSoftmaxPolicy", states) -> np.ndarray:
-        lp, lq = self.log_prob_matrix(), old.log_prob_matrix()
-        p, ratio = np.exp(lp), lp - lq
-        per_state_kl = np.sum(p * ratio, axis=1)
-        states = np.asarray(states, dtype=int)
-        grad = np.zeros_like(self.logits)
-        np.add.at(grad, states, p[states] * (ratio[states] - per_state_kl[states, None]))
-        return grad.ravel() / len(states)
 
 
 class LinearValue:

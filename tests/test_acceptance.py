@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 1-5 are exact/numerical checks against independent oracles;
-criteria 6-8 run real seeded training and take minutes.  Run with -s to see
-the per-criterion lines as they complete.
+criterion 6 runs real seeded training on gridworld.  Criteria 7 (the
+pendulum headline) and 8 (the ablation comparison) are not written yet.
+Run with -s to see the per-criterion lines as they complete.
 """
 
 import dataclasses
@@ -50,15 +51,12 @@ from dualac.mdp import (
     value_iteration,
 )
 from dualac.optim import (
-    CgConfig,
-    FisherOperator,
     StepsizeSchedule,
-    cg_solve,
-    exact_prox_pi,
     fisher_estimate,
     natural_gradient_step,
 )
 from dualac.policies import TabularSoftmaxPolicy
+from reference_prox import exact_prox_pi
 
 
 class Criterion:
@@ -275,22 +273,23 @@ def test_criterion_6_end_to_end_gridworld():
 
 
 def test_criterion_5_optimizer_suite():
-    with Criterion(5, "Fisher/CG/prox agreement and invariances", 60) as crit:
+    with Criterion(5, "Fisher/solve/prox agreement and invariances", 60) as crit:
         rng = np.random.default_rng(1005)
         # Fisher symmetry and PSD
         scores = rng.normal(size=(30, 8))
-        op = FisherOperator(scores, damping=1e-4)
+        F = fisher_estimate(scores, damping=1e-4).matrix
         for _ in range(10):
             u, v = rng.normal(size=8), rng.normal(size=8)
-            assert abs(u @ op(v) - op(u) @ v) < 1e-10
-            assert v @ op(v) >= op.damping * (v @ v) - 1e-12
-        # CG vs dense solves
+            assert abs(u @ F @ v - v @ F @ u) < 1e-10
+            assert v @ F @ v >= 1e-4 * (v @ v) - 1e-12
+        # the step's solve vs the independent QR form of the damped system:
+        # F = A^T A with A = [sqrt(w) S; sqrt(damping) I], so F^-1 g = R^-1 R^-T g
         for n in (3, 8, 14, 20):
-            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            A = Q @ np.diag(rng.uniform(1.0, 10.0, size=n)) @ Q.T
-            b = rng.normal(size=n)
-            x = cg_solve(lambda v: A @ v, b, CgConfig(max_iters=n, residual_tol=0.0))
-            assert np.max(np.abs(x - np.linalg.solve(A, b))) < 1e-8
+            scores, weights, g = rng.normal(size=(5 * n, n)), rng.random(5 * n), rng.normal(size=n)
+            fisher = fisher_estimate(scores, damping=1e-4, weights=weights)
+            x = natural_gradient_step(np.zeros(n), g, fisher, zeta=1.0)
+            _, r = np.linalg.qr(np.vstack([np.sqrt(weights)[:, None] * scores, np.sqrt(1e-4) * np.eye(n)]))
+            assert np.max(np.abs(x - np.linalg.solve(r, np.linalg.solve(r.T, g)))) < 1e-8
         # prox vs natural gradient: second-order agreement (balanced logits and
         # unit gradient keep every zeta in the quadratic regime)
         policy = TabularSoftmaxPolicy(2, 3, logits=0.5 * rng.normal(size=(2, 3)))
@@ -306,12 +305,11 @@ def test_criterion_5_optimizer_suite():
                 actions.append(a)
                 weights.append(p[s, a] / len(kl_states))
         fisher = fisher_estimate(policy.score_batch(states, actions), damping=1e-12, weights=np.array(weights))
-        cfg = CgConfig(max_iters=100, residual_tol=1e-15)
         zetas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
         gaps = []
         for zeta in zetas:
             prox = exact_prox_pi(policy, g, zeta=zeta, kl_states=kl_states, gtol=1e-14)
-            ngrad = natural_gradient_step(policy.get_params(), g, fisher, zeta, normalize=False, cg=cfg)
+            ngrad = natural_gradient_step(policy.get_params(), g, fisher, zeta, normalize=False)
             gaps.append(np.linalg.norm(prox - ngrad))
         slope = np.polyfit(np.log(zetas), np.log(gaps), 1)[0]
         assert slope >= 1.8
@@ -326,7 +324,7 @@ def test_criterion_5_optimizer_suite():
                 weights=np.array([pol.prob_matrix()[s, a] / 2 for s, a in zip(states, actions)]),
             )
             new = pol.copy()
-            new.set_params(natural_gradient_step(pol.get_params(), g, fisher2, 0.3, normalize=False, cg=cfg))
+            new.set_params(natural_gradient_step(pol.get_params(), g, fisher2, 0.3, normalize=False))
             outs.append(new.prob_matrix())
         assert np.max(np.abs(outs[0] - outs[1])) < 1e-8
         assert time.perf_counter() - crit.t0 < 60

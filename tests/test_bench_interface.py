@@ -15,12 +15,12 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Repeat.digest() of one repeat at workload seed 0, as `bench/run.py --seed 0`
-# reports it; captured when the policy gradient moved onto the Fisher's score
-# rows (policy.score_batch).
+# reports it; captured when the policy step became one dense solve of the
+# damped Fisher, at OpenBLAS's default thread count on a 2-core machine.
 SEED0_DIGESTS = {
-    "gridworld": "02452c738b18ae62b4b04cad28a7b21e50b31836c3e6d1053c755e29607c283b",
-    "gridworld_naive": "07f2b50cecb02f23ebd19a11400d82e10b38b78a33b259f35399048d65118f71",
-    "pendulum": "21efcf7349c91fc900a8c1528fd1cd11592336ce15f354a7c565440cec5ddf59",
+    "gridworld": "261d3fc60beba5924401a1e2733cf4606bd8f57ddeefb27be2eb5421f49d8e71",
+    "gridworld_naive": "b7236744c5088b26eebf1d94569de727dc0ad60079453167c2cd45bce669cd16",
+    "pendulum": "e78615a1b5c8845375c8d21b3f12e000ed7562edf31a67490217b2144c6cc04b",
 }
 
 # The tracer's phase markers: without them a traced run books the whole

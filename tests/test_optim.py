@@ -6,18 +6,15 @@ from dualac.estimators import grad_pi_estimate, sample_trajectories, traj_deltas
 from dualac.lagrangian import inner_min_v_exact, path_reg_value_gradient
 from dualac.mdp import random_mdp
 from dualac.optim import (
-    CgConfig,
-    FisherOperator,
     FitDivergedError,
     StepsizeSchedule,
-    cg_solve,
-    exact_prox_pi,
     fisher_estimate,
     fit_value,
     natural_gradient_step,
 )
 from dualac.policies import TabularSoftmaxPolicy
 from conftest import tabular_value
+from reference_prox import exact_prox_pi
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +117,22 @@ def test_fit_value_overflowing_norm_is_not_divergence():
 
 
 # ---------------------------------------------------------------------------
-# Fisher operator
+# Fisher matrix
 
 
 def test_fisher_rank_one():
     g = np.array([1.0, -2.0, 0.5])
-    op = FisherOperator(g[None, :], damping=0.01)
+    fisher = fisher_estimate(g[None, :], damping=0.01)
     v = np.array([0.3, 0.1, -0.7])
-    assert np.allclose(op(v), g * (g @ v) + 0.01 * v)
+    assert np.allclose(fisher.matrix @ v, g * (g @ v) + 0.01 * v)
+    assert np.array_equal(fisher.scores, g[None, :])
 
 
 def test_fisher_null_space_gives_damping():
     scores = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    op = FisherOperator(scores, damping=0.5)
+    fisher = fisher_estimate(scores, damping=0.5)
     v = np.array([0.0, 0.0, 2.0])
-    assert np.allclose(op(v), 0.5 * v)
+    assert np.allclose(fisher.matrix @ v, 0.5 * v)
 
 
 def test_fisher_matches_analytic_categorical():
@@ -147,67 +145,23 @@ def test_fisher_matches_analytic_categorical():
             states.append(s)
             actions.append(a)
             weights.append(p[s, a] / 2.0)  # uniform over states, exact over actions
-    op = fisher_estimate(policy.score_batch(states, actions), damping=0.0, weights=np.array(weights))
+    fisher = fisher_estimate(policy.score_batch(states, actions), damping=0.0, weights=np.array(weights))
     # analytic: block diag of (diag(p_s) - p_s p_s^T) / n_states
     F = np.zeros((6, 6))
     for s in range(2):
         block = (np.diag(p[s]) - np.outer(p[s], p[s])) / 2.0
         F[s * 3 : (s + 1) * 3, s * 3 : (s + 1) * 3] = block
-    applied = np.stack([op(np.eye(6)[j]) for j in range(6)]).T
-    assert np.max(np.abs(applied - F)) < 1e-8
+    assert np.max(np.abs(fisher.matrix - F)) < 1e-8
 
 
 def test_fisher_symmetry_and_psd():
     rng = np.random.default_rng(229)
     scores = rng.normal(size=(30, 8))
-    op = FisherOperator(scores, damping=1e-4)
+    F = fisher_estimate(scores, damping=1e-4).matrix
     for _ in range(10):
         u, v = rng.normal(size=8), rng.normal(size=8)
-        assert abs(u @ op(v) - op(u) @ v) < 1e-10
-        assert v @ op(v) >= op.damping * v @ v - 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Conjugate gradients
-
-
-def test_cg_identity_one_iteration():
-    rhs = np.array([1.0, -2.0, 3.0])
-    x = cg_solve(lambda v: v, rhs, CgConfig(max_iters=1, residual_tol=0.0))
-    assert np.allclose(x, rhs)
-
-
-def test_cg_2x2_hand_inverse():
-    A = np.array([[4.0, 1.0], [1.0, 3.0]])
-    b = np.array([1.0, 2.0])
-    x = cg_solve(lambda v: A @ v, b, CgConfig(max_iters=2, residual_tol=0.0))
-    assert np.allclose(x, np.linalg.solve(A, b), atol=1e-12)
-
-
-def test_cg_finite_termination_up_to_20():
-    rng = np.random.default_rng(233)
-    for n in (3, 7, 12, 20):
-        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        A = Q @ np.diag(rng.uniform(1.0, 10.0, size=n)) @ Q.T
-        b = rng.normal(size=n)
-        x = cg_solve(lambda v: A @ v, b, CgConfig(max_iters=n, residual_tol=0.0))
-        assert np.max(np.abs(x - np.linalg.solve(A, b))) < 1e-8, n
-
-
-def test_cg_50_dim_20_iters():
-    rng = np.random.default_rng(239)
-    n = 50
-    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    A = Q @ np.diag(rng.uniform(1.0, 4.0, size=n)) @ Q.T
-    b = rng.normal(size=n)
-    x = cg_solve(lambda v: A @ v, b, CgConfig(max_iters=20, residual_tol=0.0))
-    assert np.linalg.norm(A @ x - b) < 1e-6
-    assert np.max(np.abs(x - np.linalg.solve(A, b))) < 1e-6
-
-
-def test_cg_nonfinite_raises():
-    with pytest.raises(FloatingPointError):
-        cg_solve(lambda v: np.full_like(v, np.nan), np.ones(3), CgConfig(max_iters=5))
+        assert abs(u @ F @ v - v @ F @ u) < 1e-10
+        assert v @ F @ v >= 1e-4 * v @ v - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -215,30 +169,48 @@ def test_cg_nonfinite_raises():
 
 
 def test_natural_gradient_identity_fisher_is_plain_ascent():
-    op = FisherOperator(np.zeros((1, 3)), damping=1.0)  # F = I
+    fisher = fisher_estimate(np.zeros((1, 3)), damping=1.0)  # F = I
     params = np.array([1.0, 2.0, 3.0])
     g = np.array([0.1, -0.2, 0.3])
-    out = natural_gradient_step(params, g, op, zeta=0.5, normalize=False, cg=CgConfig(max_iters=10))
+    out = natural_gradient_step(params, g, fisher, zeta=0.5, normalize=False)
     assert np.allclose(out, params + 0.5 * g)
 
 
 def test_natural_gradient_zero_gradient_no_move():
-    op = FisherOperator(np.ones((1, 2)), damping=0.1)
+    fisher = fisher_estimate(np.ones((1, 2)), damping=0.1)
     params = np.array([0.4, -0.4])
-    out = natural_gradient_step(params, np.zeros(2), op, zeta=1.0, normalize=True)
+    out = natural_gradient_step(params, np.zeros(2), fisher, zeta=1.0, normalize=True)
     assert np.array_equal(out, params)
 
 
 def test_natural_gradient_scale_invariance_under_normalize():
     rng = np.random.default_rng(241)
-    scores = rng.normal(size=(20, 5))
-    op = FisherOperator(scores, damping=1e-3)
+    fisher = fisher_estimate(rng.normal(size=(20, 5)), damping=1e-3)
     params = rng.normal(size=5)
     g = rng.normal(size=5)
-    cfg = CgConfig(max_iters=50, residual_tol=1e-14)
-    a = natural_gradient_step(params, g, op, zeta=0.2, normalize=True, cg=cfg)
-    b = natural_gradient_step(params, 10.0 * g, op, zeta=0.2, normalize=True, cg=cfg)
+    a = natural_gradient_step(params, g, fisher, zeta=0.2, normalize=True)
+    b = natural_gradient_step(params, 10.0 * g, fisher, zeta=0.2, normalize=True)
     assert np.allclose(a, b, atol=1e-10)
+
+
+def test_natural_gradient_solves_the_damped_fisher_exactly():
+    # the step's direction against an independent least-squares form of the
+    # same system: F = A^T A with A = [sqrt(w) S; sqrt(damping) I]
+    rng = np.random.default_rng(243)
+    scores, weights, damping = rng.normal(size=(200, 12)), rng.random(200), 1e-4
+    scores[:, 0] = scores[:, 1]  # a rank-deficient score matrix: only the damping keeps F regular
+    g = rng.normal(size=12)
+    fisher = fisher_estimate(scores, damping=damping, weights=weights)
+    direction = natural_gradient_step(np.zeros(12), g, fisher, zeta=1.0)
+    q, r = np.linalg.qr(np.vstack([np.sqrt(weights)[:, None] * scores, np.sqrt(damping) * np.eye(12)]))
+    exact = np.linalg.solve(r, np.linalg.solve(r.T, g))
+    assert np.linalg.norm(direction - exact) <= 1e-8 * np.linalg.norm(exact)
+
+
+def test_natural_gradient_singular_fisher_raises():
+    fisher = fisher_estimate(np.array([[1.0, 1.0]]), damping=0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        natural_gradient_step(np.zeros(2), np.array([1.0, 0.0]), fisher, zeta=1.0)
 
 
 def exhaustive_fisher(policy, kl_states, damping):
@@ -265,9 +237,7 @@ def test_logit_shift_invariance():
         deltas = traj_deltas(batch, tabular_value([1.0, 2.0]), env.mdp.gamma, k=1)
         g, _ = grad_pi_estimate(batch.window(1), deltas, policy)
         fisher = exhaustive_fisher(policy, [0, 1], damping=1e-8)
-        new_params = natural_gradient_step(
-            policy.get_params(), g, fisher, zeta=0.3, normalize=False, cg=CgConfig(max_iters=50, residual_tol=1e-14)
-        )
+        new_params = natural_gradient_step(policy.get_params(), g, fisher, zeta=0.3, normalize=False)
         cand = policy.copy()
         cand.set_params(new_params)
         outs.append(cand.prob_matrix())
@@ -303,12 +273,11 @@ def test_exact_prox_matches_natural_gradient_to_second_order():
     policy, g = make_prox_setup()
     kl_states = [0, 1]
     fisher = exhaustive_fisher(policy, kl_states, damping=1e-12)
-    cfg = CgConfig(max_iters=100, residual_tol=1e-15)
     zetas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     gaps = []
     for zeta in zetas:
         prox = exact_prox_pi(policy, g, zeta=zeta, kl_states=kl_states, gtol=1e-14)
-        ngrad = natural_gradient_step(policy.get_params(), g, fisher, zeta=zeta, normalize=False, cg=cfg)
+        ngrad = natural_gradient_step(policy.get_params(), g, fisher, zeta=zeta, normalize=False)
         gaps.append(np.linalg.norm(prox - ngrad))
     slope = np.polyfit(np.log(zetas), np.log(gaps), 1)[0]
     assert slope >= 1.8, (slope, gaps)
@@ -319,12 +288,11 @@ def test_kl_growth_quadratic_in_zeta():
     policy, g = make_prox_setup(seed=263)
     kl_states = [0, 1]
     fisher = exhaustive_fisher(policy, kl_states, damping=1e-10)
-    cfg = CgConfig(max_iters=100, residual_tol=1e-15)
     zetas = np.array([3e-2, 1e-2, 3e-3, 1e-3])
     kls = []
     for zeta in zetas:
         new = policy.copy()
-        new.set_params(natural_gradient_step(policy.get_params(), g, fisher, zeta=zeta, normalize=False, cg=cfg))
+        new.set_params(natural_gradient_step(policy.get_params(), g, fisher, zeta=zeta, normalize=False))
         kls.append(new.kl(policy, kl_states))
     slope = np.polyfit(np.log(zetas), np.log(kls), 1)[0]
     assert 1.9 < slope < 2.1
