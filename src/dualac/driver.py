@@ -250,7 +250,7 @@ def dual_ac_iteration(state: TrainingState):
     tic = time.perf_counter()
 
     # line 3: sample under pi^{t-1}, weighted by the previous reweighting
-    batch = sample_trajectories(env, state.policy, cfg.batch_m, cfg.horizon, rng_seed=(cfg.seed, t))
+    batch = sample_trajectories(env, state.policy, cfg.batch_m, cfg.horizon, (cfg.seed, t), window=cfg.k + 1)
     # alpha^{t-1}: closed form at V^{t-1}
     weights = _start_weights(cfg, batch, traj_deltas(batch, state.value, cfg.gamma, cfg.k))
 
@@ -280,8 +280,8 @@ def dual_ac_iteration(state: TrainingState):
 
     # line 7: policy gradient with (tilde_alpha + eta_mu) start weights over
     # the support of the weighted k-step path measure: the first k+1 steps of
-    # each trajectory
-    window = batch.window(cfg.k)
+    # each trajectory, with the policy inputs the sampler kept for them
+    window = batch.window()
     g_pi, scores = grad_pi_estimate(window, weights * deltas, state.policy)
     if not np.all(np.isfinite(g_pi)):
         raise IterationError(t, "non-finite policy gradient")
@@ -299,7 +299,7 @@ def dual_ac_iteration(state: TrainingState):
         raise IterationError(t, "non-finite policy parameters after update")
     policy = state.policy.copy()
     policy.set_params(new_params)
-    kl = float(policy.kl(state.policy, window.obs))
+    kl = float(policy.kl(state.policy, window.inputs))
 
     state.t, state.policy, state.value, state.last_batch = t, policy, value, rows
     record = IterationRecord(
@@ -323,31 +323,22 @@ def dual_ac_iteration(state: TrainingState):
 def save_checkpoint(path: str, state: TrainingState) -> None:
     """Write the state as JSON atomically: to a temporary file beside path,
     then renamed over it, so a failed write leaves the previous checkpoint.
-    The environment is saved by its name, which make_env reads back."""
-    rows = state.last_batch
+    The environment is saved by its name, which make_env reads back, and
+    arrays as lists."""
     payload = {
         "env_name": state.env.name,
         "t": state.t,
         "config": state.cfg.to_dict(),
-        "policy_params": state.policy.get_params().tolist(),
-        "value_params": state.value.get_params().tolist(),
-        "last_batch": {
-            "starts": rows.starts.tolist(),
-            "returns": rows.returns.tolist(),
-            "n_steps": rows.n_steps.tolist(),
-        },
+        "policy_params": state.policy.get_params(),
+        "value_params": state.value.get_params(),
+        "last_batch": dataclasses.asdict(state.last_batch),
     }
-    if isinstance(state.policy, GaussianRbfPolicy):
-        fmap = state.policy.feature_map
-        payload["feature_map"] = {
-            "frequencies": fmap.frequencies.tolist(),
-            "phases": fmap.phases.tolist(),
-            "bandwidth": fmap.bandwidth,
-        }
+    if not state.env.spec.tabular:
+        payload["feature_map"] = dataclasses.asdict(state.policy.feature_map)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(payload, fh)
+            json.dump(payload, fh, default=np.ndarray.tolist)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -359,8 +350,9 @@ def save_checkpoint(path: str, state: TrainingState) -> None:
 def load_checkpoint(path: str, env=None) -> TrainingState:
     """Rebuild a saved state; the feature map comes from the payload, so
     loading runs no bandwidth probe.  A config with unknown fields (such as
-    one saved before a field was removed), or an env_name that make_env
-    cannot rebuild while env is None, raises ValueError."""
+    one saved before a field was removed), an env_name that make_env cannot
+    rebuild while env is None, parameters of another size than the rebuilt
+    models' or a malformed feature map raises ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
     if env is None:
@@ -374,16 +366,27 @@ def load_checkpoint(path: str, env=None) -> TrainingState:
             ) from None
     cfg = DualAcConfig.from_dict(payload["config"]).resolved(env)
     fmap = None
-    if "feature_map" in payload:
-        fm = payload["feature_map"]
-        fmap = RbfFeatureMap(
-            frequencies=np.array(fm["frequencies"]),
-            phases=np.array(fm["phases"]),
-            bandwidth=float(fm["bandwidth"]),
-        )
+    if not env.spec.tabular:
+        try:
+            fm = payload["feature_map"]
+            fmap = RbfFeatureMap(
+                frequencies=np.array(fm["frequencies"], dtype=float),
+                phases=np.array(fm["phases"], dtype=float),
+                bandwidth=float(fm["bandwidth"]),
+            )
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"checkpoint field feature_map is malformed ({err})") from None
+        if fmap.frequencies.shape[1] != env.spec.obs_dim:
+            raise ValueError(
+                f"checkpoint field feature_map maps states of dimension {fmap.frequencies.shape[1]}, "
+                f"the environment's have {env.spec.obs_dim}"
+            )
     state = _fresh_state(cfg, env, fmap)
-    state.policy.set_params(np.array(payload["policy_params"]))
-    state.value.set_params(np.array(payload["value_params"]))
+    for name, model in (("policy_params", state.policy), ("value_params", state.value)):
+        params = np.array(payload[name], dtype=float)
+        if params.shape != (model.n_params,):
+            raise ValueError(f"checkpoint field {name} holds {params.size} entries, the model has {model.n_params}")
+        model.set_params(params)
     state.t = int(payload["t"])
     rows = payload["last_batch"]
     state.last_batch = ReplayRows(

@@ -52,6 +52,7 @@ class Window(NamedTuple):
     obs: np.ndarray      # (sum of steps, ...)
     actions: np.ndarray  # (sum of steps, ...)
     steps: np.ndarray    # (m,) rows of each trajectory
+    inputs: np.ndarray   # (sum of steps, ...) policy.inputs of obs, as the sampler built them
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +68,8 @@ class Batch:
     rewards: np.ndarray     # (m, H)
     lengths: np.ndarray     # (m,)
     terminated: np.ndarray  # (m,)
+    inputs: np.ndarray      # (sum of window steps, ...) the sampler's Window.inputs
+    window_len: int         # k+1: the window is the first min(k+1, n) steps
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -76,10 +79,10 @@ class Batch:
             obs, actions, rewards = self.obs[l, : n + 1], self.actions[l, :n], self.rewards[l, :n]
             yield BatchRow(obs, actions, rewards, int(n), bool(self.terminated[l]))
 
-    def window(self, k: int) -> Window:
-        steps = np.minimum(k + 1, self.lengths)
+    def window(self) -> Window:
+        steps = np.minimum(self.window_len, self.lengths)
         inside = np.arange(self.rewards.shape[1]) < steps[:, None]
-        return Window(self.obs[:, :-1][inside], self.actions[inside], steps)
+        return Window(self.obs[:, :-1][inside], self.actions[inside], steps, self.inputs)
 
     def bootstrap(self, k: int):
         """(j, used): each trajectory's bootstrap index min(k+1, length), and
@@ -93,9 +96,10 @@ class Batch:
         return j, ~(self.terminated & (j == self.lengths))
 
 
-def sample_trajectories(env, policy, m: int, horizon: int, rng_seed) -> Batch:
+def sample_trajectories(env, policy, m: int, horizon: int, rng_seed, *, window: int) -> Batch:
     """Roll out m trajectories of length <= horizon under the given policy,
-    all m in lockstep.
+    all m in lockstep, keeping the policy inputs that the action draws read
+    at the first `window` steps (k+1) for Batch.window.
 
     Trajectory l consumes its own random stream, seeded by (rng_seed..., l)
     and drawn up front (env.draw_variates), so each trajectory is
@@ -103,8 +107,8 @@ def sample_trajectories(env, policy, m: int, horizon: int, rng_seed) -> Batch:
     that stepping it alone would give.  rng_seed may be an int or a sequence
     of ints.
     """
-    if m < 1 or horizon < 1:
-        raise ValueError("m and horizon must be >= 1")
+    if m < 1 or horizon < 1 or window < 1:
+        raise ValueError("m, horizon and window must be >= 1")
     seed_prefix = [int(s) for s in np.atleast_1d(rng_seed)]
     streams = [env.draw_variates(np.random.default_rng(seed_prefix + [l]), horizon) for l in range(m)]
     start_u, action_u, step_u = (None if part[0] is None else np.array(part) for part in zip(*streams))
@@ -119,10 +123,14 @@ def sample_trajectories(env, policy, m: int, horizon: int, rng_seed) -> Batch:
     for i in range(horizon):
         if live.size == 0:
             break
-        a = draw(obs[live, i], action_u[live, i])
+        x = policy.inputs(obs[live, i])
+        a = draw(x, action_u[live, i])
         nxt, r = env.step_states(state[live], a, None if step_u is None else step_u[live, i])
         if actions is None:
             actions = np.zeros((m, horizon) + a.shape[1:], dtype=a.dtype)
+            kept = np.zeros((m, min(window, horizon)) + x.shape[1:], dtype=x.dtype)
+        if i < window:
+            kept[live, i] = x
         state[live] = nxt
         obs[live, i + 1] = env.observe(nxt)
         actions[live, i] = a
@@ -130,8 +138,11 @@ def sample_trajectories(env, policy, m: int, horizon: int, rng_seed) -> Batch:
         lengths[live] += 1
         live = live[~env.is_terminal(nxt)]
     if actions is None:  # every start was terminal
-        actions = np.zeros((m, horizon))
-    return Batch(obs, actions, rewards, lengths, env.is_terminal(state))
+        actions, kept = np.zeros((m, horizon)), np.zeros((m, 0))
+    inside = np.arange(kept.shape[1]) < lengths[:, None]
+    # a view where no trajectory ends inside the window: the rows exist once
+    inputs = kept.reshape((-1,) + kept.shape[2:]) if inside.all() else kept[inside]
+    return Batch(obs, actions, rewards, lengths, env.is_terminal(state), inputs, window)
 
 
 def _returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
@@ -201,8 +212,8 @@ class SoftmaxStartWeighting:
 
 def grad_pi_estimate(window: Window, coefs, policy):
     """The policy gradient over a batch's window (Batch.window), and the
-    window's score rows grad log pi(a_i|s_i) (policy.score_batch), which the
-    Fisher matrix reuses.
+    window's score rows grad log pi(a_i|s_i) (policy.score_batch of the
+    window's inputs), which the Fisher matrix reuses.
 
     The gradient is the batch mean of coefs * sum_i grad log pi(a_i|s_i) over
     each trajectory's rows, with coefs each trajectory's
@@ -210,7 +221,7 @@ def grad_pi_estimate(window: Window, coefs, policy):
     """
     if len(window.steps) == 0:
         raise ValueError("empty trajectory batch")
-    scores = policy.score_batch(window.obs, window.actions)
+    scores = policy.score_batch(window.inputs, window.actions)
     return np.repeat(coefs, window.steps) @ scores / len(window.steps), scores
 
 

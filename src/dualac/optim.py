@@ -112,16 +112,14 @@ class FitResult:
     n_iters: int
 
 
-def fit_value(params0, grad_fn, kappa, max_iters: int, grad_tol: float) -> FitResult:
-    """Gradient descent on the value objective: theta <- theta - kappa_i grad.
+def fit_value(params0, grad_fn, kappa: float, max_iters: int, grad_tol: float) -> FitResult:
+    """Gradient descent on the value objective: theta <- theta - kappa grad.
 
     grad_fn returns the objective's gradient at the current parameters; the
-    loop stops once its norm drops to grad_tol.  kappa may be a constant or a
-    callable of the 1-based step index.
+    loop stops once its norm drops to grad_tol.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    step_at = kappa if callable(kappa) else (lambda i: kappa)
     params = np.asarray(params0, dtype=float).copy()
     grad_norm = np.inf
     for i in range(1, max_iters + 1):
@@ -132,5 +130,5 @@ def fit_value(params0, grad_fn, kappa, max_iters: int, grad_tol: float) -> FitRe
             raise FitDivergedError(params, i)
         if grad_norm <= grad_tol:
             return FitResult(params, True, grad_norm, i - 1)
-        params = params - step_at(i) * grad
+        params = params - kappa * grad
     return FitResult(params, False, grad_norm, max_iters)

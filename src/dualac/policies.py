@@ -10,6 +10,10 @@ Three families, matching what the training driver needs:
   state indicators, v(s) = w . row(s), giving the rows of a batch of states
   at once.
 
+Both policies read states through policy.inputs (the feature rows, or the
+int states): the action draw, score_batch and kl take inputs, which the
+sampler builds once and keeps for the k-step window (estimators.Batch).
+
 All parameter gradients are returned as flat vectors so the optimizer can
 treat every family uniformly.  No autodiff: each gradient is derived by hand
 and checked against finite differences in the tests.
@@ -24,17 +28,13 @@ import numpy as np
 from .envs import cumulative, inverse_cdf
 
 
-def median_trick_bandwidth(states: np.ndarray, max_points: int = 1000, rng=None) -> float:
-    """Median pairwise Euclidean distance of a state sample (subsampled for cost)."""
+def median_trick_bandwidth(states: np.ndarray) -> float:
+    """Median pairwise Euclidean distance of a state sample."""
     x = np.asarray(states, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if len(x) < 2:
         raise ValueError("median trick needs at least two samples")
-    if len(x) > max_points:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        x = x[rng.choice(len(x), size=max_points, replace=False)]
     # pairwise distances one row at a time, in pdist's order; the full
     # (n, n, d) difference tensor would cost n^2 d floats at once
     dists = np.concatenate([np.sqrt(((x[i + 1 :] - x[i]) ** 2).sum(axis=1)) for i in range(len(x) - 1)])
@@ -57,10 +57,15 @@ class RbfFeatureMap:
     phases: np.ndarray       # (n_features,)
     bandwidth: float
 
+    def __post_init__(self):
+        shape, phases = np.shape(self.frequencies), np.shape(self.phases)
+        if len(shape) != 2 or phases != shape[:1]:
+            raise ValueError(f"need frequencies (F, D) and phases (F,), got shapes {shape} and {phases}")
+        if not self.bandwidth > 0:
+            raise ValueError("bandwidth must be positive")
+
     @classmethod
     def create(cls, n_features: int, state_dim: int, bandwidth: float, seed: int) -> "RbfFeatureMap":
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
         rng = np.random.default_rng(seed)
         return cls(
             frequencies=rng.standard_normal((n_features, state_dim)),
@@ -71,21 +76,6 @@ class RbfFeatureMap:
     @property
     def n_features(self) -> int:
         return self.frequencies.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.frequencies.shape[1]
-
-    def __call__(self, state: np.ndarray) -> np.ndarray:
-        """Features for one state (D,) -> (F,), or a batch (N, D) -> (N, F)."""
-        x = np.asarray(state, dtype=float)
-        if x.ndim == 1:
-            if x.shape[0] != self.state_dim:
-                raise ValueError(f"state dim {x.shape[0]} != feature map dim {self.state_dim}")
-            return np.cos(self.frequencies @ x / self.bandwidth + self.phases)
-        if x.shape[1] != self.state_dim:
-            raise ValueError(f"state dim {x.shape[1]} != feature map dim {self.state_dim}")
-        return np.cos(x @ self.frequencies.T / self.bandwidth + self.phases)
 
     def rows(self, states: np.ndarray) -> np.ndarray:
         """Features of a batch (N, D) -> (N, F), each row bitwise equal to the
@@ -140,18 +130,22 @@ class GaussianRbfPolicy:
         clone.log_std = self.log_std.copy()
         return clone
 
-    def action_sampler(self):
-        """The current policy's action draw for a batch of states (N, D), one
-        row of standard normal noise (N, action_dim) each: mean(state) +
-        exp(log_std) * noise, bitwise for every row."""
-        weights, scale, features = self.weights.copy(), np.exp(self.log_std), self.feature_map.rows
-        return lambda states, noise: np.matmul(weights, features(states)[..., None])[..., 0] + scale * noise
+    def inputs(self, states) -> np.ndarray:
+        """The feature rows f(s) of a batch of states (N, D) -> (N, F)."""
+        return self.feature_map.rows(states)
 
-    def score_batch(self, states, actions) -> np.ndarray:
+    def action_sampler(self):
+        """The current policy's action draw for the inputs of a batch of
+        states (N, F), one row of standard normal noise (N, action_dim) each:
+        mean(state) + exp(log_std) * noise, bitwise for every row."""
+        weights, scale = self.weights.copy(), np.exp(self.log_std)
+        return lambda phi, noise: np.matmul(weights, phi[..., None])[..., 0] + scale * noise
+
+    def score_batch(self, phi, actions) -> np.ndarray:
         """Stacked log-probability gradients grad log pi(a|s), one row per
-        (state, action) pair: (diff / var) f(s) for the weights and
-        diff^2 / var - 1 for log_std, with diff = a - mean(s)."""
-        phi = self.feature_map(np.asarray(states, dtype=float))  # (N, F)
+        (input, action) pair: (diff / var) f(s) for the weights and
+        diff^2 / var - 1 for log_std, with diff = a - mean(s) and phi the
+        feature rows f(s) (inputs)."""
         acts = np.asarray(actions, dtype=float).reshape(len(phi), self.action_dim)
         diff = acts - phi @ self.weights.T
         var = np.exp(2 * self.log_std)
@@ -159,10 +153,9 @@ class GaussianRbfPolicy:
         grad_ls = diff**2 / var - 1.0
         return np.concatenate([grad_w.reshape(len(phi), -1), grad_ls], axis=1)
 
-    def kl(self, old: "GaussianRbfPolicy", states: np.ndarray) -> float:
-        """Mean over states of KL(self(.|s) || old(.|s)); the two policies share
-        the feature map, so the states' features are built once."""
-        phi = self.feature_map(states)  # (N, F)
+    def kl(self, old: "GaussianRbfPolicy", phi: np.ndarray) -> float:
+        """Mean over states of KL(self(.|s) || old(.|s)), given their feature
+        rows phi (inputs), which the two policies share."""
         mu1, mu2 = phi @ self.weights.T, phi @ old.weights.T
         var1, var2 = np.exp(2 * self.log_std), np.exp(2 * old.log_std)
         per_dim = (old.log_std - self.log_std) + (var1 + (mu1 - mu2) ** 2) / (2 * var2) - 0.5
@@ -203,11 +196,15 @@ class TabularSoftmaxPolicy:
     def prob_matrix(self) -> np.ndarray:
         return np.exp(self.log_prob_matrix())
 
+    def inputs(self, states) -> np.ndarray:
+        """The states themselves, as ints."""
+        return np.asarray(states, dtype=int)
+
     def action_sampler(self):
-        """The current policy's action draw for a batch of states, one uniform
-        each, by inverse CDF: the action Generator.choice(n_actions, p=p(s))
-        draws from the same uniform, with p(s) the row of prob_matrix
-        normalized again."""
+        """The current policy's action draw for the inputs of a batch of
+        states, one uniform each, by inverse CDF: the action
+        Generator.choice(n_actions, p=p(s)) draws from the same uniform, with
+        p(s) the row of prob_matrix normalized again."""
         p = self.prob_matrix()
         cdf = cumulative(p / p.sum(axis=1, keepdims=True))
         return lambda states, u: inverse_cdf(cdf[states], u)

@@ -1,9 +1,23 @@
+import os
+
 import numpy as np
 import pytest
 
 from dualac.estimators import Batch
 from dualac.mdp import TabularMdp
 from dualac.policies import TabularValue
+
+
+def pytest_report_header(config):
+    # the pinned record digests hold at OpenBLAS's default thread count on a
+    # 2-core machine; the Gram product and the LU solve round differently at
+    # other thread counts
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (
+        f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')}, "
+        f"os.cpu_count()={os.cpu_count()}, numpy {np.__version__} BLAS: "
+        f"{blas.get('name')} {blas.get('version')} ({blas.get('openblas configuration', 'no OpenBLAS configuration')})"
+    )
 
 
 def make_single_state_mdp(gamma=0.9, r=1.0, n_actions=1):
@@ -30,7 +44,8 @@ def make_chain2_mdp(gamma=0.5):
 def make_batch(paths) -> Batch:
     """A Batch of hand-written trajectories, padded as the sampler pads them.
     Each path is (states, actions, rewards), optionally followed by whether
-    it ended by absorption."""
+    it ended by absorption.  Its window is the whole of every path, with the
+    states as the inputs, as a tabular policy reads them."""
     paths = [(np.asarray(p[0]), np.asarray(p[1]), np.asarray(p[2], dtype=float), len(p) > 3 and p[3]) for p in paths]
     horizon = max((len(p[2]) for p in paths), default=0)
 
@@ -48,6 +63,8 @@ def make_batch(paths) -> Batch:
         rewards=pad(2, horizon),
         lengths=np.array([len(p[2]) for p in paths], dtype=int),
         terminated=np.array([bool(p[3]) for p in paths], dtype=bool),
+        inputs=np.concatenate([p[0][: len(p[2])] for p in paths]) if paths else np.zeros(0, dtype=int),
+        window_len=horizon,
     )
 
 

@@ -75,9 +75,16 @@ class ScalarPendulum:
         return False
 
 
+def features(fmap, s) -> np.ndarray:
+    """The random Fourier features of one state, cos(F s / bandwidth + b),
+    written out here so that the sampler's feature rows are checked against
+    a formula of their own."""
+    return np.cos(fmap.frequencies @ s / fmap.bandwidth + fmap.phases)
+
+
 def _sample_action(policy, obs, rng):
     if isinstance(policy, GaussianRbfPolicy):
-        mean = policy.weights @ policy.feature_map(obs)
+        mean = policy.weights @ features(policy.feature_map, obs)
         return mean + np.exp(policy.log_std) * rng.standard_normal(policy.action_dim)
     p = policy.prob_matrix()[obs]
     return int(rng.choice(policy.n_actions, p=p / p.sum()))

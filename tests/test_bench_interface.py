@@ -15,12 +15,14 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Repeat.digest() of one repeat at workload seed 0, as `bench/run.py --seed 0`
-# reports it; captured when the policy step became one dense solve of the
-# damped Fisher, at OpenBLAS's default thread count on a 2-core machine.
+# reports it, at OpenBLAS's default thread count on a 2-core machine;
+# captured for the tabular workloads when the policy step became one dense
+# solve of the damped Fisher, and for the pendulum when its score rows and KL
+# began to read the sampler's stacked feature rows.
 SEED0_DIGESTS = {
     "gridworld": "261d3fc60beba5924401a1e2733cf4606bd8f57ddeefb27be2eb5421f49d8e71",
     "gridworld_naive": "b7236744c5088b26eebf1d94569de727dc0ad60079453167c2cd45bce669cd16",
-    "pendulum": "e78615a1b5c8845375c8d21b3f12e000ed7562edf31a67490217b2144c6cc04b",
+    "pendulum": "e336979c145645ed37146cd669ff281b6afbfebb8a874a196b622808e0200251",
 }
 
 # The tracer's phase markers: without them a traced run books the whole

@@ -29,7 +29,7 @@ from dualac.driver import (
 from dualac.envs import TabularEnv, make_env
 from dualac.mdp import greedy_policy, policy_value, value_iteration
 from dualac.optim import StepsizeSchedule
-from dualac.policies import RbfFeatureMap, TabularSoftmaxPolicy
+from dualac.policies import GaussianRbfPolicy, RbfFeatureMap, TabularSoftmaxPolicy
 from conftest import make_single_state_mdp
 
 
@@ -213,14 +213,15 @@ def test_iteration_determinism_bitwise():
 
 # sha256 of each run's records without wall_time, one sorted-key JSON object
 # per line; pinned so that rewrites of the sampler or the estimators can show
-# whole-run bitwise equivalence.  Captured when the policy step became one
-# dense solve of the damped Fisher, with OpenBLAS at its default thread count
-# on a 2-core machine: the Gram product and the LU solve round differently at
-# other thread counts.
+# whole-run bitwise equivalence.  Captured with OpenBLAS at its default
+# thread count on a 2-core machine (the Gram product and the LU solve round
+# differently at other thread counts): the tabular runs when the policy step
+# became one dense solve of the damped Fisher, the pendulum run when its score
+# rows and KL began to read the sampler's stacked feature rows.
 GOLDEN_RUNS = {
     ("gridworld", "full", 10): "8763e493d91d30318e15daed183e405f77676298374446371ba69f79fa91e641",
     ("gridworld", "naive", 5): "990c69fb9983eede81c590468a69c36e66b33eeb5afa3a3202e6fbe962ec5581",
-    ("pendulum", "full", 2): "b7f3c6a816c92955e2ad80c6533f88634d37527f2878b579a2f8a4d7b1aeae77",
+    ("pendulum", "full", 2): "4a74fa19f9b3fc2f15f0926fa6b2e141b2531d4ad84b972d64a17d043fc48524",
 }
 
 
@@ -277,6 +278,40 @@ def test_iteration_computes_deltas_once_per_value_function(monkeypatch):
             calls.clear()
             state, _ = dual_ac_iteration(state)
             assert len(calls) == 2, name
+
+
+def _recorded(calls, fn):
+    """fn, appending the (args, result) of every call to calls."""
+
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    return wrapped
+
+
+def test_iteration_builds_the_window_feature_rows_once(monkeypatch):
+    # the sampler keeps the feature rows of the window's steps in the batch,
+    # and the score rows (so the policy gradient and the Fisher) and the KL
+    # read them: no call after sampling builds rows for the window's states
+    calls = {"rows": [], "sample": [], "score_batch": [], "kl": []}
+    monkeypatch.setattr(RbfFeatureMap, "rows", _recorded(calls["rows"], RbfFeatureMap.rows))
+    monkeypatch.setattr(driver, "sample_trajectories", _recorded(calls["sample"], driver.sample_trajectories))
+    for name in ("score_batch", "kl"):
+        monkeypatch.setattr(GaussianRbfPolicy, name, _recorded(calls[name], getattr(GaussianRbfPolicy, name)))
+    state = init_state(default_config("pendulum"), make_env("pendulum"))
+    window_rows = state.cfg.batch_m * (state.cfg.k + 1)
+    assert state.cfg.horizon > state.cfg.k + 1
+    for _ in range(2):
+        for log in calls.values():
+            log.clear()
+        state, _ = dual_ac_iteration(state)
+        [(_, batch)] = calls["sample"]
+        assert len(batch.inputs) == window_rows
+        assert calls["rows"] and max(len(args[1]) for args, _ in calls["rows"]) < window_rows
+        [(score_args, _)], [(kl_args, _)] = calls["score_batch"], calls["kl"]
+        assert score_args[1] is batch.inputs and kl_args[2] is batch.inputs
 
 
 def test_chain_learns_oracle_policy():
@@ -376,6 +411,67 @@ def test_load_checkpoint_rejects_removed_config_fields(tmp_path):
             json.dump(payload, fh)
         with pytest.raises(ValueError, match=f"unknown config fields: {name}$"):
             load_checkpoint(path)
+
+
+def test_rbf_dimension_mismatch_rejected_on_construction_and_load(tmp_path):
+    # a feature map checks its shapes when built; loading also checks that
+    # it maps states of the environment's observation dimension
+    bad = [
+        (np.zeros((8, 3)), np.zeros(7), 1.0),
+        (np.zeros(8), np.zeros(8), 1.0),
+        (np.zeros((8, 3)), np.zeros((8, 1)), 1.0),
+    ]
+    for frequencies, phases, bandwidth in bad:
+        with pytest.raises(ValueError, match=r"need frequencies \(F, D\) and phases \(F,\)"):
+            RbfFeatureMap(frequencies, phases, bandwidth)
+    for bandwidth in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            RbfFeatureMap(np.zeros((8, 3)), np.zeros(8), bandwidth)
+    state = init_state(dataclasses.replace(default_config("pendulum"), iterations=0), make_env("pendulum"))
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(path, state)
+    with open(path) as fh:
+        saved = json.load(fh)
+    saved["feature_map"]["frequencies"] = [row + [0.0] for row in saved["feature_map"]["frequencies"]]
+    with open(path, "w") as fh:
+        json.dump(saved, fh)
+    with pytest.raises(ValueError, match="feature_map maps states of dimension 4, the environment's have 3"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_names_malformed_fields(tmp_path):
+    # parameters that do not fit the rebuilt models, or a malformed feature
+    # map, are rejected on load instead of failing inside the first iteration
+    state = init_state(dataclasses.replace(default_config("pendulum"), iterations=0), make_env("pendulum"))
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(path, state)
+    with open(path) as fh:
+        saved = json.load(fh)
+    edits = [
+        (lambda p: p["policy_params"].append(0.0), "policy_params holds 102 entries, the model has 101"),
+        (lambda p: p["value_params"].append(0.0), "value_params holds 102 entries, the model has 101"),
+        (lambda p: p["value_params"].pop(), "value_params holds 100 entries, the model has 101"),
+        (lambda p: p["feature_map"]["phases"].pop(), r"feature_map is malformed \(need frequencies"),
+        (lambda p: p["feature_map"].update(bandwidth=0.0), "feature_map is malformed .bandwidth must be positive"),
+        (lambda p: p["feature_map"].pop("bandwidth"), "feature_map is malformed"),
+        (lambda p: p.pop("feature_map"), "feature_map is malformed"),
+    ]
+    for edit, message in edits:
+        payload = json.loads(json.dumps(saved))
+        edit(payload)
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError, match=f"^checkpoint field {message}"):
+            load_checkpoint(path)
+    state = init_state(chain_config(), make_env("chain2"))
+    save_checkpoint(path, state)
+    with open(path) as fh:
+        payload = json.load(fh)
+    payload["policy_params"] = payload["policy_params"][:-1]
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(ValueError, match="^checkpoint field policy_params holds 3 entries, the model has 4$"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):

@@ -81,7 +81,7 @@ def test_pendulum_observation_and_horizon():
     env = PendulumEnv(horizon=5)
     fmap = RbfFeatureMap.create(10, env.spec.obs_dim, bandwidth=1.0, seed=3)
     policy = GaussianRbfPolicy(fmap, env.spec.action_dim, seed=4)
-    batch = sample_trajectories(env, policy, m=3, horizon=env.spec.horizon, rng_seed=7)
+    batch = sample_trajectories(env, policy, m=3, horizon=env.spec.horizon, rng_seed=7, window=1)
     assert batch.obs.shape == (3, 6, 3) and np.all(batch.lengths == 5) and not batch.terminated.any()
     assert np.all(batch.rewards <= 0.0)
     states = np.array([[0.3, -1.5], [-2.0, 4.0]])

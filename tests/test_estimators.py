@@ -41,7 +41,7 @@ from dualac.policies import (
     TabularValue,
 )
 from conftest import make_batch, make_single_state_mdp, tabular_value
-from reference_sampler import sample_reference
+from reference_sampler import features, sample_reference
 
 
 def make_test_mdp(seed=107, mu=None):
@@ -60,8 +60,8 @@ def make_test_mdp(seed=107, mu=None):
 def test_deterministic_env_identical_trajectories():
     env = TabularEnv(make_single_state_mdp(n_actions=1), horizon=4)
     policy = TabularSoftmaxPolicy(1, 1)
-    batch = sample_trajectories(env, policy, m=5, horizon=4, rng_seed=0)
-    other = sample_trajectories(env, policy, m=5, horizon=4, rng_seed=99)
+    batch = sample_trajectories(env, policy, m=5, horizon=4, rng_seed=0, window=1)
+    other = sample_trajectories(env, policy, m=5, horizon=4, rng_seed=99, window=1)
     for name in ("obs", "actions", "rewards", "lengths", "terminated"):
         assert np.array_equal(getattr(batch, name), getattr(other, name)), name
 
@@ -69,8 +69,8 @@ def test_deterministic_env_identical_trajectories():
 def test_same_seed_bitwise_identical():
     env = make_env("chain5", slip=0.2)
     policy = TabularSoftmaxPolicy(5, 2, logits=np.random.default_rng(1).normal(size=(5, 2)))
-    a = sample_trajectories(env, policy, m=8, horizon=20, rng_seed=42)
-    b = sample_trajectories(env, policy, m=8, horizon=20, rng_seed=42)
+    a = sample_trajectories(env, policy, m=8, horizon=20, rng_seed=42, window=1)
+    b = sample_trajectories(env, policy, m=8, horizon=20, rng_seed=42, window=1)
     for name in ("obs", "actions", "rewards", "lengths", "terminated"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -79,7 +79,7 @@ def test_bandit_action_frequency():
     mdp = make_single_state_mdp(n_actions=2)
     env = TabularEnv(mdp, horizon=1)
     policy = TabularSoftmaxPolicy(1, 2)  # uniform
-    batch = sample_trajectories(env, policy, m=100_000, horizon=1, rng_seed=7)
+    batch = sample_trajectories(env, policy, m=100_000, horizon=1, rng_seed=7, window=1)
     freq = np.mean(batch.actions[:, 0])
     assert abs(freq - 0.5) < 0.01
 
@@ -87,7 +87,7 @@ def test_bandit_action_frequency():
 def test_gridworld_absorption_shortens():
     env = make_env("gridworld")
     policy = TabularSoftmaxPolicy(25, 4, logits=np.zeros((25, 4)))
-    batch = sample_trajectories(env, policy, m=50, horizon=60, rng_seed=3)
+    batch = sample_trajectories(env, policy, m=50, horizon=60, rng_seed=3, window=1)
     short = batch.lengths < 60
     assert short.any()
     assert np.all(batch.obs[short, batch.lengths[short]] == 24)
@@ -124,7 +124,7 @@ def test_lockstep_sampler_matches_per_step_reference(env_name, seed, scale, log_
     env, policy = _sampler_case(env_name, seed, scale, log_std)
     want, want_clips = sample_reference(env, policy, m, horizon, rng_seed)
     clips = getattr(env, "clip_count", 0)
-    got = sample_trajectories(env, policy, m, horizon, rng_seed)
+    got = sample_trajectories(env, policy, m, horizon, rng_seed, window=horizon)
     assert getattr(env, "clip_count", 0) - clips == want_clips
     assert len(got) == m
     for a, b in zip(got, want):
@@ -132,6 +132,22 @@ def test_lockstep_sampler_matches_per_step_reference(env_name, seed, scale, log_
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y), name
         assert a.n_steps == b.n_steps and a.terminated is b.terminated
+
+
+@pytest.mark.parametrize("env_name", ["gridworld", "pendulum"])
+def test_window_inputs_are_the_policy_inputs_of_its_states(env_name):
+    # the batch keeps the inputs that the sampler's action draws read at the
+    # window's steps; they are bitwise what the policy gives for the
+    # window's states, where trajectories end inside the window and where
+    # the window is longer than the horizon too
+    env, policy = _sampler_case(env_name, seed=7, scale=1.0, log_std=0.0)
+    for k in (0, 3, 80):
+        batch = sample_trajectories(env, policy, m=12, horizon=40, rng_seed=(7, k), window=k + 1)
+        window = batch.window()
+        want = policy.inputs(window.obs)
+        assert window.inputs.dtype == want.dtype and window.inputs.shape == want.shape
+        assert np.array_equal(window.inputs, want)
+        assert np.array_equal(window.steps, np.minimum(k + 1, batch.lengths))
 
 
 def _batch_digest(batch) -> str:
@@ -172,7 +188,7 @@ def _pinned_batches():
 def test_sampled_batches_pinned():
     for name, env, policy, horizon in _pinned_batches():
         clips = getattr(env, "clip_count", 0)
-        batch = sample_trajectories(env, policy, m=16, horizon=horizon, rng_seed=(5, 3))
+        batch = sample_trajectories(env, policy, m=16, horizon=horizon, rng_seed=(5, 3), window=1)
         got = (
             _batch_digest(batch),
             int(batch.lengths.sum()),
@@ -194,7 +210,7 @@ def _reference_row(value, s) -> np.ndarray:
         row[int(s)] = 1.0
         return row
     fmap = value.feature_map
-    return np.append(fmap.base(s), 1.0) if isinstance(fmap, BiasedFeatureMap) else fmap(s)
+    return np.append(features(fmap.base, s), 1.0) if isinstance(fmap, BiasedFeatureMap) else features(fmap, s)
 
 
 def _reference_value(value, s) -> float:
@@ -309,8 +325,8 @@ def test_array_estimators_match_per_trajectory_reference(env_name, seed, scale, 
         value = LinearValue(BiasedFeatureMap(policy.feature_map))
     value.set_params(rng.normal(scale=3.0, size=value.n_params))
     gamma = env.spec.gamma_hint
-    batch = sample_trajectories(env, policy, m, horizon, (seed, 1))
-    previous = sample_trajectories(env, policy, int(rng.integers(1, 13)), horizon, (seed, 2))
+    batch = sample_trajectories(env, policy, m, horizon, (seed, 1), window=k + 1)
+    previous = sample_trajectories(env, policy, int(rng.integers(1, 13)), horizon, (seed, 2), window=k + 1)
     paths = list(batch)
 
     deltas = traj_deltas(batch, value, gamma, k)
@@ -420,15 +436,15 @@ def test_grad_estimates_zero_at_fixed_point():
     mdp = make_single_state_mdp(n_actions=1)
     env = TabularEnv(mdp, horizon=6)
     policy = TabularSoftmaxPolicy(1, 1)
-    batch = sample_trajectories(env, policy, m=4, horizon=6, rng_seed=5)
+    batch = sample_trajectories(env, policy, m=4, horizon=6, rng_seed=5, window=3)
     v = tabular_value([10.0])  # fixed point: every delta vanishes
-    g_pi, _ = grad_pi_estimate(batch.window(2), traj_deltas(batch, v, 0.9, k=2), policy)
+    g_pi, _ = grad_pi_estimate(batch.window(), traj_deltas(batch, v, 0.9, k=2), policy)
     assert np.allclose(g_pi, 0.0, atol=1e-12)
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
-        grad_pi_estimate(make_batch([]).window(0), np.zeros(0), TabularSoftmaxPolicy(2, 2))
+        grad_pi_estimate(make_batch([]).window(), np.zeros(0), TabularSoftmaxPolicy(2, 2))
 
 
 def test_sampled_estimators_converge_to_exact():
@@ -442,9 +458,9 @@ def test_sampled_estimators_converge_to_exact():
     k = 1
     exact_pi = exact_grad_pi(mdp, v.values, mdp.mu, policy, k=k)
     for m in (100, 10_000):
-        batch = sample_trajectories(env, policy, m=m, horizon=8, rng_seed=m)
+        batch = sample_trajectories(env, policy, m=m, horizon=8, rng_seed=m, window=k + 1)
         per = traj_deltas(batch, v, mdp.gamma, k)
-        est_pi, _ = grad_pi_estimate(batch.window(k), per, policy)
+        est_pi, _ = grad_pi_estimate(batch.window(), per, policy)
         # per-trajectory statistic scale bounds the batch-mean deviation
         sigma = max(per.std(), 1.0)
         bound = 6 * sigma / np.sqrt(m)
@@ -469,7 +485,8 @@ def test_value_models_are_linear_in_their_parameters():
     # independent of w and bitwise the row of that state alone
     for env, policy, v, horizon, _ in _value_grad_cases():
         rng = np.random.default_rng(167)
-        states = np.concatenate([path.obs for path in sample_trajectories(env, policy, 6, horizon, rng_seed=23)])
+        batch = sample_trajectories(env, policy, 6, horizon, rng_seed=23, window=1)
+        states = np.concatenate([path.obs for path in batch])
         rows = v.rows(states)
         v.set_params(rng.normal(size=v.n_params))
         assert np.array_equal(v.rows(states), rows)
@@ -480,8 +497,8 @@ def test_value_models_are_linear_in_their_parameters():
 def test_grad_v_terms_bitwise_match_trajectory_loop():
     rng = np.random.default_rng(173)
     for env, policy, v, horizon, k in _value_grad_cases():
-        previous = sample_trajectories(env, policy, m=12, horizon=horizon, rng_seed=(29, 1))
-        batch = sample_trajectories(env, policy, m=12, horizon=horizon, rng_seed=(29, 2))
+        previous = sample_trajectories(env, policy, m=12, horizon=horizon, rng_seed=(29, 1), window=k + 1)
+        batch = sample_trajectories(env, policy, m=12, horizon=horizon, rng_seed=(29, 2), window=k + 1)
         weights = rng.uniform(0.1, 2.0, size=12)
         if env.spec.tabular:
             assert batch.terminated.any()
@@ -502,7 +519,7 @@ def test_grad_v_terms_bitwise_match_trajectory_loop():
 
 def test_grad_v_terms_reject_empty_batches():
     env = make_env("chain5")
-    batch = sample_trajectories(env, TabularSoftmaxPolicy(5, 2), m=3, horizon=5, rng_seed=31)
+    batch = sample_trajectories(env, TabularSoftmaxPolicy(5, 2), m=3, horizon=5, rng_seed=31, window=2)
     v, weights = TabularValue(5), np.ones(3)
     with pytest.raises(ValueError):
         value_grad_terms(make_batch([]), np.zeros(0), (replay_rows(batch, 0.9),), v, 0.9, k=1, eta_v=1.0)
@@ -516,7 +533,7 @@ def test_grad_v_single_state_hand_value():
     mdp = make_single_state_mdp()  # R=1, gamma=0.9
     env = TabularEnv(mdp, horizon=300)
     policy = TabularSoftmaxPolicy(1, 1)
-    batch = sample_trajectories(env, policy, m=3, horizon=300, rng_seed=17)
+    batch = sample_trajectories(env, policy, m=3, horizon=300, rng_seed=17, window=1)
     v = TabularValue(1)
     k, eta_v = 0, 0.5
     terms = value_grad_terms(batch, np.ones(3), (replay_rows(batch, 0.9),), v, 0.9, k=k, eta_v=eta_v)
@@ -532,7 +549,7 @@ def test_grad_v_penalty_vanishes_at_behavior_value():
     mdp = env.as_tabular()
     rng = np.random.default_rng(151)
     policy = TabularSoftmaxPolicy(5, 2, logits=rng.normal(size=(5, 2)))
-    batch = sample_trajectories(env, policy, m=400, horizon=400, rng_seed=19)
+    batch = sample_trajectories(env, policy, m=400, horizon=400, rng_seed=19, window=1)
     v, weights = TabularValue(5), np.ones(400)
     v_b = policy_value(mdp, policy.prob_matrix())
     rows = (replay_rows(batch, mdp.gamma),)
@@ -636,8 +653,9 @@ def test_score_zero_mean_gaussian():
     rng = np.random.default_rng(191)
     s = np.array([0.4, -0.6])
     m = 20_000
-    actions = policy.action_sampler()(np.tile(s, (m, 1)), rng.standard_normal((m, policy.action_dim)))
-    scores = policy.score_batch(np.tile(s, (m, 1)), actions)
+    phi = policy.inputs(np.tile(s, (m, 1)))
+    actions = policy.action_sampler()(phi, rng.standard_normal((m, policy.action_dim)))
+    scores = policy.score_batch(phi, actions)
     sem = scores.std(axis=0) / np.sqrt(m)
     assert np.all(np.abs(scores.mean(axis=0)) < 3.5 * sem + 1e-12)
 
@@ -650,7 +668,8 @@ def test_trajectory_round_trip(tmp_path):
     # a checkpoint keeps one replay row per trajectory of the last batch:
     # its start observation, full-length discounted return and length
     state = init_state(default_config("gridworld"), make_env("gridworld"))
-    batch = sample_trajectories(state.env, state.policy, state.cfg.batch_m, state.cfg.horizon, rng_seed=(0, 1))
+    cfg = state.cfg
+    batch = sample_trajectories(state.env, state.policy, cfg.batch_m, cfg.horizon, rng_seed=(0, 1), window=cfg.k + 1)
     state, _ = dual_ac_iteration(state)
     rows = state.last_batch
     assert batch.terminated.any() and not batch.terminated.all()
@@ -669,7 +688,7 @@ def test_trajectory_round_trip(tmp_path):
 def test_traj_deltas_vector():
     env = make_env("chain2")
     policy = TabularSoftmaxPolicy(2, 2)
-    batch = sample_trajectories(env, policy, m=4, horizon=6, rng_seed=29)
+    batch = sample_trajectories(env, policy, m=4, horizon=6, rng_seed=29, window=2)
     v = tabular_value([1.0, 2.0])
     out = traj_deltas(batch, v, 0.5, k=1)
     assert out.shape == (4,)

@@ -233,9 +233,9 @@ def test_logit_shift_invariance():
     for shift in (0.0, 3.7):
         policy = TabularSoftmaxPolicy(2, 2, logits=logits + shift * np.ones((2, 2)) * np.array([[1.0], [2.0]]))
         if batch is None:
-            batch = sample_trajectories(env, policy, m=12, horizon=6, rng_seed=13)
+            batch = sample_trajectories(env, policy, m=12, horizon=6, rng_seed=13, window=2)
         deltas = traj_deltas(batch, tabular_value([1.0, 2.0]), env.mdp.gamma, k=1)
-        g, _ = grad_pi_estimate(batch.window(1), deltas, policy)
+        g, _ = grad_pi_estimate(batch.window(), deltas, policy)
         fisher = exhaustive_fisher(policy, [0, 1], damping=1e-8)
         new_params = natural_gradient_step(policy.get_params(), g, fisher, zeta=0.3, normalize=False)
         cand = policy.copy()
