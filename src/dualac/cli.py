@@ -50,7 +50,7 @@ DEFAULT_CONFIGS = {
         schedule=dict(c=0.5, n0=1.0, beta=0.5),
         batch_m=24,
         iterations=300,
-        inner_v=dict(stepsize=0.2, max_iters=80, grad_tol=1e-4, biased_iters=1),
+        inner_v=dict(stepsize=0.2, max_iters=80, grad_tol=1e-4),
     ),
     "pendulum": dict(
         k=50,
@@ -60,7 +60,7 @@ DEFAULT_CONFIGS = {
         schedule=dict(c=21.5, n0=85.0, beta=1.0),
         batch_m=52,
         iterations=300,
-        inner_v=dict(stepsize=0.005, max_iters=200, grad_tol=1.0, biased_iters=1),
+        inner_v=dict(stepsize=0.005, max_iters=200, grad_tol=1.0),
         normalize_grad=True,
     ),
 }

@@ -26,6 +26,7 @@ from .estimators import (
     grad_pi_estimate,
     grad_v_estimate,
     replay_rows,
+    residuals,
     sample_trajectories,
     traj_deltas,
     value_grad_terms,
@@ -41,10 +42,9 @@ from .optim import (
 from .policies import (
     BiasedFeatureMap,
     GaussianRbfPolicy,
-    LinearValue,
+    IndicatorFeatureMap,
     RbfFeatureMap,
     TabularSoftmaxPolicy,
-    TabularValue,
     median_trick_bandwidth,
 )
 
@@ -65,7 +65,6 @@ class InnerVConfig:
     stepsize: float = 0.1
     max_iters: int = 300
     grad_tol: float = 1e-3
-    biased_iters: int = 1  # inner steps used by the under-fitted variants
 
 
 @dataclass(frozen=True)
@@ -105,12 +104,10 @@ class DualAcConfig:
             changes["gamma"] = env.spec.gamma_hint
         if self.horizon is None:
             changes["horizon"] = env.spec.horizon
-        # the under-fitted variants take exactly a fixed number of inner steps
-        if self.ablation == "naive":  # a single stochastic-gradient V update per iteration
-            changes.update(k=0, eta_v=0.0, inner_v=dataclasses.replace(self.inner_v, max_iters=1, grad_tol=0.0))
-        elif self.ablation == "no_unbiased_v":
-            changes.update(inner_v=dataclasses.replace(self.inner_v, max_iters=self.inner_v.biased_iters, grad_tol=0.0))
-        elif self.ablation == "no_multistep":
+        # the under-fitted variants take a single stochastic-gradient V update per iteration
+        if self.ablation in ("naive", "no_unbiased_v"):
+            changes.update(inner_v=dataclasses.replace(self.inner_v, max_iters=1, grad_tol=0.0))
+        if self.ablation in ("naive", "no_multistep"):
             changes.update(k=0, eta_v=0.0)
         elif self.ablation == "no_pathreg":
             changes.update(eta_v=0.0)
@@ -187,7 +184,8 @@ class TrainingState:
     env: object
     cfg: DualAcConfig           # resolved config
     policy: object
-    value: object
+    value_map: object           # the value function's row map, v(s) = value_params . row(s)
+    value_params: np.ndarray
     t: int = 0
     last_batch: ReplayRows = field(default_factory=ReplayRows)  # the previous batch's replay rows
 
@@ -227,11 +225,11 @@ def _fresh_state(cfg: DualAcConfig, env, fmap: RbfFeatureMap | None) -> Training
     """Iteration-0 state of a resolved config; fmap is the continuous envs' feature map."""
     if env.spec.tabular:
         policy = TabularSoftmaxPolicy(env.spec.n_states, env.spec.n_actions)
-        value = TabularValue(env.spec.n_states)
+        value_map = IndicatorFeatureMap(env.spec.n_states)
     else:
         policy = GaussianRbfPolicy(fmap, env.spec.action_dim, seed=cfg.seed)
-        value = LinearValue(BiasedFeatureMap(fmap))  # intercept: returns sit far from 0
-    return TrainingState(env=env, cfg=cfg, policy=policy, value=value)
+        value_map = BiasedFeatureMap(fmap)  # intercept: returns sit far from 0
+    return TrainingState(env, cfg, policy, value_map, np.zeros(value_map.n_features))
 
 
 def _start_weights(cfg: DualAcConfig, batch, deltas) -> np.ndarray:
@@ -251,16 +249,19 @@ def dual_ac_iteration(state: TrainingState):
 
     # line 3: sample under pi^{t-1}, weighted by the previous reweighting
     batch = sample_trajectories(env, state.policy, cfg.batch_m, cfg.horizon, (cfg.seed, t), window=cfg.k + 1)
+    # delta_k of the batch is affine in the value parameters: one table serves
+    # V^{t-1}, the inner fit and V^t
+    res = residuals(batch, state.value_map.rows, cfg.gamma, cfg.k)
     # alpha^{t-1}: closed form at V^{t-1}
-    weights = _start_weights(cfg, batch, traj_deltas(batch, state.value, cfg.gamma, cfg.k))
+    weights = _start_weights(cfg, batch, traj_deltas(res, state.value_params))
 
     # line 4: V^t = argmin of the sampled path-regularized objective; the
     # penalty also anchors on the previous batch (behavior-policy replay)
     rows = replay_rows(batch, cfg.gamma)
-    terms = value_grad_terms(batch, weights, (rows, state.last_batch), state.value, cfg.gamma, cfg.k, cfg.eta_v)
+    terms = value_grad_terms(res, weights, (rows, state.last_batch), state.value_map.rows, cfg.eta_v)
     try:
         fit = fit_value(
-            state.value.get_params(),
+            state.value_params,
             lambda params: grad_v_estimate(terms, params),
             kappa=cfg.inner_v.stepsize,
             max_iters=cfg.inner_v.max_iters,
@@ -268,11 +269,9 @@ def dual_ac_iteration(state: TrainingState):
         )
     except FitDivergedError as err:
         raise IterationError(t, f"inner value fit diverged ({err})") from err
-    value = state.value.copy()
-    value.set_params(fit.params)
 
     # line 5: closed-form reweighting at V^t
-    deltas = traj_deltas(batch, value, cfg.gamma, cfg.k)
+    deltas = traj_deltas(res, fit.params)
     weights = _start_weights(cfg, batch, deltas)
 
     # line 6: stepsize decay
@@ -301,7 +300,7 @@ def dual_ac_iteration(state: TrainingState):
     policy.set_params(new_params)
     kl = float(policy.kl(state.policy, window.inputs))
 
-    state.t, state.policy, state.value, state.last_batch = t, policy, value, rows
+    state.t, state.policy, state.value_params, state.last_batch = t, policy, fit.params, rows
     record = IterationRecord(
         iteration=t,
         mean_return=float(batch.rewards.sum(axis=1).mean()),
@@ -330,7 +329,7 @@ def save_checkpoint(path: str, state: TrainingState) -> None:
         "t": state.t,
         "config": state.cfg.to_dict(),
         "policy_params": state.policy.get_params(),
-        "value_params": state.value.get_params(),
+        "value_params": state.value_params,
         "last_batch": dataclasses.asdict(state.last_batch),
     }
     if not state.env.spec.tabular:
@@ -382,11 +381,13 @@ def load_checkpoint(path: str, env=None) -> TrainingState:
                 f"the environment's have {env.spec.obs_dim}"
             )
     state = _fresh_state(cfg, env, fmap)
-    for name, model in (("policy_params", state.policy), ("value_params", state.value)):
-        params = np.array(payload[name], dtype=float)
-        if params.shape != (model.n_params,):
-            raise ValueError(f"checkpoint field {name} holds {params.size} entries, the model has {model.n_params}")
-        model.set_params(params)
+    params = {}
+    for name, size in (("policy_params", state.policy.n_params), ("value_params", len(state.value_params))):
+        params[name] = np.array(payload[name], dtype=float)
+        if params[name].shape != (size,):
+            raise ValueError(f"checkpoint field {name} holds {params[name].size} entries, the model has {size}")
+    state.policy.set_params(params["policy_params"])
+    state.value_params = params["value_params"]
     state.t = int(payload["t"])
     rows = payload["last_batch"]
     state.last_batch = ReplayRows(

@@ -15,8 +15,11 @@ Conventions that matter here:
   trajectories that share the start observation (delta_means_by_start), on
   every environment.  The policy gradient and the residual part of the
   value gradient are weighted; the lead E_mu terms are not.
-* Value models are linear in their parameters, v(s) = w . row(s), and give
-  their feature rows for a batch of states at once (value.rows).
+* A value function is a parameter vector w over a row map, v(s) =
+  w . row(s) (policies.BiasedFeatureMap or IndicatorFeatureMap), so delta_k
+  of a batch is affine in w: residuals builds the table of its parts once
+  per batch, with one row-map call for the starts and bootstrap states, and
+  traj_deltas and value_grad_terms read it.
 * The exact_grad_* functions are the exhaustive-expectation forms of the
   same estimators, used by the tabular verification suite: weighted sums
   over the path table of lagrangian.enumerate_paths, with each path's
@@ -49,10 +52,9 @@ class Window(NamedTuple):
     """The first min(k+1, n) steps of every trajectory of a batch, the support
     of the k-step path measure, stacked trajectory by trajectory."""
 
-    obs: np.ndarray      # (sum of steps, ...)
     actions: np.ndarray  # (sum of steps, ...)
     steps: np.ndarray    # (m,) rows of each trajectory
-    inputs: np.ndarray   # (sum of steps, ...) policy.inputs of obs, as the sampler built them
+    inputs: np.ndarray   # (sum of steps, ...) policy.inputs of the steps' states, as the sampler built them
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,18 +84,7 @@ class Batch:
     def window(self) -> Window:
         steps = np.minimum(self.window_len, self.lengths)
         inside = np.arange(self.rewards.shape[1]) < steps[:, None]
-        return Window(self.obs[:, :-1][inside], self.actions[inside], steps, self.inputs)
-
-    def bootstrap(self, k: int):
-        """(j, used): each trajectory's bootstrap index min(k+1, length), and
-        whether delta_k evaluates v there.
-
-        Absorbing terminal states are zero-reward self-loops, so their exact
-        value is 0 and absorbed trajectories bootstrap with 0 instead of the
-        learned v (which the sampled objective could never anchor there).
-        """
-        j = np.minimum(k + 1, self.lengths)
-        return j, ~(self.terminated & (j == self.lengths))
+        return Window(self.actions[inside], steps, self.inputs)
 
 
 def sample_trajectories(env, policy, m: int, horizon: int, rng_seed, *, window: int) -> Batch:
@@ -179,35 +170,36 @@ def replay_rows(batch: Batch, gamma: float) -> ReplayRows:
     return ReplayRows(starts=batch.obs[:, 0].copy(), returns=_returns(batch.rewards, gamma), n_steps=batch.lengths)
 
 
-def traj_deltas(batch: Batch, value, gamma: float, k: int) -> np.ndarray:
-    """delta_k of every trajectory, bootstrapping at the last state when
-    shorter than k+1 steps (with 0 instead of v there if that state is
-    terminal).  gamma^j is np.float_power, the libm pow of Python's
-    gamma ** j: np.power rounds differently for some j."""
+class Residuals(NamedTuple):
+    """The parts of delta_k(w) = returns + discount * (w . boots) - w . starts
+    of every trajectory of a batch, one entry or row per trajectory."""
+
+    returns: np.ndarray   # (m,) discounted return over the first min(k+1, n) steps
+    discount: np.ndarray  # (m,) gamma^j at the bootstrap index j, 0 where v is not evaluated there
+    starts: np.ndarray    # (m, n_params) value rows of s_0
+    boots: np.ndarray     # (m, n_params) value rows of s_j
+    lead: float           # 1 - gamma^{k+1}
+
+
+def residuals(batch: Batch, value_rows, gamma: float, k: int) -> Residuals:
+    """The residual table of a batch under the row map value_rows, whose rows
+    for the starts and the bootstrap states j = min(k+1, length) come from one
+    call.  Absorbing terminal states are zero-reward self-loops, so their
+    exact value is 0 and trajectories absorbed at s_j bootstrap with 0 instead
+    of the learned v (which the sampled objective could never anchor there).
+    gamma^j is np.float_power, the libm pow of Python's gamma ** j: np.power
+    rounds differently for some j."""
     m = len(batch)
-    j, used = batch.bootstrap(k)
-    v = np.vecdot(value.rows(np.concatenate([batch.obs[:, 0], batch.obs[np.arange(m), j]])), value.get_params())
-    tail = np.where(used, np.float_power(gamma, j) * v[m:], 0.0)
-    return _returns(batch.rewards[:, : k + 1], gamma) + tail - v[:m]
+    j = np.minimum(k + 1, batch.lengths)
+    absorbed = batch.terminated & (j == batch.lengths)
+    rows = value_rows(np.concatenate([batch.obs[:, 0], batch.obs[np.arange(m), j]]))
+    discount = np.where(absorbed, 0.0, np.float_power(gamma, j))
+    return Residuals(_returns(batch.rewards[:, : k + 1], gamma), discount, rows[:m], rows[m:], 1.0 - gamma ** (k + 1))
 
 
-class SoftmaxStartWeighting:
-    """Softmax distribution alpha over start states; the tabular theta_alpha
-    vehicle.  Its score in the logits is grad log alpha(s) = e_s - alpha."""
-
-    def __init__(self, n_states: int, logits: np.ndarray | None = None):
-        self.logits = np.zeros(n_states) if logits is None else np.array(logits, dtype=float)
-
-    def distribution(self) -> np.ndarray:
-        z = self.logits - self.logits.max()
-        e = np.exp(z)
-        return e / e.sum()
-
-    def get_params(self) -> np.ndarray:
-        return self.logits.copy()
-
-    def set_params(self, flat: np.ndarray) -> None:
-        self.logits = np.asarray(flat, dtype=float).copy()
+def traj_deltas(res: Residuals, params) -> np.ndarray:
+    """delta_k of every trajectory of the table at value parameters params."""
+    return res.returns + res.discount * np.vecdot(res.boots, params) - np.vecdot(res.starts, params)
 
 
 def grad_pi_estimate(window: Window, coefs, policy):
@@ -236,9 +228,7 @@ class ValueGradTerms:
     eta_v: float
 
 
-def value_grad_terms(
-    batch: Batch, weights, behavior, value_model, gamma: float, k: int, eta_v: float
-) -> ValueGradTerms:
+def value_grad_terms(res: Residuals, weights, behavior, value_rows, eta_v: float) -> ValueGradTerms:
     """Build the parts of the sampled path-regularized value gradient that stay
     fixed while the value parameters move:
 
@@ -246,32 +236,28 @@ def value_grad_terms(
       + E[start_weight * (gamma^j grad v(s_j) - grad v(s_0))]      j = min(k+1, len)
       - 2 eta_v E[(return(tau_b) - v(s_0)) grad v(s_0)]             over behavior rows
 
-    weights holds each trajectory's start weight, and behavior is a sequence
-    of ReplayRows, one per behavior batch.  The value model is linear in its
-    parameters, v(s) = w . row(s), so only v(s_0) in the penalty moves with
-    w, and grad_v_estimate evaluates it from the stored rows.  No rows are
-    built when eta_v is 0.
+    res is the batch's residual table, weights holds each trajectory's start
+    weight, and behavior is a sequence of ReplayRows, one per behavior batch,
+    whose start rows value_rows builds.  v(s) = w . row(s), so only v(s_0) in
+    the penalty moves with w, and grad_v_estimate evaluates it from the stored
+    rows.  No behavior rows are built when eta_v is 0.
 
     The sums run over axis 0 from 0.0, which adds the rows in batch order:
     bitwise the trajectory-by-trajectory sums, the residual's two terms
     interleaved per trajectory.
     """
-    m = len(batch)
+    m = len(res.returns)
     if m == 0:
         raise ValueError("empty trajectory batch")
-    j, used = batch.bootstrap(k)
-    g0 = value_model.rows(batch.obs[:, 0])
-    gj = value_model.rows(batch.obs[np.arange(m), j])
-    tail = np.where(used, weights * np.float_power(gamma, j), 0.0)
-    resid = np.stack([-(weights[:, None] * g0), tail[:, None] * gj], axis=1).reshape(2 * m, -1)
-    lead = g0.sum(axis=0, initial=0.0)
-    constant = (1.0 - gamma ** (k + 1)) * lead / m + resid.sum(axis=0, initial=0.0) / m
-    rows, returns = np.zeros((0, value_model.n_params)), np.zeros(0)
+    tail = weights * res.discount
+    resid = np.stack([-(weights[:, None] * res.starts), tail[:, None] * res.boots], axis=1).reshape(2 * m, -1)
+    constant = res.lead * res.starts.sum(axis=0, initial=0.0) / m + resid.sum(axis=0, initial=0.0) / m
+    rows, returns = np.zeros((0, res.starts.shape[1])), np.zeros(0)
     if eta_v > 0:
         behavior = [part for part in behavior if len(part)]
         if not behavior:
             raise ValueError("empty behavior batch with eta_v > 0")
-        rows = np.concatenate([value_model.rows(part.starts) for part in behavior])
+        rows = np.concatenate([value_rows(part.starts) for part in behavior])
         returns = np.concatenate([part.returns for part in behavior])
     return ValueGradTerms(constant, rows, returns, float(eta_v))
 
@@ -336,10 +322,11 @@ def alpha_objective(
 # of state values
 
 
-def exact_grad_alpha(mdp: TabularMdp, v, start_model: SoftmaxStartWeighting, pi, k: int) -> np.ndarray:
-    """Exact E_alpha^pi[delta_k * grad log alpha(s_0)] by path enumeration,
-    with grad log alpha(s_0) = e_{s_0} - alpha for the softmax start model."""
-    alpha = start_model.distribution()
+def exact_grad_alpha(mdp: TabularMdp, v, alpha, pi, k: int) -> np.ndarray:
+    """Exact E_alpha^pi[delta_k * grad log alpha(s_0)] by path enumeration, in
+    the logits of a softmax start distribution alpha: grad log alpha(s_0) =
+    e_{s_0} - alpha."""
+    alpha = np.asarray(alpha, dtype=float)
     paths = enumerate_paths(mdp, alpha, pi, k)
     w = paths.prob * path_deltas(mdp, v, paths)
     return np.bincount(paths.states[:, 0], w, minlength=len(alpha)) - w.sum() * alpha

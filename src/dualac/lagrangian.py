@@ -4,9 +4,10 @@ The one-step objective couples a value vector v with a start-state weighting
 alpha and a policy pi through the advantage-like residual
 Delta[v](s, a) = R(s, a) + gamma E[v(s')] - v(s).  Its multi-step extension
 replaces Delta with the discounted k-step residual delta along sampled paths
-(estimators.traj_deltas computes it for every trajectory of a sampled
-batch), and the path-regularized variant adds a squared penalty pulling v
-toward the behavior policy's exact return.  Everything is computed in closed form or by
+(estimators.residuals tabulates it for every trajectory of a sampled batch,
+and estimators.traj_deltas evaluates it at any value parameters), and the
+path-regularized variant adds a squared penalty pulling v toward the
+behavior policy's exact return.  Everything is computed in closed form or by
 exhaustive path enumeration so the stochastic estimators have a noise-free
 target.
 
@@ -18,7 +19,9 @@ S * (A * S)^(k+1) paths at most, so max_paths caps it, and the marginal
 recursions (expected_delta_dp, value_linear_coefficient) are the
 independent forms it is checked against.
 
-`alpha` arguments are plain length-S distribution vectors over start states.
+`alpha` arguments are plain length-S distribution vectors over start states,
+here and in the estimators' exact_grad_* forms.  The saddle-point weighting
+of the k-step objective is mdp.discounted_state_occupancy at that k.
 """
 
 from __future__ import annotations
@@ -184,22 +187,6 @@ def path_reg_value_gradient(
     v = np.asarray(v, dtype=float)
     v_b = policy_value(mdp, pi_b)
     return value_linear_coefficient(mdp, alpha, pi, k) + 2.0 * eta_v * mdp.mu * (v - v_b)
-
-
-def k_step_weighting(mdp: TabularMdp, pi: np.ndarray, k: int) -> np.ndarray:
-    """Start-state weighting fixed to the k-step flow equation
-    alpha = (1 - gamma^{k+1}) mu + gamma^{k+1} ((P^pi)^T)^{k+1} alpha.
-
-    At k = 0 this is the ordinary discounted occupancy; for the k-step
-    objective it is the weighting at which the value gradient vanishes, hence
-    the saddle-point alpha used by the exact verification suite.
-    """
-    p_pow = np.linalg.matrix_power(transition_under(mdp, pi), k + 1)
-    g = mdp.gamma ** (k + 1)
-    S = mdp.n_states
-    alpha = np.linalg.solve(np.eye(S) - g * p_pow.T, (1.0 - g) * mdp.mu)
-    alpha = np.clip(alpha, 0.0, None)
-    return alpha / alpha.sum()
 
 
 def inner_min_v_exact(

@@ -187,11 +187,17 @@ def policy_value(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * p_pi, r_pi)
 
 
-def discounted_state_occupancy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
-    """Normalized discounted state-visitation alpha = (1-gamma) mu + gamma (P^pi)^T alpha."""
-    p_pi = transition_under(mdp, policy)
-    S = mdp.n_states
-    alpha = np.linalg.solve(np.eye(S) - mdp.gamma * p_pi.T, (1.0 - mdp.gamma) * mdp.mu)
+def discounted_state_occupancy(mdp: TabularMdp, policy: np.ndarray, k: int = 0) -> np.ndarray:
+    """Normalized start-state weighting of the k-step flow equation
+    alpha = (1 - gamma^{k+1}) mu + gamma^{k+1} ((P^pi)^T)^{k+1} alpha.
+
+    At k = 0 this is the discounted state-visitation; for the k-step
+    objective it is the weighting at which the value gradient vanishes, hence
+    the saddle-point alpha used by the exact verification suite.
+    """
+    p_pow = np.linalg.matrix_power(transition_under(mdp, policy), k + 1)
+    g = mdp.gamma ** (k + 1)
+    alpha = np.linalg.solve(np.eye(mdp.n_states) - g * p_pow.T, (1.0 - g) * mdp.mu)
     # Guard against tiny negative round-off; the exact solution is nonnegative.
     alpha = np.clip(alpha, 0.0, None)
     return alpha / alpha.sum()

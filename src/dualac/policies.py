@@ -1,14 +1,13 @@
-"""Policy and value parameterizations with hand-derived gradients.
-
-Three families, matching what the training driver needs:
+"""Policies with hand-derived gradients, and the row maps of the values.
 
 * GaussianRbfPolicy - diagonal Gaussian whose mean is linear in random
   Fourier features of the state (continuous control).
 * TabularSoftmaxPolicy - per-state softmax logits (tabular verification
   vehicle for the estimator equalities).
-* LinearValue / TabularValue - value functions linear in features or in
-  state indicators, v(s) = w . row(s), giving the rows of a batch of states
-  at once.
+* BiasedFeatureMap / IndicatorFeatureMap - the row maps of the value
+  functions, v(s) = w . row(s): features with an intercept, or state
+  indicators.  A value function is its parameter vector w beside one of
+  them; rows gives the rows of a batch of states at once.
 
 Both policies read states through policy.inputs (the feature rows, or the
 int states): the action draw, score_batch and kl take inputs, which the
@@ -95,6 +94,16 @@ class BiasedFeatureMap:
     def rows(self, states: np.ndarray) -> np.ndarray:
         f = self.base.rows(states)
         return np.concatenate([f, np.ones((len(f), 1))], axis=1)
+
+
+class IndicatorFeatureMap:
+    """The indicator of each of n_features states: a tabular value's row map."""
+
+    def __init__(self, n_features: int):
+        self.n_features = n_features
+
+    def rows(self, states) -> np.ndarray:
+        return np.eye(self.n_features)[np.asarray(states)]
 
 
 class GaussianRbfPolicy:
@@ -223,57 +232,3 @@ class TabularSoftmaxPolicy:
         lp, lq = self.log_prob_matrix(), old.log_prob_matrix()
         per_state = np.sum(np.exp(lp) * (lp - lq), axis=1)
         return float(np.mean(per_state[np.asarray(states, dtype=int)]))
-
-
-class LinearValue:
-    """v(s) = w . f(s) for a fixed feature map."""
-
-    def __init__(self, feature_map):
-        self.feature_map = feature_map
-        self.weights = np.zeros(feature_map.n_features)
-
-    @property
-    def n_params(self) -> int:
-        return self.weights.size
-
-    def get_params(self) -> np.ndarray:
-        return self.weights.copy()
-
-    def set_params(self, flat: np.ndarray) -> None:
-        self.weights = np.asarray(flat, dtype=float).copy()
-
-    def copy(self) -> "LinearValue":
-        clone = LinearValue.__new__(LinearValue)
-        clone.feature_map = self.feature_map
-        clone.weights = self.weights.copy()
-        return clone
-
-    def rows(self, states) -> np.ndarray:
-        """grad v(s) = f(s) for a batch of states, one row each."""
-        return self.feature_map.rows(states)
-
-
-class TabularValue:
-    """One value parameter per state; the gradient is the state indicator."""
-
-    def __init__(self, n_states: int):
-        self.values = np.zeros(n_states)
-
-    @property
-    def n_params(self) -> int:
-        return self.values.size
-
-    def get_params(self) -> np.ndarray:
-        return self.values.copy()
-
-    def set_params(self, flat: np.ndarray) -> None:
-        self.values = np.asarray(flat, dtype=float).copy()
-
-    def copy(self) -> "TabularValue":
-        clone = TabularValue(len(self.values))
-        clone.values = self.values.copy()
-        return clone
-
-    def rows(self, states) -> np.ndarray:
-        """grad v(s), the indicator of s, for a batch of states, one row each."""
-        return np.eye(len(self.values))[np.asarray(states)]

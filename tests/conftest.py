@@ -3,9 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from dualac.estimators import Batch
+from dualac.estimators import Batch, residuals, traj_deltas
 from dualac.mdp import TabularMdp
-from dualac.policies import TabularValue
+from dualac.policies import IndicatorFeatureMap
 
 
 def pytest_report_header(config):
@@ -68,10 +68,17 @@ def make_batch(paths) -> Batch:
     )
 
 
-def tabular_value(values) -> TabularValue:
-    value = TabularValue(len(values))
-    value.set_params(np.asarray(values, dtype=float))
-    return value
+def tabular_deltas(batch: Batch, values, gamma: float, k: int) -> np.ndarray:
+    """delta_k of a batch's trajectories under the tabular value vector values."""
+    values = np.asarray(values, dtype=float)
+    return traj_deltas(residuals(batch, IndicatorFeatureMap(len(values)).rows, gamma, k), values)
+
+
+def softmax(logits) -> np.ndarray:
+    """A softmax start distribution over states from its logits."""
+    logits = np.asarray(logits, dtype=float)
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
 
 
 @pytest.fixture

@@ -49,9 +49,9 @@ def multi_step_lagrangian(mdp, v, alpha, pi, k):
     return float((1.0 - mdp.gamma ** (k + 1)) * mdp.mu @ v + total)
 
 
-def exact_grad_alpha(mdp, v, start_model, pi, k):
+def exact_grad_alpha(mdp, v, alpha, pi, k):
     v = np.asarray(v, dtype=float)
-    alpha = start_model.distribution()
+    alpha = np.asarray(alpha, dtype=float)
     total = np.zeros(mdp.n_states)
     for prob, states, actions in iter_paths(mdp, alpha, pi, k):
         log_grad = -alpha

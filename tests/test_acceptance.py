@@ -24,7 +24,6 @@ from dualac.driver import (
 )
 from dualac.envs import make_env
 from dualac.estimators import (
-    SoftmaxStartWeighting,
     alpha_closed_form,
     alpha_objective,
     exact_grad_alpha,
@@ -33,7 +32,6 @@ from dualac.estimators import (
 )
 from dualac.lagrangian import (
     inner_min_v_exact,
-    k_step_weighting,
     one_step_lagrangian,
     path_reg_lagrangian,
 )
@@ -56,6 +54,7 @@ from dualac.optim import (
     natural_gradient_step,
 )
 from dualac.policies import TabularSoftmaxPolicy
+from conftest import softmax
 from reference_prox import exact_prox_pi
 
 
@@ -159,7 +158,7 @@ def test_criterion_3_saddle_regularization_suite():
             assert one_step_lagrangian(mdp, v_star, alpha, pi) <= ceiling + 1e-10
         # regularizer centered at pi* leaves the minimizer at V*
         for k in (0, 2):
-            alpha_star = k_step_weighting(mdp, pi_star, k)
+            alpha_star = discounted_state_occupancy(mdp, pi_star, k)
             for eta_v in (0.01, 0.1, 1.0):
                 v = inner_min_v_exact(mdp, alpha_star, pi_star, pi_star, k=k, eta_v=eta_v)
                 assert np.max(np.abs(v - v_star)) < 1e-6
@@ -191,19 +190,18 @@ def test_criterion_4_gradient_estimator_suite():
         mdp = TabularMdp(P, R, 0.9, np.array([0.4, 0.6]))
         policy = TabularSoftmaxPolicy(2, 2, logits=rng.normal(size=(2, 2)))
         pi_b = rng.dirichlet(np.ones(2), size=2)
-        start = SoftmaxStartWeighting(2, logits=np.array([0.3, -0.5]))
+        logits = np.array([0.3, -0.5])
         k, eta_v = 1, 0.5
 
         def dual_in_alpha(theta):
-            model = SoftmaxStartWeighting(2, logits=theta)
-            a = model.distribution()
+            a = softmax(theta)
             v = inner_min_v_exact(mdp, a, policy.prob_matrix(), pi_b, k=k, eta_v=eta_v)
             return path_reg_lagrangian(mdp, v, a, policy.prob_matrix(), pi_b, k=k, eta_v=eta_v)
 
-        alpha0 = start.distribution()
+        alpha0 = softmax(logits)
         v_min = inner_min_v_exact(mdp, alpha0, policy.prob_matrix(), pi_b, k=k, eta_v=eta_v)
-        got = exact_grad_alpha(mdp, v_min, start, policy.prob_matrix(), k=k)
-        want = fd_grad(dual_in_alpha, start.get_params())
+        got = exact_grad_alpha(mdp, v_min, alpha0, policy.prob_matrix(), k=k)
+        want = fd_grad(dual_in_alpha, logits)
         assert np.max(np.abs(got - want)) <= 1e-4 * max(1.0, np.max(np.abs(want)))
 
         def dual_in_pi(theta):
@@ -246,7 +244,7 @@ def gridworld_config(**overrides):
         schedule=StepsizeSchedule(c=0.5, n0=1.0, beta=0.5),
         batch_m=24,
         iterations=300,
-        inner_v=InnerVConfig(stepsize=0.2, max_iters=80, grad_tol=1e-4, biased_iters=5),
+        inner_v=InnerVConfig(stepsize=0.2, max_iters=80, grad_tol=1e-4),
     )
     base.update(overrides)
     return DualAcConfig(**base)

@@ -29,7 +29,13 @@ from dualac.driver import (
 from dualac.envs import TabularEnv, make_env
 from dualac.mdp import greedy_policy, policy_value, value_iteration
 from dualac.optim import StepsizeSchedule
-from dualac.policies import GaussianRbfPolicy, RbfFeatureMap, TabularSoftmaxPolicy
+from dualac.policies import (
+    BiasedFeatureMap,
+    GaussianRbfPolicy,
+    IndicatorFeatureMap,
+    RbfFeatureMap,
+    TabularSoftmaxPolicy,
+)
 from conftest import make_single_state_mdp
 
 
@@ -62,14 +68,14 @@ def test_ablation_constraints_applied():
     cfg = chain_config(ablation="naive", k=7, eta_v=2.0).resolved(env)
     assert cfg.k == 0 and cfg.eta_v == 0.0 and cfg.inner_v.max_iters == 1
     cfg = chain_config(ablation="no_unbiased_v").resolved(env)
-    assert cfg.inner_v.max_iters == cfg.inner_v.biased_iters
+    assert cfg.inner_v.max_iters == 1 and cfg.inner_v.grad_tol == 0.0
 
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_resolved_is_idempotent(ablation):
     # load_checkpoint resolves the config it saved, which was resolved already
     env = make_env("chain2")
-    cfg = chain_config(ablation=ablation, k=7, eta_v=2.0, inner_v=InnerVConfig(max_iters=50, biased_iters=3))
+    cfg = chain_config(ablation=ablation, k=7, eta_v=2.0, inner_v=InnerVConfig(max_iters=50))
     once = cfg.resolved(env)
     assert once.resolved(env) == once
 
@@ -170,8 +176,8 @@ def test_single_state_iteration_trivially_optimal():
     # hand-computed minimizer of the sampled objective: the return target
     # G = (1 - 0.9^300)/0.1 plus the dual tilt alpha*(1-gamma)/(2 eta_v) with
     # alpha = max(0, delta(v=0))/eta_alpha = 1, i.e. 10.05 up to truncation
-    assert state.value.get_params()[0] == pytest.approx(10.05, abs=1e-4)
-    assert abs(state.value.get_params()[0] - 10.0) < 0.1  # near V* as well
+    assert state.value_params[0] == pytest.approx(10.05, abs=1e-4)
+    assert abs(state.value_params[0] - 10.0) < 0.1  # near V* as well
     # single action: the policy gradient is identically zero
     assert rec.kl == pytest.approx(0.0, abs=1e-15)
     assert np.array_equal(state.policy.prob_matrix(), [[1.0]])
@@ -183,7 +189,7 @@ def test_failed_iteration_leaves_state_intact(monkeypatch):
     state = init_state(chain_config(), make_env("chain2"))
     state, _ = dual_ac_iteration(state)
     t, batch = state.t, state.last_batch
-    policy_params, value_params = state.policy.get_params(), state.value.get_params()
+    policy_params, value_params = state.policy.get_params(), state.value_params.copy()
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("injected")
@@ -193,7 +199,7 @@ def test_failed_iteration_leaves_state_intact(monkeypatch):
         dual_ac_iteration(state)
     assert state.t == t and state.last_batch is batch
     assert np.array_equal(state.policy.get_params(), policy_params)
-    assert np.array_equal(state.value.get_params(), value_params)
+    assert np.array_equal(state.value_params, value_params)
 
 
 def test_iteration_determinism_bitwise():
@@ -314,6 +320,29 @@ def test_iteration_builds_the_window_feature_rows_once(monkeypatch):
         assert score_args[1] is batch.inputs and kl_args[2] is batch.inputs
 
 
+@pytest.mark.parametrize("env_name", ["gridworld", "pendulum"])
+def test_iteration_builds_the_value_rows_of_starts_and_bootstraps_once(monkeypatch, env_name):
+    # delta_k is affine in the value parameters, so one residual table serves
+    # V^{t-1}, the inner fit and V^t: one row-map call builds the rows of the
+    # batch's starts and bootstrap states (2m), and the behavior replay's
+    # starts (m per replayed batch) are the only other value rows
+    calls, samples = [], []
+    for row_map in (BiasedFeatureMap, IndicatorFeatureMap):
+        monkeypatch.setattr(row_map, "rows", _recorded(calls, row_map.rows))
+    monkeypatch.setattr(driver, "sample_trajectories", _recorded(samples, driver.sample_trajectories))
+    state = init_state(default_config(env_name), make_env(env_name))
+    m, k = state.cfg.batch_m, state.cfg.k
+    for _ in range(3):
+        calls.clear()
+        samples.clear()
+        state, _ = dual_ac_iteration(state)
+        [(_, batch)] = samples
+        bootstraps = batch.obs[np.arange(m), np.minimum(k + 1, batch.lengths)]
+        [table] = [args[1] for args, _ in calls if len(args[1]) == 2 * m]
+        assert np.array_equal(table, np.concatenate([batch.obs[:, 0], bootstraps]))
+        assert sum(len(out) for _, out in calls) <= 4 * m
+
+
 def test_chain_learns_oracle_policy():
     env = make_env("chain2")
     cfg = chain_config(iterations=200)
@@ -403,10 +432,14 @@ def test_load_checkpoint_rejects_removed_config_fields(tmp_path):
     save_checkpoint(path, state)
     with open(path) as fh:
         saved = json.load(fh)
-    removed = {"n_rbf_features": 100, "cg": {"max_iters": 20, "damping": 1e-4, "residual_tol": 1e-10}}
-    for name, value in removed.items():
+    removed = {
+        "n_rbf_features": lambda config: config.update(n_rbf_features=100),
+        "cg": lambda config: config.update(cg={"max_iters": 20, "damping": 1e-4, "residual_tol": 1e-10}),
+        "inner_v.biased_iters": lambda config: config["inner_v"].update(biased_iters=1),
+    }
+    for name, add in removed.items():
         payload = json.loads(json.dumps(saved))
-        payload["config"][name] = value
+        add(payload["config"])
         with open(path, "w") as fh:
             json.dump(payload, fh)
         with pytest.raises(ValueError, match=f"unknown config fields: {name}$"):
@@ -485,7 +518,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     resumed = load_checkpoint(path)
     assert resumed.t == state.t
     assert np.array_equal(resumed.policy.get_params(), state.policy.get_params())
-    assert np.array_equal(resumed.value.get_params(), state.value.get_params())
+    assert np.array_equal(resumed.value_params, state.value_params)
     # continuing from the checkpoint reproduces the direct run bitwise
     state, direct = dual_ac_iteration(state)
     resumed, reloaded = dual_ac_iteration(resumed)

@@ -11,7 +11,6 @@ from dualac.driver import dual_ac_iteration, init_state, load_checkpoint, save_c
 from dualac.envs import TabularEnv, make_env
 from dualac.estimators import (
     BatchRow,
-    SoftmaxStartWeighting,
     alpha_closed_form,
     alpha_objective,
     delta_means_by_start,
@@ -21,6 +20,7 @@ from dualac.estimators import (
     grad_pi_estimate,
     grad_v_estimate,
     replay_rows,
+    residuals,
     sample_trajectories,
     traj_deltas,
     value_grad_terms,
@@ -35,12 +35,11 @@ from dualac.mdp import TabularMdp, policy_value, random_mdp
 from dualac.policies import (
     BiasedFeatureMap,
     GaussianRbfPolicy,
-    LinearValue,
+    IndicatorFeatureMap,
     RbfFeatureMap,
     TabularSoftmaxPolicy,
-    TabularValue,
 )
-from conftest import make_batch, make_single_state_mdp, tabular_value
+from conftest import make_batch, make_single_state_mdp, softmax, tabular_deltas
 from reference_sampler import features, sample_reference
 
 
@@ -144,7 +143,8 @@ def test_window_inputs_are_the_policy_inputs_of_its_states(env_name):
     for k in (0, 3, 80):
         batch = sample_trajectories(env, policy, m=12, horizon=40, rng_seed=(7, k), window=k + 1)
         window = batch.window()
-        want = policy.inputs(window.obs)
+        inside = np.arange(batch.rewards.shape[1]) < window.steps[:, None]
+        want = policy.inputs(batch.obs[:, :-1][inside])
         assert window.inputs.dtype == want.dtype and window.inputs.shape == want.shape
         assert np.array_equal(window.inputs, want)
         assert np.array_equal(window.steps, np.minimum(k + 1, batch.lengths))
@@ -203,20 +203,19 @@ def test_sampled_batches_pinned():
 # reference (the loops that walked one trajectory at a time)
 
 
-def _reference_row(value, s) -> np.ndarray:
-    """grad v(s) of one state, as the per-state value models computed it."""
-    if isinstance(value, TabularValue):
-        row = np.zeros(value.n_params)
+def _reference_row(value_map, s) -> np.ndarray:
+    """grad v(s) = row(s) of one state, as the per-state value models computed it."""
+    if isinstance(value_map, IndicatorFeatureMap):
+        row = np.zeros(value_map.n_features)
         row[int(s)] = 1.0
         return row
-    fmap = value.feature_map
-    return np.append(features(fmap.base, s), 1.0) if isinstance(fmap, BiasedFeatureMap) else features(fmap, s)
+    return np.append(features(value_map.base, s), 1.0)
 
 
-def _reference_value(value, s) -> float:
-    if isinstance(value, TabularValue):
-        return float(value.values[int(s)])
-    return float(value.weights @ _reference_row(value, s))
+def _reference_value(value_map, w, s) -> float:
+    if isinstance(value_map, IndicatorFeatureMap):
+        return float(w[int(s)])
+    return float(w @ _reference_row(value_map, s))
 
 
 def _reference_return(rewards, gamma, k=None) -> float:
@@ -229,10 +228,10 @@ def _bootstraps(path: BatchRow, j: int) -> bool:
     return not (path.terminated and j == path.n_steps)
 
 
-def _reference_delta(path: BatchRow, value, gamma, k) -> float:
+def _reference_delta(path: BatchRow, value_map, w, gamma, k) -> float:
     j = min(k + 1, path.n_steps)
-    tail = gamma**j * _reference_value(value, path.obs[j]) if _bootstraps(path, j) else 0.0
-    return float(_reference_return(path.rewards, gamma, k) + tail - _reference_value(value, path.obs[0]))
+    tail = gamma**j * _reference_value(value_map, w, path.obs[j]) if _bootstraps(path, j) else 0.0
+    return float(_reference_return(path.rewards, gamma, k) + tail - _reference_value(value_map, w, path.obs[0]))
 
 
 def _reference_delta_means(paths, deltas, n_states):
@@ -260,24 +259,24 @@ def _per_state_delta_means(batch, deltas, n_states):
     return means
 
 
-def _grad_v_reference(paths, weights, behavior_paths, value_model, gamma, k, eta_v):
-    """The sampled value gradient walked trajectory by trajectory, evaluating
-    every feature row at the model's current parameters."""
-    n = value_model.n_params
+def _grad_v_reference(paths, weights, behavior_paths, value_map, w, gamma, k, eta_v):
+    """The sampled value gradient at value parameters w, walked trajectory by
+    trajectory and state by state."""
+    n = value_map.n_features
     lead = np.zeros(n)
     resid = np.zeros(n)
     for path, weight in zip(paths, weights):
-        g0 = _reference_row(value_model, path.obs[0])
+        g0 = _reference_row(value_map, path.obs[0])
         j = min(k + 1, path.n_steps)
         lead += g0
         resid -= weight * g0
         if _bootstraps(path, j):
-            resid += weight * gamma**j * _reference_row(value_model, path.obs[j])
+            resid += weight * gamma**j * _reference_row(value_map, path.obs[j])
     grad = (1.0 - gamma ** (k + 1)) * lead / len(paths) + resid / len(paths)
     if eta_v > 0:
         pen = np.zeros(n)
         for path in behavior_paths:
-            v0, g0 = _reference_value(value_model, path.obs[0]), _reference_row(value_model, path.obs[0])
+            v0, g0 = _reference_value(value_map, w, path.obs[0]), _reference_row(value_map, path.obs[0])
             pen += (_reference_return(path.rewards, gamma) - v0) * g0
         grad -= 2.0 * eta_v * pen / len(behavior_paths)
     return grad
@@ -287,19 +286,19 @@ def test_mc_return_examples():
     batch = make_batch([(np.zeros(4, dtype=int), np.zeros(3, dtype=int), [1.0, 1.0, 1.0])])
     assert replay_rows(batch, 0.5).returns[0] == pytest.approx(1.75)
     # at v = 0, delta_k is the return over the first k+1 steps
-    assert traj_deltas(batch, tabular_value([0.0]), 0.5, k=0)[0] == pytest.approx(1.0)
+    assert tabular_deltas(batch, [0.0], 0.5, k=0)[0] == pytest.approx(1.0)
     long = make_batch([(np.zeros(201, dtype=int), np.zeros(200, dtype=int), np.ones(200))])
     assert replay_rows(long, 0.995).returns[0] == pytest.approx((1 - 0.995**200) / 0.005)
 
 
 def test_traj_delta_full_and_truncated():
-    v = tabular_value([2.0, -1.0, 0.5])
+    v = [2.0, -1.0, 0.5]
     full = make_batch([([0, 1, 2], [0, 0], [1.0, 3.0])])
     # k = 1: delta = 1 + 0.9*3 + 0.81*v(s2) - v(s0)
-    assert traj_deltas(full, v, 0.9, k=1)[0] == pytest.approx(1 + 2.7 + 0.81 * 0.5 - 2.0)
+    assert tabular_deltas(full, v, 0.9, k=1)[0] == pytest.approx(1 + 2.7 + 0.81 * 0.5 - 2.0)
     short = make_batch([([0, 1], [0], [1.0])])
     # k = 3 but only one step: bootstrap at s_1 with gamma^1
-    assert traj_deltas(short, v, 0.9, k=3)[0] == pytest.approx(1 + 0.9 * (-1.0) - 2.0)
+    assert tabular_deltas(short, v, 0.9, k=3)[0] == pytest.approx(1 + 0.9 * (-1.0) - 2.0)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -320,17 +319,19 @@ def test_array_estimators_match_per_trajectory_reference(env_name, seed, scale, 
     env, policy = _sampler_case(env_name, seed, scale, log_std=0.0)
     rng = np.random.default_rng(seed)
     if env.spec.tabular:
-        value = TabularValue(env.spec.n_states)
+        value_map = IndicatorFeatureMap(env.spec.n_states)
     else:
-        value = LinearValue(BiasedFeatureMap(policy.feature_map))
-    value.set_params(rng.normal(scale=3.0, size=value.n_params))
+        value_map = BiasedFeatureMap(policy.feature_map)
     gamma = env.spec.gamma_hint
     batch = sample_trajectories(env, policy, m, horizon, (seed, 1), window=k + 1)
     previous = sample_trajectories(env, policy, int(rng.integers(1, 13)), horizon, (seed, 2), window=k + 1)
     paths = list(batch)
 
-    deltas = traj_deltas(batch, value, gamma, k)
-    assert np.array_equal(deltas, [_reference_delta(p, value, gamma, k) for p in paths])
+    # one residual table serves every value parameter vector
+    res = residuals(batch, value_map.rows, gamma, k)
+    for w in rng.normal(scale=3.0, size=(3, value_map.n_features)):
+        deltas = traj_deltas(res, w)
+        assert np.array_equal(deltas, [_reference_delta(p, value_map, w, gamma, k) for p in paths])
     rows = replay_rows(batch, gamma)
     assert np.array_equal(rows.returns, [_reference_return(p.rewards, gamma) for p in paths])
     # one start-weight rule: the per-state means indexed by start on tabular
@@ -347,11 +348,9 @@ def test_array_estimators_match_per_trajectory_reference(env_name, seed, scale, 
     weights = rng.uniform(0.1, 2.0, size=m)
     behavior = (rows, replay_rows(previous, gamma))
     for eta_v in (0.0, 1.0):
-        terms = value_grad_terms(batch, weights, behavior, value, gamma, k, eta_v)
-        w = rng.normal(scale=3.0, size=value.n_params)
-        probe = value.copy()
-        probe.set_params(w)
-        want = _grad_v_reference(paths, weights, paths + list(previous), probe, gamma, k, eta_v)
+        terms = value_grad_terms(res, weights, behavior, value_map.rows, eta_v)
+        w = rng.normal(scale=3.0, size=value_map.n_features)
+        want = _grad_v_reference(paths, weights, paths + list(previous), value_map, w, gamma, k, eta_v)
         assert np.array_equal(grad_v_estimate(terms, w), want), eta_v
 
 
@@ -373,19 +372,18 @@ def test_eq9_alpha_gradient_matches_fd():
     rng = np.random.default_rng(109)
     pi = rng.dirichlet(np.ones(2), size=2)
     pi_b = rng.dirichlet(np.ones(2), size=2)
-    start = SoftmaxStartWeighting(2, logits=np.array([0.4, -0.2]))
+    logits = np.array([0.4, -0.2])
     k, eta_v = 1, 0.5
 
     def dual_fn(theta):
-        model = SoftmaxStartWeighting(2, logits=theta)
-        alpha = model.distribution()
+        alpha = softmax(theta)
         v_star = inner_min_v_exact(mdp, alpha, pi, pi_b, k=k, eta_v=eta_v)
         return path_reg_lagrangian(mdp, v_star, alpha, pi, pi_b, k=k, eta_v=eta_v)
 
-    alpha0 = start.distribution()
+    alpha0 = softmax(logits)
     v_at_min = inner_min_v_exact(mdp, alpha0, pi, pi_b, k=k, eta_v=eta_v)
-    analytic = exact_grad_alpha(mdp, v_at_min, start, pi, k=k)
-    numeric = fd_grad(dual_fn, start.get_params())
+    analytic = exact_grad_alpha(mdp, v_at_min, alpha0, pi, k=k)
+    numeric = fd_grad(dual_fn, logits)
     assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
 
@@ -437,8 +435,8 @@ def test_grad_estimates_zero_at_fixed_point():
     env = TabularEnv(mdp, horizon=6)
     policy = TabularSoftmaxPolicy(1, 1)
     batch = sample_trajectories(env, policy, m=4, horizon=6, rng_seed=5, window=3)
-    v = tabular_value([10.0])  # fixed point: every delta vanishes
-    g_pi, _ = grad_pi_estimate(batch.window(), traj_deltas(batch, v, 0.9, k=2), policy)
+    # v = 10 is the fixed point: every delta vanishes
+    g_pi, _ = grad_pi_estimate(batch.window(), tabular_deltas(batch, [10.0], 0.9, k=2), policy)
     assert np.allclose(g_pi, 0.0, atol=1e-12)
 
 
@@ -453,13 +451,12 @@ def test_sampled_estimators_converge_to_exact():
     env = TabularEnv(mdp, horizon=8)
     rng = np.random.default_rng(149)
     policy = TabularSoftmaxPolicy(2, 2, logits=rng.normal(size=(2, 2)))
-    v = TabularValue(2)
-    v.values = rng.normal(size=2)
+    v = rng.normal(size=2)
     k = 1
-    exact_pi = exact_grad_pi(mdp, v.values, mdp.mu, policy, k=k)
+    exact_pi = exact_grad_pi(mdp, v, mdp.mu, policy, k=k)
     for m in (100, 10_000):
         batch = sample_trajectories(env, policy, m=m, horizon=8, rng_seed=m, window=k + 1)
-        per = traj_deltas(batch, v, mdp.gamma, k)
+        per = tabular_deltas(batch, v, mdp.gamma, k)
         est_pi, _ = grad_pi_estimate(batch.window(), per, policy)
         # per-trajectory statistic scale bounds the batch-mean deviation
         sigma = max(per.std(), 1.0)
@@ -468,30 +465,30 @@ def test_sampled_estimators_converge_to_exact():
 
 
 def _value_grad_cases():
-    """(env, policy, value model, horizon, k) covering absorbed tabular
+    """(env, policy, value row map, horizon, k) covering absorbed tabular
     trajectories and continuous ones shorter than k+1 steps."""
     rng = np.random.default_rng(163)
     grid = make_env("gridworld")
-    yield grid, TabularSoftmaxPolicy(25, 4, logits=rng.normal(size=(25, 4))), TabularValue(25), 60, 10
+    yield grid, TabularSoftmaxPolicy(25, 4, logits=rng.normal(size=(25, 4))), IndicatorFeatureMap(25), 60, 10
     chain = TabularEnv(make_env("chain5").as_tabular(), horizon=30, terminal_states=(4,))
-    yield chain, TabularSoftmaxPolicy(5, 2, logits=rng.normal(size=(5, 2))), TabularValue(5), 30, 3
+    yield chain, TabularSoftmaxPolicy(5, 2, logits=rng.normal(size=(5, 2))), IndicatorFeatureMap(5), 30, 3
     pend = make_env("pendulum")
     fmap = RbfFeatureMap.create(30, pend.spec.obs_dim, bandwidth=1.5, seed=5)
-    yield pend, GaussianRbfPolicy(fmap, pend.spec.action_dim, seed=3), LinearValue(BiasedFeatureMap(fmap)), 8, 10
+    yield pend, GaussianRbfPolicy(fmap, pend.spec.action_dim, seed=3), BiasedFeatureMap(fmap), 8, 10
 
 
 def test_value_models_are_linear_in_their_parameters():
-    # the precondition of value_grad_terms: v(s) = w . row(s), with each row
-    # independent of w and bitwise the row of that state alone
-    for env, policy, v, horizon, _ in _value_grad_cases():
+    # the precondition of residuals and value_grad_terms: v(s) = w . row(s)
+    # at every w, with each row of a batch bitwise the row of that state alone
+    for env, policy, value_map, horizon, _ in _value_grad_cases():
         rng = np.random.default_rng(167)
         batch = sample_trajectories(env, policy, 6, horizon, rng_seed=23, window=1)
         states = np.concatenate([path.obs for path in batch])
-        rows = v.rows(states)
-        v.set_params(rng.normal(size=v.n_params))
-        assert np.array_equal(v.rows(states), rows)
+        rows = value_map.rows(states)
         for s, row in zip(states, rows):
-            assert np.array_equal(row, _reference_row(v, s))
+            assert np.array_equal(row, _reference_row(value_map, s))
+        for w in rng.normal(size=(2, value_map.n_features)):
+            assert np.array_equal(np.vecdot(rows, w), [_reference_value(value_map, w, s) for s in states])
 
 
 def test_grad_v_terms_bitwise_match_trajectory_loop():
@@ -506,26 +503,25 @@ def test_grad_v_terms_bitwise_match_trajectory_loop():
             assert np.all(batch.lengths < k + 1)
         behavior = list(batch) + list(previous)
         rows = (replay_rows(batch, env.spec.gamma_hint), replay_rows(previous, env.spec.gamma_hint))
-        v.set_params(rng.normal(size=v.n_params))
+        res = residuals(batch, v.rows, env.spec.gamma_hint, k)
         for eta_v in (0.0, 1.0):
-            terms = value_grad_terms(batch, weights, rows, v, env.spec.gamma_hint, k, eta_v)
+            terms = value_grad_terms(res, weights, rows, v.rows, eta_v)
             for _ in range(4):
-                w = rng.normal(scale=3.0, size=v.n_params)
-                probe = v.copy()
-                probe.set_params(w)
-                want = _grad_v_reference(list(batch), weights, behavior, probe, env.spec.gamma_hint, k, eta_v)
+                w = rng.normal(scale=3.0, size=v.n_features)
+                want = _grad_v_reference(list(batch), weights, behavior, v, w, env.spec.gamma_hint, k, eta_v)
                 assert np.array_equal(grad_v_estimate(terms, w), want), (env.spec, eta_v)
 
 
 def test_grad_v_terms_reject_empty_batches():
     env = make_env("chain5")
     batch = sample_trajectories(env, TabularSoftmaxPolicy(5, 2), m=3, horizon=5, rng_seed=31, window=2)
-    v, weights = TabularValue(5), np.ones(3)
+    rows, weights = IndicatorFeatureMap(5).rows, np.ones(3)
     with pytest.raises(ValueError):
-        value_grad_terms(make_batch([]), np.zeros(0), (replay_rows(batch, 0.9),), v, 0.9, k=1, eta_v=1.0)
+        value_grad_terms(residuals(make_batch([]), rows, 0.9, k=1), np.zeros(0), (replay_rows(batch, 0.9),), rows, 1.0)
+    res = residuals(batch, rows, 0.9, k=1)
     with pytest.raises(ValueError):
-        value_grad_terms(batch, weights, (), v, 0.9, k=1, eta_v=1.0)
-    terms = value_grad_terms(batch, weights, (), v, 0.9, k=1, eta_v=0.0)
+        value_grad_terms(res, weights, (), rows, eta_v=1.0)
+    terms = value_grad_terms(res, weights, (), rows, eta_v=0.0)
     assert terms.rows.shape == (0, 5)
 
 
@@ -534,9 +530,9 @@ def test_grad_v_single_state_hand_value():
     env = TabularEnv(mdp, horizon=300)
     policy = TabularSoftmaxPolicy(1, 1)
     batch = sample_trajectories(env, policy, m=3, horizon=300, rng_seed=17, window=1)
-    v = TabularValue(1)
+    rows = IndicatorFeatureMap(1).rows
     k, eta_v = 0, 0.5
-    terms = value_grad_terms(batch, np.ones(3), (replay_rows(batch, 0.9),), v, 0.9, k=k, eta_v=eta_v)
+    terms = value_grad_terms(residuals(batch, rows, 0.9, k), np.ones(3), (replay_rows(batch, 0.9),), rows, eta_v)
     got = grad_v_estimate(terms, np.array([8.0]))
     G = (1 - 0.9**300) / 0.1
     # lead and residual terms cancel ((1-g) + (g-1)); penalty remains
@@ -550,11 +546,11 @@ def test_grad_v_penalty_vanishes_at_behavior_value():
     rng = np.random.default_rng(151)
     policy = TabularSoftmaxPolicy(5, 2, logits=rng.normal(size=(5, 2)))
     batch = sample_trajectories(env, policy, m=400, horizon=400, rng_seed=19, window=1)
-    v, weights = TabularValue(5), np.ones(400)
+    value_rows, weights = IndicatorFeatureMap(5).rows, np.ones(400)
     v_b = policy_value(mdp, policy.prob_matrix())
-    rows = (replay_rows(batch, mdp.gamma),)
-    got = grad_v_estimate(value_grad_terms(batch, weights, rows, v, mdp.gamma, k=0, eta_v=1.0), v_b)
-    no_pen = grad_v_estimate(value_grad_terms(batch, weights, rows, v, mdp.gamma, k=0, eta_v=0.0), v_b)
+    res, rows = residuals(batch, value_rows, mdp.gamma, k=0), (replay_rows(batch, mdp.gamma),)
+    got = grad_v_estimate(value_grad_terms(res, weights, rows, value_rows, eta_v=1.0), v_b)
+    no_pen = grad_v_estimate(value_grad_terms(res, weights, rows, value_rows, eta_v=0.0), v_b)
     penalty_part = got - no_pen
     assert np.max(np.abs(penalty_part)) < 0.2  # MC/truncation noise only
 
@@ -615,9 +611,8 @@ def test_reweighting_identity():
 
 
 def test_delta_means_by_start_grouping():
-    v = tabular_value(np.zeros(3))
     batch = make_batch([([0, 1], [0], [1.0]), ([0, 2], [0], [3.0]), ([2, 1], [1], [5.0])])
-    means = delta_means_by_start(batch, traj_deltas(batch, v, 0.9, k=0))
+    means = delta_means_by_start(batch, tabular_deltas(batch, np.zeros(3), 0.9, k=0))
     assert means.shape == (3,)
     assert means[0] == pytest.approx(2.0) and means[1] == pytest.approx(2.0)
     assert means[2] == pytest.approx(5.0)
@@ -689,7 +684,7 @@ def test_traj_deltas_vector():
     env = make_env("chain2")
     policy = TabularSoftmaxPolicy(2, 2)
     batch = sample_trajectories(env, policy, m=4, horizon=6, rng_seed=29, window=2)
-    v = tabular_value([1.0, 2.0])
-    out = traj_deltas(batch, v, 0.5, k=1)
+    w = np.array([1.0, 2.0])
+    out = tabular_deltas(batch, w, 0.5, k=1)
     assert out.shape == (4,)
-    assert out[0] == pytest.approx(_reference_delta(next(iter(batch)), v, 0.5, k=1))
+    assert out[0] == pytest.approx(_reference_delta(next(iter(batch)), IndicatorFeatureMap(2), w, 0.5, k=1))

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualac.estimators import SoftmaxStartWeighting, exact_grad_alpha, exact_grad_pi, exact_grad_v, traj_deltas
+from dualac.estimators import exact_grad_alpha, exact_grad_pi, exact_grad_v
 from dualac.lagrangian import (
     EnumerationLimitError,
     enumerate_paths,
     expected_delta_dp,
     inner_min_v_exact,
-    k_step_weighting,
     multi_step_lagrangian,
     one_step_lagrangian,
     path_reg_lagrangian,
@@ -25,37 +24,36 @@ from dualac.mdp import (
     value_iteration,
 )
 from dualac.policies import TabularSoftmaxPolicy
-from conftest import make_batch, make_chain2_mdp, make_single_state_mdp, tabular_value
+from conftest import make_batch, make_chain2_mdp, make_single_state_mdp, softmax, tabular_deltas
 import reference_paths
 
 
 def optimal_triple(mdp, k=0, tol=1e-12):
     v_star = value_iteration(mdp, tol=tol)
     pi_star = greedy_policy(mdp, v_star)
-    alpha_star = k_step_weighting(mdp, pi_star, k)
+    alpha_star = discounted_state_occupancy(mdp, pi_star, k)
     return v_star, alpha_star, pi_star
 
 
 # ---------------------------------------------------------------------------
-# The k-step residual delta of one path (estimators.traj_deltas); k + 1 is
-# the number of steps
+# The k-step residual delta of one path (estimators.residuals and
+# traj_deltas); k + 1 is the number of steps
 
 
 def test_delta_fixed_point_path():
     path = make_batch([([0, 0], [0], [1.0])])
-    assert traj_deltas(path, tabular_value([10.0]), 0.9, k=0)[0] == pytest.approx(0.0, abs=1e-12)
+    assert tabular_deltas(path, [10.0], 0.9, k=0)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_is_sampled_one_step_residual():
     # k = 0: delta = R + gamma v(s1) - v(s0) with the expectation replaced by the sample
-    v = tabular_value([2.0, -1.0])
     path = make_batch([([0, 1], [1], [0.5])])
-    assert traj_deltas(path, v, 0.9, k=0)[0] == pytest.approx(0.5 + 0.9 * (-1.0) - 2.0)
+    assert tabular_deltas(path, [2.0, -1.0], 0.9, k=0)[0] == pytest.approx(0.5 + 0.9 * (-1.0) - 2.0)
 
 
 def test_delta_zero_value_is_discounted_return():
     path = make_batch([([0, 1, 0, 1], [0, 1, 0], [1.0, 2.0, 4.0])])
-    assert traj_deltas(path, tabular_value(np.zeros(2)), 0.5, k=2)[0] == pytest.approx(1.0 + 1.0 + 1.0)
+    assert tabular_deltas(path, np.zeros(2), 0.5, k=2)[0] == pytest.approx(1.0 + 1.0 + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +161,15 @@ def path_cases(draw):
         P = np.where(_some_zero(rng, (S, A, S)), 0.0, mdp.transition)
         mdp = TabularMdp(P / P.sum(axis=2, keepdims=True), mdp.reward, mdp.gamma, mdp.mu)
     policy = TabularSoftmaxPolicy(S, A, logits=np.where(_some_zero(rng, (S, A)), -np.inf, rng.normal(size=(S, A))))
-    start = SoftmaxStartWeighting(S, logits=np.where(_some_zero(rng, (1, S))[0], -np.inf, rng.normal(size=S)))
-    return mdp, policy, start, k, rng
+    alpha = softmax(np.where(_some_zero(rng, (1, S))[0], -np.inf, rng.normal(size=S)))
+    return mdp, policy, alpha, k, rng
 
 
 @settings(max_examples=60, deadline=None)
 @given(path_cases())
 def test_enumerate_paths_matches_depth_first_reference(case):
-    mdp, policy, start, k, rng = case
-    pi, alpha = policy.prob_matrix(), start.distribution()
+    mdp, policy, alpha, k, rng = case
+    pi = policy.prob_matrix()
     want = {(states, actions): prob for prob, states, actions in reference_paths.iter_paths(mdp, alpha, pi, k)}
     count = len(want)
     # the cap at its boundary: exactly count paths pass, one fewer raises
@@ -186,7 +184,7 @@ def test_enumerate_paths_matches_depth_first_reference(case):
     forms = {
         multi_step_lagrangian: (mdp, v, alpha, pi, k),
         exact_grad_v: (mdp, v, alpha, pi, pi_b, k, 0.7),
-        exact_grad_alpha: (mdp, v, start, pi, k),
+        exact_grad_alpha: (mdp, v, alpha, pi, k),
         exact_grad_pi: (mdp, v, alpha, policy, k),
     }
     for form, args in forms.items():
@@ -330,7 +328,7 @@ def test_regularizer_keeps_optimum_when_centered():
     v_star = value_iteration(mdp, tol=1e-13)
     pi_star = greedy_policy(mdp, v_star)
     for k in (0, 2):
-        alpha_star = k_step_weighting(mdp, pi_star, k)
+        alpha_star = discounted_state_occupancy(mdp, pi_star, k)
         for eta_v in (0.01, 0.1, 1.0):
             v = inner_min_v_exact(mdp, alpha_star, pi_star, pi_star, k=k, eta_v=eta_v)
             assert np.max(np.abs(v - v_star)) < 1e-6, (k, eta_v)

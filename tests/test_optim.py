@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualac.envs import make_env
-from dualac.estimators import grad_pi_estimate, sample_trajectories, traj_deltas
+from dualac.estimators import grad_pi_estimate, sample_trajectories
 from dualac.lagrangian import inner_min_v_exact, path_reg_value_gradient
 from dualac.mdp import random_mdp
 from dualac.optim import (
@@ -13,7 +13,7 @@ from dualac.optim import (
     natural_gradient_step,
 )
 from dualac.policies import TabularSoftmaxPolicy
-from conftest import tabular_value
+from conftest import tabular_deltas
 from reference_prox import exact_prox_pi
 
 
@@ -234,7 +234,7 @@ def test_logit_shift_invariance():
         policy = TabularSoftmaxPolicy(2, 2, logits=logits + shift * np.ones((2, 2)) * np.array([[1.0], [2.0]]))
         if batch is None:
             batch = sample_trajectories(env, policy, m=12, horizon=6, rng_seed=13, window=2)
-        deltas = traj_deltas(batch, tabular_value([1.0, 2.0]), env.mdp.gamma, k=1)
+        deltas = tabular_deltas(batch, [1.0, 2.0], env.mdp.gamma, k=1)
         g, _ = grad_pi_estimate(batch.window(), deltas, policy)
         fisher = exhaustive_fisher(policy, [0, 1], damping=1e-8)
         new_params = natural_gradient_step(policy.get_params(), g, fisher, zeta=0.3, normalize=False)

@@ -3,11 +3,11 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from dualac.policies import (
+    BiasedFeatureMap,
     GaussianRbfPolicy,
-    LinearValue,
+    IndicatorFeatureMap,
     RbfFeatureMap,
     TabularSoftmaxPolicy,
-    TabularValue,
     median_trick_bandwidth,
 )
 from reference_prox import softmax_kl_grad
@@ -211,37 +211,33 @@ def test_softmax_kl_grad_matches_fd():
 # Value functions
 
 
-# v(s) = w . row(s), from the batched rows
+# v(s) = w . row(s): a parameter vector w over a row map's batched rows
 
 
 def test_linear_value_zero_weights():
     fmap = RbfFeatureMap.create(8, 2, bandwidth=1.0, seed=51)
-    v = LinearValue(fmap)
+    value_map = BiasedFeatureMap(fmap)
     s = np.array([0.2, -0.1])
-    grad = v.rows(s[None])[0]
-    assert v.get_params() @ grad == 0.0
-    assert np.array_equal(grad, fmap.rows(s[None])[0])
+    grad = value_map.rows(s[None])[0]
+    assert np.zeros(value_map.n_features) @ grad == 0.0
+    assert np.array_equal(grad, np.append(fmap.rows(s[None])[0], 1.0))
 
 
 def test_tabular_value_indicator_grad():
-    v = TabularValue(5)
-    v.values = np.arange(5.0)
-    grad = v.rows([3])[0]
-    assert v.get_params() @ grad == 3.0
-    assert np.allclose(grad, np.eye(5)[3])
+    value_map = IndicatorFeatureMap(5)
+    grad = value_map.rows([3])[0]
+    assert np.arange(5.0) @ grad == 3.0
+    assert np.array_equal(grad, np.eye(5)[3])
 
 
 def test_value_grads_match_finite_differences():
     rng = np.random.default_rng(52)
-    fmap = RbfFeatureMap.create(8, 2, bandwidth=1.0, seed=53)
-    v = LinearValue(fmap)
-    v.weights = rng.normal(size=8)
+    value_map = BiasedFeatureMap(RbfFeatureMap.create(8, 2, bandwidth=1.0, seed=53))
+    w = rng.normal(size=value_map.n_features)
     s = rng.normal(size=2)
-    grad = v.rows(s[None])[0]
+    grad = value_map.rows(s[None])[0]
 
     def f(theta):
-        c = v.copy()
-        c.set_params(theta)
-        return fmap.rows(s[None])[0] @ c.get_params()
+        return value_map.rows(s[None])[0] @ theta
 
-    assert np.allclose(grad, fd_grad(f, v.get_params()), rtol=1e-6, atol=1e-9)
+    assert np.allclose(grad, fd_grad(f, w), rtol=1e-6, atol=1e-9)
