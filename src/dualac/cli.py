@@ -1,15 +1,18 @@
 """Command-line interface: train, ablation, oracle-check.
 
-Config files are JSON objects mirroring DualAcConfig field names, e.g.::
+Config files are JSON objects mirroring DualAcConfig field names; the tabular
+environments' tuning in full reads::
 
     {"k": 10, "eta_v": 1.0, "eta_alpha": 1.0, "eta_mu": 0.5,
      "schedule": {"c": 0.5, "n0": 1.0, "beta": 0.5},
      "inner_v": {"stepsize": 0.2, "max_iters": 80, "grad_tol": 1e-4},
-     "damping": 1e-4, "batch_m": 24, "iterations": 300, "seed": 0,
+     "batch_m": 24, "iterations": 300, "seed": 0,
      "ablation": "full", "normalize_grad": false}
 
-A config file with an unknown field, a value of the wrong type or a bad value
-is rejected with exit status 2.
+A file holds overrides: the fields it leaves out, nested ones included, keep
+the tuning of the environment's family (default_config).  A config file with
+an unknown field, a value of the wrong type or a bad value is rejected with
+exit status 2.
 
 MDP text files (for `--env mdp:<path>` and `oracle-check --mdp-file`) are
 JSON with fields n_states, n_actions, gamma, reward [S][A],
@@ -41,29 +44,16 @@ from .mdp import (
     value_iteration,
 )
 
-DEFAULT_CONFIGS = {
-    "tabular": dict(
-        k=10,
-        eta_v=1.0,
-        eta_alpha=1.0,
-        eta_mu=0.5,
-        schedule=dict(c=0.5, n0=1.0, beta=0.5),
-        batch_m=24,
-        iterations=300,
-        inner_v=dict(stepsize=0.2, max_iters=80, grad_tol=1e-4),
-    ),
-    "pendulum": dict(
-        k=50,
-        eta_v=1.0,
-        eta_alpha=100.0,
-        eta_mu=0.1,
-        schedule=dict(c=21.5, n0=85.0, beta=1.0),
-        batch_m=52,
-        iterations=300,
-        inner_v=dict(stepsize=0.005, max_iters=200, grad_tol=1.0),
-        normalize_grad=True,
-    ),
-}
+# The pendulum's tuning, where it differs from the tabular one of DualAcConfig's defaults
+PENDULUM = dict(
+    k=50,
+    eta_alpha=100.0,
+    eta_mu=0.1,
+    schedule=dict(c=21.5, n0=85.0, beta=1.0),
+    batch_m=52,
+    inner_v=dict(stepsize=0.005, max_iters=200, grad_tol=1.0),
+    normalize_grad=True,
+)
 
 
 def default_config(env_name: str) -> DualAcConfig:
@@ -73,17 +63,14 @@ def default_config(env_name: str) -> DualAcConfig:
     theta + zeta F^-1 g; the pendulum's schedule was tuned for the step
     rescaled by 1/sqrt(g . F^-1 g), so it sets normalize_grad.
     """
-    key = "pendulum" if env_name == "pendulum" else "tabular"
-    payload = dict(DEFAULT_CONFIGS[key])
-    return DualAcConfig.from_dict(payload)
+    return DualAcConfig.from_dict(PENDULUM) if env_name == "pendulum" else DualAcConfig()
 
 
 def _load_config(args) -> DualAcConfig:
+    cfg = default_config(args.env)
     if args.config:
         with open(args.config) as fh:
-            cfg = DualAcConfig.from_dict(json.load(fh))
-    else:
-        cfg = default_config(args.env)
+            cfg = DualAcConfig.from_dict(json.load(fh), base=cfg)
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
@@ -161,7 +148,7 @@ def main(argv=None) -> int:
 
     p_train = sub.add_parser("train", help="run a training experiment")
     p_train.add_argument("--env", required=True, help="chain2 | chain5 | gridworld | pendulum | mdp:<path>")
-    p_train.add_argument("--config", help="JSON config file mirroring DualAcConfig")
+    p_train.add_argument("--config", help="JSON file of DualAcConfig fields overriding the environment's tuning")
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--iterations", type=int, default=None)
     p_train.add_argument("--ablation", choices=ABLATIONS)
@@ -171,7 +158,7 @@ def main(argv=None) -> int:
 
     p_abl = sub.add_parser("ablation", help="run the ablation variant comparison")
     p_abl.add_argument("--env", required=True)
-    p_abl.add_argument("--config", help="JSON config file for the base (full) variant")
+    p_abl.add_argument("--config", help="JSON file of DualAcConfig fields overriding the base (full) variant's tuning")
     p_abl.add_argument("--seeds", default="0,1", help="comma-separated seed list")
     p_abl.add_argument("--iterations", type=int, default=None)
     p_abl.add_argument("--out", help="output directory for ablation.json")

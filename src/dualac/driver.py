@@ -62,26 +62,31 @@ class IterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class InnerVConfig:
-    stepsize: float = 0.1
-    max_iters: int = 300
-    grad_tol: float = 1e-3
+    stepsize: float = 0.2
+    max_iters: int = 80
+    grad_tol: float = 1e-4
+
+    def __post_init__(self):
+        if self.stepsize <= 0 or self.max_iters < 1 or self.grad_tol < 0:
+            raise ValueError("need inner_v stepsize > 0, max_iters >= 1 and grad_tol >= 0")
 
 
 @dataclass(frozen=True)
 class DualAcConfig:
+    """The run's settings; the defaults are the tabular environments' tuning."""
+
     k: int = 10
-    eta_v: float = 0.1
+    eta_v: float = 1.0
     eta_alpha: float = 1.0
-    eta_mu: float = 0.1
+    eta_mu: float = 0.5
     schedule: StepsizeSchedule = field(default_factory=StepsizeSchedule)
     batch_m: int = 24
     gamma: float | None = None      # None: use the environment's gamma hint
     horizon: int | None = None      # None: use the environment's horizon
     inner_v: InnerVConfig = field(default_factory=InnerVConfig)
-    damping: float = 1e-4  # added to the Fisher's diagonal in the policy step
     ablation: str = "full"
     seed: int = 0
-    iterations: int = 100
+    iterations: int = 300
     normalize_grad: bool = False  # True: trust-region rescale of the prox step by 1/sqrt(g.F^-1.g)
 
     def __post_init__(self):
@@ -93,8 +98,10 @@ class DualAcConfig:
             raise ValueError("eta_mu must lie in (0, 1]")
         if self.eta_alpha <= 0 or self.eta_v < 0:
             raise ValueError("need eta_alpha > 0 and eta_v >= 0")
-        if self.damping <= 0:
-            raise ValueError("damping must be positive: the policy step solves the damped Fisher")
+        if self.gamma is not None and not 0.0 < self.gamma < 1.0:
+            raise ValueError("gamma must lie in (0, 1)")
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
 
     def resolved(self, env) -> "DualAcConfig":
         """Fill env-dependent defaults and apply the ablation constraints.
@@ -117,10 +124,12 @@ class DualAcConfig:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "DualAcConfig":
-        """The config of a JSON object whose nested configs are objects too.
-        A ValueError names every field it does not know, nested ones as e.g.
-        schedule.x, or else the first field whose value has the wrong type."""
+    def from_dict(cls, payload: dict, base: "DualAcConfig | None" = None) -> "DualAcConfig":
+        """base (default DualAcConfig()) with the fields of a JSON object
+        replaced, nested configs field by field: {"schedule": {"c": 1.0}}
+        keeps base's schedule.n0 and schedule.beta.  A ValueError names every
+        field it does not know, nested ones as e.g. schedule.x, or else the
+        first field whose value has the wrong type, or else the bad value."""
         if not isinstance(payload, dict):
             raise ValueError("a config is a JSON object")
         nested = {"schedule": StepsizeSchedule, "inner_v": InnerVConfig}
@@ -130,22 +139,23 @@ class DualAcConfig:
                 unknown += [f"{name}.{key}" for key in payload[name] if key not in sub.__dataclass_fields__]
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        return cls(**_typed_fields(cls, payload))
+        return _replaced(cls() if base is None else base, payload)
 
 
-def _typed_fields(cls, payload: dict, prefix: str = "") -> dict:
-    """payload's values checked against the field annotations of the config
-    dataclass cls, nested configs built from their objects.  An int field
-    takes an int but not a bool, a float field an int or a float, and None
-    only where the annotation allows it."""
-    hints = typing.get_type_hints(cls)
+def _replaced(base, payload: dict, prefix: str = ""):
+    """The config dataclass base with payload's values, checked against its
+    field annotations, in place of its own; nested configs are replaced from
+    their objects the same way.  An int field takes an int but not a bool, a
+    float field an int or a float, and None only where the annotation allows
+    it."""
+    hints = typing.get_type_hints(type(base))
     out = {}
     for key, value in payload.items():
         name, hint = prefix + key, hints[key]
         if dataclasses.is_dataclass(hint):
             if not isinstance(value, dict):
                 raise ValueError(f"config field {name} must be an object, got {value!r}")
-            out[key] = hint(**_typed_fields(hint, value, f"{name}."))
+            out[key] = _replaced(getattr(base, key), value, f"{name}.")
             continue
         allowed = typing.get_args(hint) or (hint,)
         if isinstance(value, bool):
@@ -156,7 +166,7 @@ def _typed_fields(cls, payload: dict, prefix: str = "") -> dict:
             expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
             raise ValueError(f"config field {name} must be {expected}, got {value!r}")
         out[key] = value
-    return out
+    return dataclasses.replace(base, **out)
 
 
 @dataclass
@@ -289,7 +299,7 @@ def dual_ac_iteration(state: TrainingState):
     # the same window and its score rows, each weighted by its trajectory's
     # start weight.
     row_weights = np.repeat(weights, window.steps)
-    fisher = fisher_estimate(scores, damping=cfg.damping, weights=row_weights / row_weights.sum())
+    fisher = fisher_estimate(scores, weights=row_weights / row_weights.sum())
     try:
         new_params = natural_gradient_step(state.policy.get_params(), g_pi, fisher, zeta, normalize=cfg.normalize_grad)
     except np.linalg.LinAlgError as err:
@@ -459,21 +469,20 @@ def ablation_variants(base: DualAcConfig, horizon: int) -> list[tuple[str, DualA
     return out
 
 
-def ablation_suite(base: DualAcConfig, env_name: str, seeds, record_sink=None, metric: str | None = None) -> dict:
+def ablation_suite(base: DualAcConfig, env_name: str, seeds, record_sink=None) -> dict:
     """Run every variant over the given seeds; returns per-run finals and
     per-variant mean +/- half-width (half the min-to-max spread).
 
-    metric defaults to the discounted return on tabular environments (the
+    Runs are scored by the discounted return on tabular environments (the
     undiscounted fixed-horizon return barely discriminates absorbing tasks)
-    and the undiscounted return on continuous ones.  A variant whose run
+    and by the undiscounted return on continuous ones.  A variant whose run
     diverges is scored by the records it produced before halting.
     """
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ValueError("ablation comparisons need at least 2 seeds")
     probe_env = make_env(env_name) if isinstance(env_name, str) else env_name
-    if metric is None:
-        metric = "mean_disc_return" if probe_env.spec.tabular else "mean_return"
+    metric = "mean_disc_return" if probe_env.spec.tabular else "mean_return"
     horizon = base.horizon if base.horizon is not None else probe_env.spec.horizon
     rows = []
     for variant, cfg in ablation_variants(base, horizon):

@@ -237,10 +237,12 @@ def value_grad_terms(res: Residuals, weights, behavior, value_rows, eta_v: float
       - 2 eta_v E[(return(tau_b) - v(s_0)) grad v(s_0)]             over behavior rows
 
     res is the batch's residual table, weights holds each trajectory's start
-    weight, and behavior is a sequence of ReplayRows, one per behavior batch,
-    whose start rows value_rows builds.  v(s) = w . row(s), so only v(s_0) in
-    the penalty moves with w, and grad_v_estimate evaluates it from the stored
-    rows.  No behavior rows are built when eta_v is 0.
+    weight, and behavior is the pair (own, previous) of ReplayRows: the
+    batch's own, whose start rows are res.starts, and the previous batch's
+    (empty at the first iteration), whose start rows value_rows builds.
+    v(s) = w . row(s), so only v(s_0) in the penalty moves with w, and
+    grad_v_estimate evaluates it from the stored rows.  No behavior rows are
+    built when eta_v is 0.
 
     The sums run over axis 0 from 0.0, which adds the rows in batch order:
     bitwise the trajectory-by-trajectory sums, the residual's two terms
@@ -254,11 +256,9 @@ def value_grad_terms(res: Residuals, weights, behavior, value_rows, eta_v: float
     constant = res.lead * res.starts.sum(axis=0, initial=0.0) / m + resid.sum(axis=0, initial=0.0) / m
     rows, returns = np.zeros((0, res.starts.shape[1])), np.zeros(0)
     if eta_v > 0:
-        behavior = [part for part in behavior if len(part)]
-        if not behavior:
-            raise ValueError("empty behavior batch with eta_v > 0")
-        rows = np.concatenate([value_rows(part.starts) for part in behavior])
-        returns = np.concatenate([part.returns for part in behavior])
+        own, previous = behavior
+        rows = np.concatenate([res.starts, value_rows(previous.starts)]) if len(previous) else res.starts
+        returns = np.concatenate([own.returns, previous.returns])
     return ValueGradTerms(constant, rows, returns, float(eta_v))
 
 

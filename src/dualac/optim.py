@@ -21,7 +21,7 @@ log = logging.getLogger(__name__)
 class StepsizeSchedule:
     """Outer stepsize zeta_t = C / (n0 + t^beta), decaying in t."""
 
-    c: float = 0.01
+    c: float = 0.5
     n0: float = 1.0
     beta: float = 0.5
 

@@ -13,9 +13,8 @@ import time
 import numpy as np
 import pytest
 
+from dualac.cli import default_config
 from dualac.driver import (
-    DualAcConfig,
-    InnerVConfig,
     ablation_suite,
     dual_ac_iteration,
     final_performance,
@@ -49,7 +48,6 @@ from dualac.mdp import (
     value_iteration,
 )
 from dualac.optim import (
-    StepsizeSchedule,
     fisher_estimate,
     natural_gradient_step,
 )
@@ -236,18 +234,7 @@ def test_criterion_4_gradient_estimator_suite():
 
 
 def gridworld_config(**overrides):
-    base = dict(
-        k=10,
-        eta_v=1.0,
-        eta_alpha=1.0,
-        eta_mu=0.5,
-        schedule=StepsizeSchedule(c=0.5, n0=1.0, beta=0.5),
-        batch_m=24,
-        iterations=300,
-        inner_v=InnerVConfig(stepsize=0.2, max_iters=80, grad_tol=1e-4),
-    )
-    base.update(overrides)
-    return DualAcConfig(**base)
+    return dataclasses.replace(default_config("gridworld"), **overrides)
 
 
 def test_criterion_6_end_to_end_gridworld():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dualac import cli
+from dualac.driver import DualAcConfig
 from dualac.mdp import random_mdp, save_mdp
 
 
@@ -24,9 +25,14 @@ def _config_file(tmp_path, payload) -> str:
         ({"schedule": None}, "config field schedule must be an object, got None"),
         ({"batch_m": 2.5}, "config field batch_m must be int, got 2.5"),
         ({"inner_v": {"max_iters": "80"}}, "config field inner_v.max_iters must be int, got '80'"),
+        ({"inner_v": {"max_iters": 0}}, "need inner_v stepsize > 0, max_iters >= 1 and grad_tol >= 0"),
+        ({"inner_v": {"stepsize": -1}}, "need inner_v stepsize > 0, max_iters >= 1 and grad_tol >= 0"),
+        ({"gamma": 1.5}, "gamma must lie in (0, 1)"),
+        ({"horizon": 0}, "horizon must be >= 1"),
     ],
     ids=[
-        "bad_value", "unknown_fields", "unknown_nested_field", "str_int", "null_nested", "float_int", "nested_str_int"
+        "bad_value", "unknown_fields", "unknown_nested_field", "str_int", "null_nested", "float_int", "nested_str_int",
+        "zero_inner_steps", "negative_inner_stepsize", "gamma_above_one", "zero_horizon",
     ],
 )
 def test_bad_config_reported_without_traceback(tmp_path, capsys, command, payload, message):
@@ -48,6 +54,40 @@ def test_good_config_trains(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
     assert [json.loads(line)["iteration"] for line in out.splitlines()] == [1, 2]
+
+
+def _records(out: str) -> list[dict]:
+    rows = [json.loads(line) for line in out.splitlines()]
+    for row in rows:
+        row.pop("wall_time")
+    return rows
+
+
+def test_partial_config_keeps_the_environment_tuning(tmp_path, capsys):
+    # a file naming seed and iterations trains the pendulum at its own tuning
+    assert cli.main(["train", "--env", "pendulum", "--seed", "0", "--iterations", "2"]) == 0
+    flags = _records(capsys.readouterr().out)
+    assert cli.main(["train", "--env", "pendulum", "--config", _config_file(tmp_path, {"seed": 0, "iterations": 2})]) == 0
+    assert _records(capsys.readouterr().out) == flags and len(flags) == 2
+
+
+def test_nested_config_field_overrides_only_itself(tmp_path):
+    out = tmp_path / "run"
+    config = _config_file(tmp_path, {"schedule": {"c": 1.0}, "iterations": 0})
+    assert cli.main(["train", "--env", "pendulum", "--config", config, "--out", str(out)]) == 0
+    with open(out / "checkpoint.json") as fh:
+        saved = json.load(fh)["config"]
+    want = cli.default_config("pendulum").to_dict()
+    want.update(schedule={"c": 1.0, "n0": 85.0, "beta": 1.0}, iterations=0, gamma=saved["gamma"], horizon=saved["horizon"])
+    assert saved == want
+
+
+def test_docstring_config_example_loads():
+    # the schema example of the module docstring is the tabular tuning in full
+    doc = cli.__doc__
+    start = doc.index("::\n\n") + 3
+    example = doc[start : doc.index("\n\n", start)]
+    assert DualAcConfig.from_dict(json.loads(example)) == cli.default_config("gridworld")
 
 
 ORACLE_CHECK_LINES = {

@@ -134,8 +134,8 @@ def test_config_from_dict_names_unknown_fields():
 
 
 def test_config_from_dict_checks_value_types():
-    good = DualAcConfig.from_dict({"eta_v": 1, "gamma": None, "horizon": 30, "damping": 1})
-    assert good.eta_v == 1 and good.gamma is None and good.damping == 1
+    good = DualAcConfig.from_dict({"eta_v": 1, "gamma": None, "horizon": 30})
+    assert good.eta_v == 1 and good.gamma is None and good.horizon == 30
     bad = [
         ({"seed": True}, "seed must be int, got True"),
         ({"eta_alpha": False}, "eta_alpha must be float, got False"),
@@ -158,8 +158,23 @@ def test_config_validation():
         chain_config(eta_mu=0.0)
     with pytest.raises(ValueError):
         chain_config(eta_alpha=0.0)
-    with pytest.raises(ValueError, match="damping must be positive"):
-        chain_config(damping=0.0)
+    for bad in ({"gamma": 1.0}, {"gamma": 0.0}, {"horizon": 0}):
+        with pytest.raises(ValueError, match="gamma must lie in|horizon must be"):
+            chain_config(**bad)
+    for bad in ({"stepsize": 0.0}, {"max_iters": 0}, {"grad_tol": -1e-9}):
+        with pytest.raises(ValueError, match="need inner_v stepsize > 0"):
+            InnerVConfig(**bad)
+    # the under-fitted ablations' single inner step is a valid inner_v
+    assert InnerVConfig(max_iters=1, grad_tol=0.0).max_iters == 1
+
+
+def test_config_from_dict_overrides_a_base():
+    # fields a config leaves out, nested ones too, keep the base's; the
+    # default base is the tabular tuning
+    base = default_config("pendulum")
+    cfg = DualAcConfig.from_dict({"inner_v": {"max_iters": 1000}}, base=base)
+    assert cfg == dataclasses.replace(base, inner_v=dataclasses.replace(base.inner_v, max_iters=1000))
+    assert DualAcConfig.from_dict({}) == DualAcConfig() == default_config("gridworld")
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +339,9 @@ def test_iteration_builds_the_window_feature_rows_once(monkeypatch):
 def test_iteration_builds_the_value_rows_of_starts_and_bootstraps_once(monkeypatch, env_name):
     # delta_k is affine in the value parameters, so one residual table serves
     # V^{t-1}, the inner fit and V^t: one row-map call builds the rows of the
-    # batch's starts and bootstrap states (2m), and the behavior replay's
-    # starts (m per replayed batch) are the only other value rows
+    # batch's starts and bootstrap states (2m), which the behavior replay
+    # reads too, and the previous batch's starts (m from t = 2) are the only
+    # other value rows
     calls, samples = [], []
     for row_map in (BiasedFeatureMap, IndicatorFeatureMap):
         monkeypatch.setattr(row_map, "rows", _recorded(calls, row_map.rows))
@@ -340,7 +356,7 @@ def test_iteration_builds_the_value_rows_of_starts_and_bootstraps_once(monkeypat
         bootstraps = batch.obs[np.arange(m), np.minimum(k + 1, batch.lengths)]
         [table] = [args[1] for args, _ in calls if len(args[1]) == 2 * m]
         assert np.array_equal(table, np.concatenate([batch.obs[:, 0], bootstraps]))
-        assert sum(len(out) for _, out in calls) <= 4 * m
+        assert sum(len(out) for _, out in calls) == (2 * m if state.t == 1 else 3 * m)
 
 
 def test_chain_learns_oracle_policy():
@@ -436,6 +452,7 @@ def test_load_checkpoint_rejects_removed_config_fields(tmp_path):
         "n_rbf_features": lambda config: config.update(n_rbf_features=100),
         "cg": lambda config: config.update(cg={"max_iters": 20, "damping": 1e-4, "residual_tol": 1e-10}),
         "inner_v.biased_iters": lambda config: config["inner_v"].update(biased_iters=1),
+        "damping": lambda config: config.update(damping=1e-4),
     }
     for name, add in removed.items():
         payload = json.loads(json.dumps(saved))

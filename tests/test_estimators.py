@@ -11,6 +11,7 @@ from dualac.driver import dual_ac_iteration, init_state, load_checkpoint, save_c
 from dualac.envs import TabularEnv, make_env
 from dualac.estimators import (
     BatchRow,
+    ReplayRows,
     alpha_closed_form,
     alpha_objective,
     delta_means_by_start,
@@ -516,13 +517,15 @@ def test_grad_v_terms_reject_empty_batches():
     env = make_env("chain5")
     batch = sample_trajectories(env, TabularSoftmaxPolicy(5, 2), m=3, horizon=5, rng_seed=31, window=2)
     rows, weights = IndicatorFeatureMap(5).rows, np.ones(3)
+    behavior = (replay_rows(batch, 0.9), ReplayRows())
     with pytest.raises(ValueError):
-        value_grad_terms(residuals(make_batch([]), rows, 0.9, k=1), np.zeros(0), (replay_rows(batch, 0.9),), rows, 1.0)
+        value_grad_terms(residuals(make_batch([]), rows, 0.9, k=1), np.zeros(0), behavior, rows, 1.0)
     res = residuals(batch, rows, 0.9, k=1)
-    with pytest.raises(ValueError):
-        value_grad_terms(res, weights, (), rows, eta_v=1.0)
-    terms = value_grad_terms(res, weights, (), rows, eta_v=0.0)
+    terms = value_grad_terms(res, weights, behavior, rows, eta_v=0.0)
     assert terms.rows.shape == (0, 5)
+    # the batch's own start rows are always there: an empty previous batch adds none
+    terms = value_grad_terms(res, weights, behavior, rows, eta_v=1.0)
+    assert np.array_equal(terms.rows, res.starts)
 
 
 def test_grad_v_single_state_hand_value():
@@ -532,7 +535,8 @@ def test_grad_v_single_state_hand_value():
     batch = sample_trajectories(env, policy, m=3, horizon=300, rng_seed=17, window=1)
     rows = IndicatorFeatureMap(1).rows
     k, eta_v = 0, 0.5
-    terms = value_grad_terms(residuals(batch, rows, 0.9, k), np.ones(3), (replay_rows(batch, 0.9),), rows, eta_v)
+    behavior = (replay_rows(batch, 0.9), ReplayRows())
+    terms = value_grad_terms(residuals(batch, rows, 0.9, k), np.ones(3), behavior, rows, eta_v)
     got = grad_v_estimate(terms, np.array([8.0]))
     G = (1 - 0.9**300) / 0.1
     # lead and residual terms cancel ((1-g) + (g-1)); penalty remains
@@ -548,7 +552,7 @@ def test_grad_v_penalty_vanishes_at_behavior_value():
     batch = sample_trajectories(env, policy, m=400, horizon=400, rng_seed=19, window=1)
     value_rows, weights = IndicatorFeatureMap(5).rows, np.ones(400)
     v_b = policy_value(mdp, policy.prob_matrix())
-    res, rows = residuals(batch, value_rows, mdp.gamma, k=0), (replay_rows(batch, mdp.gamma),)
+    res, rows = residuals(batch, value_rows, mdp.gamma, k=0), (replay_rows(batch, mdp.gamma), ReplayRows())
     got = grad_v_estimate(value_grad_terms(res, weights, rows, value_rows, eta_v=1.0), v_b)
     no_pen = grad_v_estimate(value_grad_terms(res, weights, rows, value_rows, eta_v=0.0), v_b)
     penalty_part = got - no_pen
