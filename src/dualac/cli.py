@@ -27,6 +27,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import os
 import sys
 
 import numpy as np
@@ -81,6 +83,17 @@ def _load_config(args) -> DualAcConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _cmd_train(args) -> int:
     sink = None
     if not args.quiet:
@@ -105,8 +118,6 @@ def _cmd_ablation(args) -> int:
     for variant, stats in result["summary"].items():
         print(f"{variant}: {stats['mean']:.2f} +/- {stats['half_width']:.2f}")
     if args.out:
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "ablation.json"), "w") as fh:
             json.dump(result, fh, indent=2)
@@ -167,7 +178,7 @@ def main(argv=None) -> int:
     p_oracle = sub.add_parser("oracle-check", help="verify LP-duality identities on a tabular MDP")
     p_oracle.add_argument("--env", default="gridworld")
     p_oracle.add_argument("--mdp-file", help="JSON MDP file (overrides --env)")
-    p_oracle.add_argument("--tol", type=float, default=1e-6)
+    p_oracle.add_argument("--tol", type=_positive_float, default=1e-6)
     p_oracle.set_defaults(func=_cmd_oracle_check)
 
     args = parser.parse_args(argv)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 import typing
@@ -67,7 +68,7 @@ class InnerVConfig:
     grad_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.stepsize <= 0 or self.max_iters < 1 or self.grad_tol < 0:
+        if not (self.stepsize > 0 and self.max_iters >= 1 and self.grad_tol >= 0):
             raise ValueError("need inner_v stepsize > 0, max_iters >= 1 and grad_tol >= 0")
 
 
@@ -96,7 +97,7 @@ class DualAcConfig:
             raise ValueError("need k >= 0, batch_m >= 1, iterations >= 0")
         if not 0.0 < self.eta_mu <= 1.0:
             raise ValueError("eta_mu must lie in (0, 1]")
-        if self.eta_alpha <= 0 or self.eta_v < 0:
+        if not (self.eta_alpha > 0 and self.eta_v >= 0):
             raise ValueError("need eta_alpha > 0 and eta_v >= 0")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
@@ -146,8 +147,8 @@ def _replaced(base, payload: dict, prefix: str = ""):
     """The config dataclass base with payload's values, checked against its
     field annotations, in place of its own; nested configs are replaced from
     their objects the same way.  An int field takes an int but not a bool, a
-    float field an int or a float, and None only where the annotation allows
-    it."""
+    float field an int or a finite float, and None only where the annotation
+    allows it."""
     hints = typing.get_type_hints(type(base))
     out = {}
     for key, value in payload.items():
@@ -165,6 +166,8 @@ def _replaced(base, payload: dict, prefix: str = ""):
         if not fits:
             expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
             raise ValueError(f"config field {name} must be {expected}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):  # json.load reads NaN and Infinity
+            raise ValueError(f"config field {name} must be finite, got {value!r}")
         out[key] = value
     return dataclasses.replace(base, **out)
 

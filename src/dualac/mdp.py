@@ -153,7 +153,7 @@ def value_iteration(mdp: TabularMdp, tol: float = 1e-10, max_iters: int = 1_000_
 
     Serves as the primal-LP oracle: the LP optimum equals the fixed point.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     v = np.zeros(mdp.n_states)
     reward_t, discounted = _action_major(mdp)  # laid out once, not every sweep

@@ -1,10 +1,11 @@
+import itertools
 import os
 
 import numpy as np
 import pytest
 
 from dualac.estimators import Batch, residuals, traj_deltas
-from dualac.mdp import TabularMdp
+from dualac.mdp import TabularMdp, policy_value
 from dualac.policies import IndicatorFeatureMap
 
 
@@ -72,6 +73,43 @@ def tabular_deltas(batch: Batch, values, gamma: float, k: int) -> np.ndarray:
     """delta_k of a batch's trajectories under the tabular value vector values."""
     values = np.asarray(values, dtype=float)
     return traj_deltas(residuals(batch, IndicatorFeatureMap(len(values)).rows, gamma, k), values)
+
+
+def fd_grad(f, x0, h=1e-5) -> np.ndarray:
+    """Central finite-difference gradient of the scalar function f at x0."""
+    g = np.zeros_like(x0)
+    for i in range(len(x0)):
+        e = np.zeros_like(x0)
+        e[i] = h
+        g[i] = (f(x0 + e) - f(x0 - e)) / (2 * h)
+    return g
+
+
+def enumerate_policy_values(mdp, finite_horizon_k=None, tail_v=None) -> np.ndarray:
+    """Max over deterministic policies, each evaluated by an independent method.
+
+    finite_horizon_k=None: stationary policies, infinite-horizon value by
+    linear solve (oracle for value_iteration).  Otherwise: time-varying plans
+    over steps 0..k, value sum_{i<=k} gamma^i R + gamma^{k+1} E[tail_v], by
+    backward sweeps (oracle for the composed k-step operator).
+    """
+    S, A = mdp.n_states, mdp.n_actions
+    best = np.full(S, -np.inf)
+    if finite_horizon_k is None:
+        for acts in itertools.product(range(A), repeat=S):
+            pi = np.zeros((S, A))
+            pi[np.arange(S), list(acts)] = 1.0
+            best = np.maximum(best, policy_value(mdp, pi))
+        return best
+    for assignment in itertools.product(range(A), repeat=S * (finite_horizon_k + 1)):
+        plan = np.array(assignment).reshape(finite_horizon_k + 1, S)
+        w = tail_v.copy()
+        for i in range(finite_horizon_k, -1, -1):
+            acts = plan[i]
+            P_i = mdp.transition[np.arange(S), acts]
+            w = mdp.reward[np.arange(S), acts] + mdp.gamma * P_i @ w
+        best = np.maximum(best, w)
+    return best
 
 
 def softmax(logits) -> np.ndarray:

@@ -29,10 +29,15 @@ def _config_file(tmp_path, payload) -> str:
         ({"inner_v": {"stepsize": -1}}, "need inner_v stepsize > 0, max_iters >= 1 and grad_tol >= 0"),
         ({"gamma": 1.5}, "gamma must lie in (0, 1)"),
         ({"horizon": 0}, "horizon must be >= 1"),
+        ({"inner_v": {"grad_tol": float("nan")}}, "config field inner_v.grad_tol must be finite, got nan"),
+        ({"eta_alpha": float("nan")}, "config field eta_alpha must be finite, got nan"),
+        ({"schedule": {"c": float("nan")}}, "config field schedule.c must be finite, got nan"),
+        ({"inner_v": {"stepsize": float("inf")}}, "config field inner_v.stepsize must be finite, got inf"),
     ],
     ids=[
         "bad_value", "unknown_fields", "unknown_nested_field", "str_int", "null_nested", "float_int", "nested_str_int",
         "zero_inner_steps", "negative_inner_stepsize", "gamma_above_one", "zero_horizon",
+        "nan_grad_tol", "nan_eta_alpha", "nan_schedule_c", "infinite_inner_stepsize",
     ],
 )
 def test_bad_config_reported_without_traceback(tmp_path, capsys, command, payload, message):
@@ -125,3 +130,13 @@ def test_oracle_check_prints_pinned_lines(tmp_path, capsys, case):
         args = ["--env", case]
     assert cli.main(["oracle-check", *args]) == 0
     assert capsys.readouterr().out.splitlines() == ORACLE_CHECK_LINES[case]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_oracle_check_rejects_a_bad_tolerance_with_usage(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle-check", "--env", "chain2", "--tol", tol])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: dualac oracle-check")
+    assert err.endswith(f"error: argument --tol: must be a positive finite number, got '{tol}'\n")

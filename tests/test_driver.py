@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -156,12 +157,13 @@ def test_config_validation():
         chain_config(ablation="bogus")
     with pytest.raises(ValueError):
         chain_config(eta_mu=0.0)
-    with pytest.raises(ValueError):
-        chain_config(eta_alpha=0.0)
+    for bad in ({"eta_alpha": 0.0}, {"eta_alpha": math.nan}, {"eta_v": math.nan}):
+        with pytest.raises(ValueError, match="need eta_alpha > 0 and eta_v >= 0"):
+            chain_config(**bad)
     for bad in ({"gamma": 1.0}, {"gamma": 0.0}, {"horizon": 0}):
         with pytest.raises(ValueError, match="gamma must lie in|horizon must be"):
             chain_config(**bad)
-    for bad in ({"stepsize": 0.0}, {"max_iters": 0}, {"grad_tol": -1e-9}):
+    for bad in ({"stepsize": 0.0}, {"max_iters": 0}, {"grad_tol": -1e-9}, {"stepsize": math.nan}, {"grad_tol": math.nan}):
         with pytest.raises(ValueError, match="need inner_v stepsize > 0"):
             InnerVConfig(**bad)
     # the under-fitted ablations' single inner step is a valid inner_v

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 
 import numpy as np
 import pytest
@@ -15,9 +14,7 @@ from dualac.estimators import (
     alpha_closed_form,
     alpha_objective,
     delta_means_by_start,
-    exact_grad_alpha,
     exact_grad_pi,
-    exact_grad_v,
     grad_pi_estimate,
     grad_v_estimate,
     replay_rows,
@@ -26,13 +23,8 @@ from dualac.estimators import (
     traj_deltas,
     value_grad_terms,
 )
-from dualac.lagrangian import (
-    expected_delta_dp,
-    inner_min_v_exact,
-    path_reg_lagrangian,
-    path_reg_value_gradient,
-)
-from dualac.mdp import TabularMdp, policy_value, random_mdp
+from dualac.lagrangian import expected_delta_dp
+from dualac.mdp import TabularMdp, policy_value
 from dualac.policies import (
     BiasedFeatureMap,
     GaussianRbfPolicy,
@@ -40,7 +32,7 @@ from dualac.policies import (
     RbfFeatureMap,
     TabularSoftmaxPolicy,
 )
-from conftest import make_batch, make_single_state_mdp, softmax, tabular_deltas
+from conftest import make_batch, make_single_state_mdp, tabular_deltas
 from reference_sampler import features, sample_reference
 
 
@@ -356,78 +348,6 @@ def test_array_estimators_match_per_trajectory_reference(env_name, seed, scale, 
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive-expectation forms vs finite differences of the exact objective
-
-
-def fd_grad(f, x0, h=1e-5):
-    g = np.zeros_like(x0)
-    for i in range(len(x0)):
-        e = np.zeros_like(x0)
-        e[i] = h
-        g[i] = (f(x0 + e) - f(x0 - e)) / (2 * h)
-    return g
-
-
-def test_eq9_alpha_gradient_matches_fd():
-    mdp = make_test_mdp()
-    rng = np.random.default_rng(109)
-    pi = rng.dirichlet(np.ones(2), size=2)
-    pi_b = rng.dirichlet(np.ones(2), size=2)
-    logits = np.array([0.4, -0.2])
-    k, eta_v = 1, 0.5
-
-    def dual_fn(theta):
-        alpha = softmax(theta)
-        v_star = inner_min_v_exact(mdp, alpha, pi, pi_b, k=k, eta_v=eta_v)
-        return path_reg_lagrangian(mdp, v_star, alpha, pi, pi_b, k=k, eta_v=eta_v)
-
-    alpha0 = softmax(logits)
-    v_at_min = inner_min_v_exact(mdp, alpha0, pi, pi_b, k=k, eta_v=eta_v)
-    analytic = exact_grad_alpha(mdp, v_at_min, alpha0, pi, k=k)
-    numeric = fd_grad(dual_fn, logits)
-    assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
-
-
-def test_eq10_pi_gradient_matches_fd():
-    mdp = make_test_mdp(seed=113)
-    rng = np.random.default_rng(127)
-    policy = TabularSoftmaxPolicy(2, 2, logits=rng.normal(size=(2, 2)))
-    pi_b = rng.dirichlet(np.ones(2), size=2)
-    alpha = np.array([0.3, 0.7])
-    k, eta_v = 1, 0.5
-
-    def dual_fn(theta):
-        cand = policy.copy()
-        cand.set_params(theta)
-        pi = cand.prob_matrix()
-        v_star = inner_min_v_exact(mdp, alpha, pi, pi_b, k=k, eta_v=eta_v)
-        return path_reg_lagrangian(mdp, v_star, alpha, pi, pi_b, k=k, eta_v=eta_v)
-
-    v_at_min = inner_min_v_exact(mdp, alpha, policy.prob_matrix(), pi_b, k=k, eta_v=eta_v)
-    analytic = exact_grad_pi(mdp, v_at_min, alpha, policy, k=k)
-    numeric = fd_grad(dual_fn, policy.get_params())
-    assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
-
-
-def test_value_gradient_matches_fd_and_dp():
-    mdp = make_test_mdp(seed=131)
-    rng = np.random.default_rng(137)
-    pi = rng.dirichlet(np.ones(2), size=2)
-    pi_b = rng.dirichlet(np.ones(2), size=2)
-    alpha = np.array([0.6, 0.4])
-    v0 = rng.normal(size=2)
-    for eta_v in (0.0, 0.7):
-
-        def obj(v):
-            return path_reg_lagrangian(mdp, v, alpha, pi, pi_b, k=2, eta_v=eta_v)
-
-        enum = exact_grad_v(mdp, v0, alpha, pi, pi_b, k=2, eta_v=eta_v)
-        assert np.allclose(enum, fd_grad(obj, v0), rtol=1e-4, atol=1e-7)
-        dp = path_reg_value_gradient(mdp, v0, alpha, pi, pi_b, k=2, eta_v=eta_v)
-        assert np.allclose(enum, dp, atol=1e-10)
-
-
-# ---------------------------------------------------------------------------
 # Sampled estimators: fixed-point zeros, linearity, 1/sqrt(m) convergence
 
 
@@ -569,19 +489,6 @@ def test_alpha_closed_form_examples():
     assert alpha_closed_form(np.array([0.0]), 2.0) == pytest.approx([0.0])
     with pytest.raises(ValueError):
         alpha_closed_form(np.array([1.0]), 0.0)
-
-
-def test_alpha_closed_form_dominates_grid():
-    rng = np.random.default_rng(157)
-    mu = rng.dirichlet(np.ones(2))
-    deltas = np.array([1.7, -0.9])
-    eta_mu, eta_alpha = 0.1, 1.0
-    star = alpha_closed_form(deltas, eta_alpha)
-    best = alpha_objective(star, deltas, mu, eta_mu, eta_alpha)
-    grid = np.arange(0.0, 5.0 + 1e-9, 0.1)
-    for cand in itertools.product(grid, grid):
-        val = alpha_objective(np.array(cand), deltas, mu, eta_mu, eta_alpha)
-        assert best >= val - 1e-12
 
 
 def test_alpha_full_quadratic_maximizer_is_halved():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,8 +38,9 @@ def test_stepsize_default_monotone():
 def test_stepsize_validation():
     with pytest.raises(ValueError):
         StepsizeSchedule(c=1.0, beta=0.3)
-    with pytest.raises(ValueError):
-        StepsizeSchedule(c=-1.0)
+    for bad in ({"c": -1.0}, {"c": math.nan}, {"n0": math.nan}):
+        with pytest.raises(ValueError, match="need c > 0 and n0 >= 0"):
+            StepsizeSchedule(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +157,6 @@ def test_fisher_matches_analytic_categorical():
     assert np.max(np.abs(fisher.matrix - F)) < 1e-8
 
 
-def test_fisher_symmetry_and_psd():
-    rng = np.random.default_rng(229)
-    scores = rng.normal(size=(30, 8))
-    F = fisher_estimate(scores, damping=1e-4).matrix
-    for _ in range(10):
-        u, v = rng.normal(size=8), rng.normal(size=8)
-        assert abs(u @ F @ v - v @ F @ u) < 1e-10
-        assert v @ F @ v >= 1e-4 * v @ v - 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Natural gradient step
 
@@ -267,20 +260,6 @@ def test_exact_prox_small_zeta_stays_near_old():
     policy, g = make_prox_setup()
     out = exact_prox_pi(policy, g, zeta=1e-6, kl_states=[0, 1])
     assert np.max(np.abs(out - policy.get_params())) < 1e-4
-
-
-def test_exact_prox_matches_natural_gradient_to_second_order():
-    policy, g = make_prox_setup()
-    kl_states = [0, 1]
-    fisher = exhaustive_fisher(policy, kl_states, damping=1e-12)
-    zetas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
-    gaps = []
-    for zeta in zetas:
-        prox = exact_prox_pi(policy, g, zeta=zeta, kl_states=kl_states, gtol=1e-14)
-        ngrad = natural_gradient_step(policy.get_params(), g, fisher, zeta=zeta, normalize=False)
-        gaps.append(np.linalg.norm(prox - ngrad))
-    slope = np.polyfit(np.log(zetas), np.log(gaps), 1)[0]
-    assert slope >= 1.8, (slope, gaps)
 
 
 def test_kl_growth_quadratic_in_zeta():

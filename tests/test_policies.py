@@ -10,16 +10,8 @@ from dualac.policies import (
     TabularSoftmaxPolicy,
     median_trick_bandwidth,
 )
+from conftest import fd_grad
 from reference_prox import softmax_kl_grad
-
-
-def fd_grad(f, x0, h=1e-5):
-    g = np.zeros_like(x0)
-    for i in range(len(x0)):
-        e = np.zeros_like(x0)
-        e[i] = h
-        g[i] = (f(x0 + e) - f(x0 - e)) / (2 * h)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +206,7 @@ def test_softmax_kl_grad_matches_fd():
 # v(s) = w . row(s): a parameter vector w over a row map's batched rows
 
 
-def test_linear_value_zero_weights():
+def test_biased_feature_row_is_the_rbf_row_and_a_bias():
     fmap = RbfFeatureMap.create(8, 2, bandwidth=1.0, seed=51)
     value_map = BiasedFeatureMap(fmap)
     s = np.array([0.2, -0.1])
@@ -223,7 +215,7 @@ def test_linear_value_zero_weights():
     assert np.array_equal(grad, np.append(fmap.rows(s[None])[0], 1.0))
 
 
-def test_tabular_value_indicator_grad():
+def test_indicator_feature_row_is_the_unit_vector_of_its_state():
     value_map = IndicatorFeatureMap(5)
     grad = value_map.rows([3])[0]
     assert np.arange(5.0) @ grad == 3.0
