@@ -25,7 +25,6 @@ from .estimators import (
     alpha_closed_form,
     delta_means_by_start,
     grad_pi_estimate,
-    grad_v_estimate,
     replay_rows,
     residuals,
     sample_trajectories,
@@ -63,6 +62,12 @@ class IterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class InnerVConfig:
+    """The inner value fit: at most max_iters gradient steps of size stepsize
+    on the sampled objective, stopping once the gradient norm is at most
+    grad_tol.  optim.fit_value takes the steps in closed form, so max_iters
+    costs no time; a stepsize above 2 / (the objective's largest curvature)
+    makes the iteration fail as diverged."""
+
     stepsize: float = 0.2
     max_iters: int = 80
     grad_tol: float = 1e-4
@@ -275,7 +280,7 @@ def dual_ac_iteration(state: TrainingState):
     try:
         fit = fit_value(
             state.value_params,
-            lambda params: grad_v_estimate(terms, params),
+            *terms.quadratic(),
             kappa=cfg.inner_v.stepsize,
             max_iters=cfg.inner_v.max_iters,
             grad_tol=cfg.inner_v.grad_tol,

@@ -227,6 +227,15 @@ class ValueGradTerms:
     returns: np.ndarray   # (n_b,) discounted return of each behavior row
     eta_v: float
 
+    def quadratic(self) -> tuple[np.ndarray, np.ndarray]:
+        """(H, b) with g(w) = b + H w: H = (2 eta_v / n_b) R^T R and
+        b = constant - (2 eta_v / n_b) R^T returns over the behavior rows R.
+        H is zero and b is constant when eta_v is 0."""
+        if self.eta_v <= 0:
+            return np.zeros((len(self.constant),) * 2), self.constant
+        scale = 2.0 * self.eta_v / len(self.returns)
+        return scale * (self.rows.T @ self.rows), self.constant - scale * (self.rows.T @ self.returns)
+
 
 def value_grad_terms(res: Residuals, weights, behavior, value_rows, eta_v: float) -> ValueGradTerms:
     """Build the parts of the sampled path-regularized value gradient that stay
@@ -240,8 +249,8 @@ def value_grad_terms(res: Residuals, weights, behavior, value_rows, eta_v: float
     weight, and behavior is the pair (own, previous) of ReplayRows: the
     batch's own, whose start rows are res.starts, and the previous batch's
     (empty at the first iteration), whose start rows value_rows builds.
-    v(s) = w . row(s), so only v(s_0) in the penalty moves with w, and
-    grad_v_estimate evaluates it from the stored rows.  No behavior rows are
+    v(s) = w . row(s), so only v(s_0) in the penalty moves with w, and the
+    gradient is affine in w (ValueGradTerms.quadratic).  No behavior rows are
     built when eta_v is 0.
 
     The sums run over axis 0 from 0.0, which adds the rows in batch order:
@@ -260,20 +269,6 @@ def value_grad_terms(res: Residuals, weights, behavior, value_rows, eta_v: float
         rows = np.concatenate([res.starts, value_rows(previous.starts)]) if len(previous) else res.starts
         returns = np.concatenate([own.returns, previous.returns])
     return ValueGradTerms(constant, rows, returns, float(eta_v))
-
-
-def grad_v_estimate(terms: ValueGradTerms, params) -> np.ndarray:
-    """The sampled value gradient of value_grad_terms at value parameters params.
-
-    Bitwise equal to summing the penalty trajectory by trajectory: vecdot takes
-    each row's dot product as w @ row does, and the axis-0 sum from 0.0 adds
-    the rows in order.
-    """
-    if terms.eta_v <= 0:
-        return terms.constant.copy()
-    resid = terms.returns - np.vecdot(terms.rows, params)
-    pen = (resid[:, None] * terms.rows).sum(axis=0, initial=0.0)
-    return terms.constant - 2.0 * terms.eta_v * pen / len(terms.returns)
 
 
 def delta_means_by_start(batch: Batch, deltas) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""Update machinery: stepsize schedule, inner value fit, and the policy's KL
-prox step in natural-gradient form, one dense solve of the damped Fisher.
+"""Update machinery: stepsize schedule, the inner value fit as fixed-budget
+gradient descent in closed form, and the policy's KL prox step in
+natural-gradient form, one dense solve of the damped Fisher.
 
-Every policy here has at most about a hundred parameters, so the Fisher is
-formed as a matrix and solved exactly; the exact prox solve that the step is
-checked against is a test reference (tests/reference_prox.py).
+Every model here has at most about a hundred parameters, so the value fit's
+Hessian and the Fisher are formed as matrices and decomposed exactly; the
+step-by-step descent and the exact prox solve that they are checked against
+are test references (tests/reference_fit.py, tests/reference_prox.py).
 """
 
 from __future__ import annotations
@@ -96,39 +98,79 @@ def natural_gradient_step(
 
 
 class FitDivergedError(RuntimeError):
-    """Inner value fit hit a non-finite gradient; carries the last finite iterate."""
+    """The inner value fit would diverge: its quadratic is not finite, or the
+    stepsize times the Hessian's largest eigenvalue exceeds 2, so that every
+    gradient step grows the gradient along that direction.  Raised before
+    any step; params holds the starting parameters w_0."""
 
-    def __init__(self, params: np.ndarray, iteration: int):
-        super().__init__(f"non-finite value gradient at inner step {iteration}")
+    def __init__(self, params: np.ndarray, reason: str):
+        super().__init__(reason)
         self.params = params
-        self.iteration = iteration
 
 
 @dataclass
 class FitResult:
     params: np.ndarray
-    converged: bool
-    grad_norm: float
-    n_iters: int
+    converged: bool   # stopped early: |g| <= grad_tol at params
+    grad_norm: float  # |g| = |b + H w| at params
+    n_iters: int      # gradient steps taken
 
 
-def fit_value(params0, grad_fn, kappa: float, max_iters: int, grad_tol: float) -> FitResult:
-    """Gradient descent on the value objective: theta <- theta - kappa grad.
+def fit_value(params0, hessian, offset, kappa: float, max_iters: int, grad_tol: float) -> FitResult:
+    """Gradient descent w <- w - kappa g(w) on a quadratic with gradient
+    g(w) = offset + hessian @ w, for a symmetric PSD hessian, in closed form.
 
-    grad_fn returns the objective's gradient at the current parameters; the
-    loop stops once its norm drops to grad_tol.
+    The descent stops at the first step n < max_iters with |g(w_n)| <=
+    grad_tol, or else after max_iters steps.  With hessian = U diag(lam) U^T,
+    g(w_n) = U diag((1 - kappa lam)^n) U^T g(w_0) and
+    w_n = w_0 - U diag(phi_n(lam)) U^T g(w_0), where
+    phi_n(lam) = (1 - (1 - kappa lam)^n) / lam and phi_n(0) = n kappa: one
+    eigendecomposition.  |g(w_n)| does not increase with n while
+    kappa lam <= 2, so bisection finds the stopping step, and the budget
+    costs neither time nor memory.  A zero hessian takes no
+    eigendecomposition: w_n = w_0 - n kappa offset.  Eigenvalues below 0 are
+    rounding and count as 0.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    params = np.asarray(params0, dtype=float).copy()
-    grad_norm = np.inf
-    for i in range(1, max_iters + 1):
-        grad = np.asarray(grad_fn(params), dtype=float)
-        grad_norm = math.sqrt(grad @ grad)  # np.linalg.norm's own formula, bit for bit
-        # a NaN or inf entry makes the norm non-finite; a finite gradient may overflow it
-        if not math.isfinite(grad_norm) and not np.all(np.isfinite(grad)):
-            raise FitDivergedError(params, i)
-        if grad_norm <= grad_tol:
-            return FitResult(params, True, grad_norm, i - 1)
-        params = params - kappa * grad
-    return FitResult(params, False, grad_norm, max_iters)
+    params0 = np.asarray(params0, dtype=float)
+    hessian, offset = np.asarray(hessian, dtype=float), np.asarray(offset, dtype=float)
+    if not (np.all(np.isfinite(hessian)) and np.all(np.isfinite(offset))):
+        raise FitDivergedError(params0.copy(), "non-finite value gradient")
+    if not hessian.any():
+        grad_norm = math.sqrt(offset @ offset)  # np.linalg.norm's own formula, bit for bit
+        n = 0 if grad_norm <= grad_tol else max_iters
+        return FitResult(params0 - (n * kappa) * offset, n < max_iters, grad_norm, n)
+    lam, vecs = np.linalg.eigh(hessian)
+    x = kappa * np.maximum(lam, 0.0)
+    if x[-1] > 2.0:
+        raise FitDivergedError(
+            params0.copy(), f"stepsize {kappa:.3g} times the largest curvature {lam[-1]:.3g} exceeds 2"
+        )
+    coef = vecs.T @ (offset + hessian @ params0)  # g(w_0) in the eigenbasis
+    # |1 - x|^n = (1 - d)^n with d = min(x, 2 - x) in [0, 1], taken as
+    # exp(n log1p(-d)): the power itself loses digits where x is near 0 or 2
+    with np.errstate(divide="ignore"):
+        log_decay = np.log1p(-np.minimum(x, 2.0 - x))
+
+    def grad_norm_at(n: int) -> float:
+        grad = coef * np.exp(n * log_decay) if n else coef
+        return math.sqrt(grad @ grad)
+
+    lo, hi = -1, max_iters  # the first n < max_iters with |g(w_n)| <= grad_tol lies in (lo, hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if grad_norm_at(mid) <= grad_tol:
+            hi = mid
+        else:
+            lo = mid
+    n = hi
+    params = params0.copy()
+    if n:
+        # 1 - (1 - x)^n, where (1 - x)^n = (1 - d)^n, negated for x > 1 and odd n
+        power_m1 = np.expm1(n * log_decay)
+        gain = np.where((x > 1.0) & (n % 2 == 1), 2.0 + power_m1, -power_m1)
+        phi = kappa * np.divide(gain, x, out=np.full_like(x, float(n)), where=x > 0)
+        params -= vecs @ (phi * coef)
+    grad = offset + hessian @ params
+    return FitResult(params, n < max_iters, math.sqrt(grad @ grad), n)

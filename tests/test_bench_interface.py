@@ -16,13 +16,13 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Repeat.digest() of one repeat at workload seed 0, as `bench/run.py --seed 0`
 # reports it, at OpenBLAS's default thread count on a 2-core machine;
-# captured for the tabular workloads when the policy step became one dense
-# solve of the damped Fisher, and for the pendulum when its score rows and KL
-# began to read the sampler's stacked feature rows.
+# captured for gridworld_naive when the policy step became one dense solve of
+# the damped Fisher, and for gridworld and the pendulum when the inner value
+# fit took its closed form (one eigendecomposition of the quadratic).
 SEED0_DIGESTS = {
-    "gridworld": "261d3fc60beba5924401a1e2733cf4606bd8f57ddeefb27be2eb5421f49d8e71",
+    "gridworld": "27078cc22e8e3bde843d4cf46e120020f96086efdbfe3b40dccf15a8d07e4ba5",
     "gridworld_naive": "b7236744c5088b26eebf1d94569de727dc0ad60079453167c2cd45bce669cd16",
-    "pendulum": "e336979c145645ed37146cd669ff281b6afbfebb8a874a196b622808e0200251",
+    "pendulum": "279b4a7cecf9a5f19505bf6d63049316b1a50c3afa4c0ae4b1b891430b5a8356",
 }
 
 # The tracer's phase markers: without them a traced run books the whole

@@ -28,8 +28,9 @@ from dualac.driver import (
     tabular_policy_return,
 )
 from dualac.envs import TabularEnv, make_env
+from dualac.estimators import value_grad_terms
 from dualac.mdp import greedy_policy, policy_value, value_iteration
-from dualac.optim import StepsizeSchedule
+from dualac.optim import StepsizeSchedule, fit_value
 from dualac.policies import (
     BiasedFeatureMap,
     GaussianRbfPolicy,
@@ -38,6 +39,7 @@ from dualac.policies import (
     TabularSoftmaxPolicy,
 )
 from conftest import make_single_state_mdp
+from reference_fit import fit_value_loop, grad_v_estimate
 
 
 def chain_config(**overrides):
@@ -219,6 +221,56 @@ def test_failed_iteration_leaves_state_intact(monkeypatch):
     assert np.array_equal(state.value_params, value_params)
 
 
+def test_diverging_inner_fit_leaves_state_intact():
+    # a stepsize past 2 / (the largest curvature of the value objective) is
+    # refused before the fit's first step, and the iteration fails whole
+    state = init_state(default_config("gridworld"), make_env("gridworld"))
+    for _ in range(2):
+        state, _ = dual_ac_iteration(state)
+    t, batch = state.t, state.last_batch
+    policy_params, value_params = state.policy.get_params(), state.value_params.copy()
+    state.cfg = dataclasses.replace(state.cfg, inner_v=InnerVConfig(stepsize=1e3))
+    with pytest.raises(IterationError, match="inner value fit diverged") as exc:
+        dual_ac_iteration(state)
+    assert exc.value.iteration == t + 1
+    assert state.t == t and state.last_batch is batch
+    assert np.array_equal(state.policy.get_params(), policy_params)
+    assert np.array_equal(state.value_params, value_params)
+
+
+@pytest.mark.parametrize(
+    "env_name,iterations,grad_tol",
+    [("gridworld", 10, None), ("gridworld", 10, 0.05), ("pendulum", 2, None)],
+)
+def test_inner_fit_stops_where_the_reference_loop_stops(monkeypatch, env_name, iterations, grad_tol):
+    # the golden runs' fits (and a gridworld tolerance that stops most of
+    # them early) against step-by-step descent on each batch's sampled gradient
+    cfg = dataclasses.replace(default_config(env_name), iterations=iterations)
+    if grad_tol is not None:
+        cfg = dataclasses.replace(cfg, inner_v=dataclasses.replace(cfg.inner_v, grad_tol=grad_tol))
+    terms, fits = [], []
+
+    def spy_terms(*args):
+        terms.append(value_grad_terms(*args))
+        return terms[-1]
+
+    def spy_fit(params0, *args, **kwargs):
+        fits.append((params0, kwargs, fit_value(params0, *args, **kwargs)))
+        return fits[-1][2]
+
+    monkeypatch.setattr(driver, "value_grad_terms", spy_terms)
+    monkeypatch.setattr(driver, "fit_value", spy_fit)
+    run_experiment(cfg, env_name)
+    early = 0
+    for term, (params0, kwargs, fit) in zip(terms, fits, strict=True):
+        loop = fit_value_loop(params0, lambda w: grad_v_estimate(term, w), **kwargs)
+        assert (fit.converged, fit.n_iters) == (loop.converged, loop.n_iters)
+        assert np.allclose(fit.params, loop.params, rtol=1e-8, atol=1e-8 * np.abs(loop.params).max())
+        early += fit.converged
+    if grad_tol is not None:
+        assert early >= iterations // 2
+
+
 def test_iteration_determinism_bitwise():
     recs = []
     for _ in range(2):
@@ -238,13 +290,13 @@ def test_iteration_determinism_bitwise():
 # per line; pinned so that rewrites of the sampler or the estimators can show
 # whole-run bitwise equivalence.  Captured with OpenBLAS at its default
 # thread count on a 2-core machine (the Gram product and the LU solve round
-# differently at other thread counts): the tabular runs when the policy step
-# became one dense solve of the damped Fisher, the pendulum run when its score
-# rows and KL began to read the sampler's stacked feature rows.
+# differently at other thread counts): the naive run when the policy step
+# became one dense solve of the damped Fisher, the full runs when the inner
+# value fit took its closed form (one eigendecomposition of the quadratic).
 GOLDEN_RUNS = {
-    ("gridworld", "full", 10): "8763e493d91d30318e15daed183e405f77676298374446371ba69f79fa91e641",
+    ("gridworld", "full", 10): "c6f6b98ececbeb8651981f4225ba6df3e9c08cbdaf0b5440a777cd088d7a1d45",
     ("gridworld", "naive", 5): "990c69fb9983eede81c590468a69c36e66b33eeb5afa3a3202e6fbe962ec5581",
-    ("pendulum", "full", 2): "4a74fa19f9b3fc2f15f0926fa6b2e141b2531d4ad84b972d64a17d043fc48524",
+    ("pendulum", "full", 2): "4d85b4dfb89d34ed05707460b252185f52ff30de9af52a4244d736693b79f003",
 }
 
 

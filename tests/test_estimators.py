@@ -16,7 +16,6 @@ from dualac.estimators import (
     delta_means_by_start,
     exact_grad_pi,
     grad_pi_estimate,
-    grad_v_estimate,
     replay_rows,
     residuals,
     sample_trajectories,
@@ -34,6 +33,7 @@ from dualac.policies import (
 )
 from conftest import make_batch, make_single_state_mdp, tabular_deltas
 from reference_sampler import features, sample_reference
+from reference_fit import grad_v_estimate
 
 
 def make_test_mdp(seed=107, mu=None):
@@ -427,10 +427,15 @@ def test_grad_v_terms_bitwise_match_trajectory_loop():
         res = residuals(batch, v.rows, env.spec.gamma_hint, k)
         for eta_v in (0.0, 1.0):
             terms = value_grad_terms(res, weights, rows, v.rows, eta_v)
+            hessian, offset = terms.quadratic()
             for _ in range(4):
                 w = rng.normal(scale=3.0, size=v.n_features)
                 want = _grad_v_reference(list(batch), weights, behavior, v, w, env.spec.gamma_hint, k, eta_v)
                 assert np.array_equal(grad_v_estimate(terms, w), want), (env.spec, eta_v)
+                # the quadratic that the inner fit descends: the same gradient up to rounding
+                scale = np.abs(offset).max() + np.abs(hessian).max() * np.abs(w).sum()
+                assert np.allclose(offset + hessian @ w, want, rtol=0.0, atol=1e-13 * scale), (env.spec, eta_v)
+            assert eta_v > 0 or (not hessian.any() and offset is terms.constant)
 
 
 def test_grad_v_terms_reject_empty_batches():
@@ -462,6 +467,8 @@ def test_grad_v_single_state_hand_value():
     # lead and residual terms cancel ((1-g) + (g-1)); penalty remains
     want = -2 * eta_v * (G - 8.0)
     assert got == pytest.approx([want], abs=1e-9)
+    hessian, offset = terms.quadratic()
+    assert np.array_equal(hessian, [[2 * eta_v]]) and offset == pytest.approx([-2 * eta_v * G], abs=1e-9)
 
 
 def test_grad_v_penalty_vanishes_at_behavior_value():

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dualac.envs import make_env
 from dualac.estimators import grad_pi_estimate, sample_trajectories
@@ -16,6 +19,7 @@ from dualac.optim import (
 )
 from dualac.policies import TabularSoftmaxPolicy
 from conftest import tabular_deltas
+from reference_fit import fit_value_loop
 from reference_prox import exact_prox_pi
 
 
@@ -44,7 +48,14 @@ def test_stepsize_validation():
 
 
 # ---------------------------------------------------------------------------
-# fit_value
+# fit_value: gradient descent on a quadratic in closed form, against the
+# step-by-step loop of tests/reference_fit.py
+
+
+def affine_parts(grad_fn, n):
+    """(H, b) of an affine gradient g(w) = b + H w, read off n + 1 calls."""
+    b = grad_fn(np.zeros(n))
+    return np.column_stack([grad_fn(e) - b for e in np.eye(n)]), b
 
 
 def test_fit_value_converges_to_exact_inner_min():
@@ -58,17 +69,20 @@ def test_fit_value_converges_to_exact_inner_min():
     def grad_fn(v):
         return path_reg_value_gradient(mdp, v, alpha, pi, pi_b, k=k, eta_v=eta_v)
 
-    res = fit_value(np.zeros(3), grad_fn, kappa=0.5 / (2 * eta_v * mdp.mu.max()), max_iters=20_000, grad_tol=1e-10)
+    hessian, offset = affine_parts(grad_fn, 3)
+    kappa = 0.5 / (2 * eta_v * mdp.mu.max())
+    res = fit_value(np.zeros(3), hessian, offset, kappa=kappa, max_iters=20_000, grad_tol=1e-10)
     closed = inner_min_v_exact(mdp, alpha, pi, pi_b, k=k, eta_v=eta_v)
     assert res.converged
     assert np.max(np.abs(res.params - closed)) < 1e-4
 
 
 def test_fit_value_vacuous_tolerance():
-    res = fit_value(np.array([1.0, 2.0]), lambda p: np.ones(2), kappa=0.1, max_iters=50, grad_tol=1e9)
-    assert res.converged
-    assert np.array_equal(res.params, [1.0, 2.0])
-    assert res.n_iters == 0
+    for hessian in (np.zeros((2, 2)), np.eye(2)):
+        res = fit_value(np.array([1.0, 2.0]), hessian, np.ones(2), kappa=0.1, max_iters=50, grad_tol=1e9)
+        assert res.converged
+        assert np.array_equal(res.params, [1.0, 2.0])
+        assert res.n_iters == 0
 
 
 def test_fit_value_matches_least_squares_on_fixed_batch():
@@ -76,13 +90,14 @@ def test_fit_value_matches_least_squares_on_fixed_batch():
     rng = np.random.default_rng(223)
     X = rng.normal(size=(40, 4))
     y = rng.normal(size=40)
-
-    def grad_fn(w):
-        return 2.0 * X.T @ (X @ w - y) / len(y)
-
-    res = fit_value(np.zeros(4), grad_fn, kappa=0.05, max_iters=50_000, grad_tol=1e-12)
+    hessian, offset = 2.0 * X.T @ X / len(y), -2.0 * X.T @ y / len(y)
+    res = fit_value(np.zeros(4), hessian, offset, kappa=0.05, max_iters=50_000, grad_tol=1e-12)
     direct = np.linalg.lstsq(X, y, rcond=None)[0]
     assert np.max(np.abs(res.params - direct)) < 1e-4
+
+
+# The reference loop's per-step contract: the closed form is checked against
+# it, so it must stop, diverge and overflow where the loop always did.
 
 
 def test_fit_value_divergence_carries_last_iterate():
@@ -92,8 +107,8 @@ def test_fit_value_divergence_carries_last_iterate():
         calls["n"] += 1
         return np.array([np.nan]) if calls["n"] > 3 else np.array([1.0])
 
-    with pytest.raises(FitDivergedError) as exc:
-        fit_value(np.array([0.0]), grad_fn, kappa=0.1, max_iters=100, grad_tol=0.0)
+    with pytest.raises(FitDivergedError, match="inner step 4") as exc:
+        fit_value_loop(np.array([0.0]), grad_fn, kappa=0.1, max_iters=100, grad_tol=0.0)
     assert np.all(np.isfinite(exc.value.params))
 
 
@@ -104,19 +119,132 @@ def test_fit_value_non_finite_gradient_raises_at_its_step(bad):
     def grad_fn(p):
         return grads.pop(0)
 
-    with pytest.raises(FitDivergedError) as exc:
-        fit_value(np.zeros(2), grad_fn, kappa=0.5, max_iters=10, grad_tol=0.0)
-    assert exc.value.iteration == 3
+    with pytest.raises(FitDivergedError, match="inner step 3") as exc:
+        fit_value_loop(np.zeros(2), grad_fn, kappa=0.5, max_iters=10, grad_tol=0.0)
     assert np.array_equal(exc.value.params, [0.0, -1.25])  # after steps 1 and 2 only
+    # the closed form refuses a non-finite quadratic before any step
+    with pytest.raises(FitDivergedError) as exc:
+        fit_value(np.zeros(2), np.eye(2), np.array([3.0, bad]), kappa=0.5, max_iters=10, grad_tol=0.0)
+    assert np.array_equal(exc.value.params, [0.0, 0.0])
 
 
 def test_fit_value_overflowing_norm_is_not_divergence():
     # every entry finite, but grad @ grad overflows to inf
     grad = np.array([1e200, -1e200])
     with np.errstate(over="ignore"):
-        res = fit_value(np.zeros(2), lambda p: grad, kappa=0.5, max_iters=3, grad_tol=1.0)
-    assert not res.converged and res.grad_norm == np.inf and res.n_iters == 3
-    assert np.array_equal(res.params, -0.5 * grad - 0.5 * grad - 0.5 * grad)
+        loop = fit_value_loop(np.zeros(2), lambda p: grad, kappa=0.5, max_iters=3, grad_tol=1.0)
+        res = fit_value(np.zeros(2), np.zeros((2, 2)), grad, kappa=0.5, max_iters=3, grad_tol=1.0)
+    for fit in (loop, res):
+        assert not fit.converged and fit.grad_norm == np.inf and fit.n_iters == 3
+        assert np.array_equal(fit.params, -0.5 * grad - 0.5 * grad - 0.5 * grad)
+
+
+def psd_quadratic(rng, n, rank, top):
+    """A symmetric PSD H = A^T A of the given rank with kappa * lambda_max =
+    top at kappa = 1, an offset b and a start w_0."""
+    a = rng.normal(size=(rank, n))
+    hessian = a.T @ a
+    if rank:
+        hessian *= top / np.linalg.eigvalsh(hessian)[-1]
+    return hessian, rng.normal(size=n), rng.normal(size=n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 8),
+    rank_share=st.floats(0.0, 1.0),
+    top=st.floats(0.01, 1.99999),  # kappa lambda_max, kept off 2 by more than eigh's rounding
+    kappa=st.floats(0.01, 1.0),
+    max_iters=st.integers(1, 300),
+    tol_share=st.floats(0.0, 1.2),
+)
+@example(seed=1, n=6, rank_share=0.5, top=1.0, kappa=0.3, max_iters=200, tol_share=0.3)  # rank-deficient H
+@example(seed=2, n=5, rank_share=0.0, top=1.0, kappa=0.2, max_iters=80, tol_share=0.0)  # H = 0: eta_v = 0
+@example(seed=3, n=4, rank_share=1.0, top=1.0, kappa=0.5, max_iters=50, tol_share=1.1)  # stop at step 0
+@example(seed=4, n=4, rank_share=1.0, top=1.99999, kappa=1.0, max_iters=120, tol_share=0.5)  # kappa lambda near 2
+@example(seed=5, n=3, rank_share=1.0, top=1.99999, kappa=0.7, max_iters=41, tol_share=0.0)  # odd step count near 2
+def test_fit_value_equals_the_reference_loop(seed, n, rank_share, top, kappa, max_iters, tol_share):
+    rng = np.random.default_rng(seed)
+    hessian, offset, params0 = psd_quadratic(rng, n, round(rank_share * n), top / kappa)
+    norms = []
+
+    def grad_fn(w):
+        g = offset + hessian @ w
+        norms.append(math.sqrt(g @ g))
+        return g
+
+    g0 = offset + hessian @ params0
+    grad_tol = tol_share * math.sqrt(g0 @ g0)
+    loop = fit_value_loop(params0, grad_fn, kappa, max_iters, grad_tol)
+    # no step's gradient norm within rounding of the tolerance
+    assume(all(abs(norm - grad_tol) > 1e-6 * grad_tol for norm in norms))
+    res = fit_value(params0, hessian, offset, kappa, max_iters, grad_tol)
+    assert (res.converged, res.n_iters) == (loop.converged, loop.n_iters)
+    scale = np.abs(params0).max() + kappa * math.sqrt(g0 @ g0) * max(1, res.n_iters)
+    assert np.allclose(res.params, loop.params, rtol=1e-8, atol=1e-8 * scale)
+    # the residual at the returned parameters: the loop's once it stopped early,
+    # one step past the loop's stale one once the budget ran out
+    grad = offset + hessian @ res.params
+    assert res.grad_norm == math.sqrt(grad @ grad)
+    if loop.converged:
+        assert res.grad_norm <= grad_tol
+    else:
+        assert res.grad_norm <= loop.grad_norm * (1 + 1e-8) + 1e-12 * scale
+
+
+def test_fit_value_reports_the_residual_at_its_parameters():
+    # once the budget runs out, |g| is that of the returned parameters, not of
+    # the iterate one step before them
+    hessian, offset, kappa = np.diag([1.0, 0.1]), np.array([1.0, 1.0]), 0.5
+    loop = fit_value_loop(np.zeros(2), lambda w: offset + hessian @ w, kappa, max_iters=5, grad_tol=0.0)
+    res = fit_value(np.zeros(2), hessian, offset, kappa, max_iters=5, grad_tol=0.0)
+    decay = (1 - kappa * np.diag(hessian)) ** 5
+    assert res.grad_norm == pytest.approx(np.linalg.norm(decay * offset), rel=1e-14)
+    assert loop.grad_norm == pytest.approx(np.linalg.norm(decay / (1 - kappa * np.diag(hessian)) * offset))
+    assert res.grad_norm < loop.grad_norm
+
+
+def test_fit_value_diverges_from_the_spectrum():
+    # kappa * lambda_max > 2 grows the gradient at every step: refused before
+    # the first, with w_0; at exactly 2 the descent oscillates but is finite
+    hessian, offset, params0 = np.diag([1.0, 25.0]), np.array([1.0, -1.0]), np.array([0.5, 0.25])
+    with pytest.raises(FitDivergedError, match="exceeds 2") as exc:
+        fit_value(params0, hessian, offset, kappa=0.1, max_iters=3, grad_tol=0.0)
+    assert np.array_equal(exc.value.params, params0)
+    res = fit_value(params0, hessian, offset, kappa=0.08, max_iters=3, grad_tol=0.0)
+    loop = fit_value_loop(params0, lambda w: offset + hessian @ w, 0.08, max_iters=3, grad_tol=0.0)
+    assert np.allclose(res.params, loop.params, rtol=1e-12)
+
+
+def test_fit_value_budget_costs_no_memory():
+    # a pendulum-sized quadratic (101 parameters, rank 24, kappa lambda_max
+    # 0.45) whose gradient lies in H's range: a budget of 10**9 steps stops
+    # where a budget of 200 does, and holds no array of the budget's length
+    rng = np.random.default_rng(271)
+    hessian, _, params0 = psd_quadratic(rng, 101, 24, 0.45 / 0.2)
+    offset = -hessian @ rng.normal(size=101)
+    for grad_tol in (1.0, 0.1, 1e-2):
+        short = fit_value(params0, hessian, offset, kappa=0.2, max_iters=200, grad_tol=grad_tol)
+        tracemalloc.start()
+        try:
+            long = fit_value(params0, hessian, offset, kappa=0.2, max_iters=10**9, grad_tol=grad_tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert short.converged and 0 < short.n_iters < 200
+        assert (long.converged, long.n_iters, long.grad_norm) == (True, short.n_iters, short.grad_norm)
+        assert np.array_equal(long.params, short.params)
+        assert peak < 2**20
+    # no stop: every step of the budget taken, at the same cost
+    tracemalloc.start()
+    try:
+        res = fit_value(params0, hessian, offset + rng.normal(size=101), kappa=0.2, max_iters=10**9, grad_tol=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.converged and res.n_iters == 10**9 and np.all(np.isfinite(res.params))
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
