@@ -94,12 +94,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _load_env(args):
+    """The environment a command runs on; oracle-check reads its tabular MDP."""
+    if args.func is not _cmd_oracle_check:
+        return make_env(args.env)
+    return load_mdp(args.mdp_file) if args.mdp_file else make_env(args.env).as_tabular()
+
+
 def _cmd_train(args) -> int:
     sink = None
     if not args.quiet:
         sink = lambda rec: print(rec.to_json_line())
     try:
-        run_experiment(args.cfg, args.env, out_dir=args.out, record_sink=sink)
+        run_experiment(args.cfg, args.model, out_dir=args.out, record_sink=sink)
     except IterationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -109,7 +116,7 @@ def _cmd_train(args) -> int:
 def _cmd_ablation(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     try:
-        result = ablation_suite(args.cfg, args.env, seeds)
+        result = ablation_suite(args.cfg, args.model, seeds)
     except IterationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -126,12 +133,7 @@ def _cmd_ablation(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     """Validate the LP-duality identities on a tabular environment or MDP file."""
-    if args.mdp_file:
-        mdp = load_mdp(args.mdp_file)
-    else:
-        env = make_env(args.env)
-        mdp = env.as_tabular()
-    tol = args.tol
+    mdp, tol = args.model, args.tol
     v_star = value_iteration(mdp, tol=min(tol * 1e-3, 1e-9))
     pi_star = greedy_policy(mdp, v_star)
     rho = occupancy_from_policy(mdp, pi_star)
@@ -188,6 +190,13 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as err:  # a missing or malformed file, unknown fields, bad values
             print(f"error: bad config: {err}", file=sys.stderr)
             return 2
+    try:
+        args.model = _load_env(args)
+    except (KeyError, OSError, TypeError, ValueError, NotImplementedError) as err:
+        # an unknown name (a KeyError, whose str() quotes the message), a
+        # missing or malformed MDP file, or an environment with no MDP
+        print(f"error: bad environment: {err.args[0] if isinstance(err, KeyError) else err}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -9,10 +9,15 @@ Every Bellman backup (q_values, bellman_optimality_operator and each sweep of
 value_iteration) is one matrix-vector product over an action-major layout:
 gamma * P as one (A*S, S) matrix whose row a*S + s is gamma * P[s, a], so Q
 comes out as an (A, S) table and the backup is its max over axis 0.  One
-product is faster than numpy's S stacked (A, S) products, and value
-iteration lays the matrix out once and stays bitwise equal to repeated
-one-step backups.  On deterministic MDPs each product is exact; on dense
-ones it may round differently from the stacked (S, A, S) @ v.
+product is faster than numpy's S stacked (A, S) products.  On deterministic
+MDPs each product is exact; on dense ones it may round differently from the
+stacked (S, A, S) @ v.
+
+value_iteration starts from policy iteration, which reaches V* in a few
+linear solves, and then sweeps the one-step backup until the value-iteration
+stopping test holds.  Its sweeps are bitwise the one-step backups from that
+start, and its result does not depend on the BLAS thread count: the last
+policy's value is solved by elimination in elementwise numpy operations.
 
 save_mdp writes the text json.dump would write, but encodes one state's
 transition block at a time with the C encoder (json.dumps).
@@ -49,6 +54,8 @@ class TabularMdp:
             raise ValueError(f"reward must have shape ({S}, {A}), got {R.shape}")
         if mu.shape != (S,):
             raise ValueError(f"mu must have shape ({S},), got {mu.shape}")
+        if not (np.isfinite(P).all() and np.isfinite(R).all() and np.isfinite(mu).all()):
+            raise ValueError("transition, reward and mu must be finite")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie strictly inside (0, 1), got {self.gamma}")
         if np.any(P < 0):
@@ -66,11 +73,6 @@ class TabularMdp:
     @property
     def n_actions(self) -> int:
         return self.transition.shape[1]
-
-    @property
-    def value_bound(self) -> float:
-        """Upper bound max|R| / (1 - gamma) on the sup-norm of any fixed point."""
-        return float(np.max(np.abs(self.reward)) / (1.0 - self.gamma))
 
 
 def validate_policy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
@@ -113,50 +115,69 @@ def bellman_optimality_operator(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
     return _q_table(*_action_major(mdp), _check_value(mdp, v)).max(axis=0)
 
 
-def k_step_bellman(mdp: TabularMdp, v: np.ndarray, k: int) -> np.ndarray:
-    """(k+1)-fold composition of the one-step optimality backup.
-
-    k = 0 is the plain one-step operator.  On tabular MDPs the composition
-    coincides with exhaustive closed-loop maximization over length-(k+1)
-    action sequences, which the test suite checks by policy enumeration.
-    """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    out = _check_value(mdp, v)
-    for _ in range(k + 1):
-        out = bellman_optimality_operator(mdp, out)
-    return out
+# Policy iteration switches a state's action only when the greedy Q beats the
+# current action's by this share of max(1, max|v|).  A solve's relative
+# rounding is about cond * eps, 2e-13 at gamma = 0.999, so near-ties cannot
+# cycle; the round cap bounds the work regardless.
+_SWITCH_RTOL = 1e-12
+_MAX_POLICY_ROUNDS = 100
 
 
-def lambda_bellman(mdp: TabularMdp, v: np.ndarray, lam: float, k_max: int) -> np.ndarray:
-    """Geometric mixture (1-lam) sum_k lam^k (T_k v), truncated at k_max.
+def _solve_fixed_order(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve m x = b by Gaussian elimination without pivoting, in elementwise
+    numpy operations only.  No BLAS call means bytes that do not depend on the
+    BLAS thread count.  m must be strictly diagonally dominant by rows, as
+    I - gamma P^pi is, so no pivot vanishes."""
+    m, x = m.copy(), b.copy()
+    for k in range(len(x) - 1):
+        factors = m[k + 1 :, k] / m[k, k]
+        m[k + 1 :, k + 1 :] -= factors[:, None] * m[k, k + 1 :]
+        x[k + 1 :] -= factors * x[k]
+    for k in range(len(x) - 1, -1, -1):
+        x[k] /= m[k, k]
+        x[:k] -= m[:k, k] * x[k]
+    return x
 
-    The tail mass lam^k_max is folded into the last term so the mixture
-    weights sum to exactly 1; callers should pick k_max with lam^k_max small.
-    """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lambda must lie in [0, 1), got {lam}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be positive, got {k_max}")
-    out = np.zeros(mdp.n_states)
-    term = bellman_optimality_operator(mdp, _check_value(mdp, v))  # T_0 v
-    for k in range(k_max + 1):
-        weight = lam**k_max if k == k_max else (1.0 - lam) * lam**k
-        out += weight * term
-        if k < k_max:
-            term = bellman_optimality_operator(mdp, term)
-    return out
+
+def _policy_iteration(reward_t: np.ndarray, discounted: np.ndarray) -> np.ndarray:
+    """Howard's policy iteration from the greedy policy at v = 0, over the
+    action-major layout.  Returns V^pi of its last deterministic policy,
+    solved in fixed order; the rounds before that use LAPACK's solve."""
+    n_states = reward_t.shape[1]
+    states, eye = np.arange(n_states), np.eye(n_states)
+
+    def system(policy):  # (I - gamma P^pi, r^pi)
+        return eye - discounted[policy * n_states + states], reward_t[policy, states]
+
+    policy = reward_t.argmax(axis=0)
+    for _ in range(_MAX_POLICY_ROUNDS):
+        v = np.linalg.solve(*system(policy))
+        q = _q_table(reward_t, discounted, v)
+        best = q.argmax(axis=0)
+        switch = q[best, states] - q[policy, states] > _SWITCH_RTOL * max(1.0, np.max(np.abs(v)))
+        if not switch.any():
+            break
+        policy = np.where(switch, best, policy)
+    return _solve_fixed_order(*system(policy))
 
 
 def value_iteration(mdp: TabularMdp, tol: float = 1e-10, max_iters: int = 1_000_000) -> np.ndarray:
-    """Iterate the one-step backup until ||T v - v||_inf <= tol.
+    """V* with the certificate ||T v - v||_inf <= tol.
+
+    Policy iteration gives the start: the exact value of a policy that no
+    action beats by more than rounding.  From there the one-step backup is
+    iterated until two successive iterates differ by at most tol, the stopping
+    test of plain value iteration, and the last backup is returned.  So the
+    result is within gamma tol / (1 - gamma) of V* even if policy iteration
+    stops early.  max_iters bounds the sweeps after the start; policy
+    iteration adds at most 100 rounds of one linear solve each.
 
     Serves as the primal-LP oracle: the LP optimum equals the fixed point.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    v = np.zeros(mdp.n_states)
     reward_t, discounted = _action_major(mdp)  # laid out once, not every sweep
+    v = _policy_iteration(reward_t, discounted)
     for _ in range(max_iters):
         v_next = _q_table(reward_t, discounted, v).max(axis=0)
         if np.max(np.abs(v_next - v)) <= tol:
@@ -271,8 +292,12 @@ def save_mdp(mdp: TabularMdp, path: str) -> None:
 
 
 def load_mdp(path: str) -> TabularMdp:
+    """Read a file save_mdp wrote; a missing field is a ValueError that names it."""
     with open(path) as fh:
         payload = json.load(fh)
+    missing = [name for name in ("n_states", "n_actions", "gamma", "reward", "transition", "mu") if name not in payload]
+    if missing:
+        raise ValueError(f"MDP file {path} lacks the field(s) {', '.join(missing)}")
     mdp = TabularMdp(
         transition=np.array(payload["transition"], dtype=float),
         reward=np.array(payload["reward"], dtype=float),

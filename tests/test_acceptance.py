@@ -44,8 +44,6 @@ from dualac.mdp import (
     discounted_state_occupancy,
     duality_gap,
     greedy_policy,
-    k_step_bellman,
-    lambda_bellman,
     occupancy_from_policy,
     policy_from_occupancy,
     random_mdp,
@@ -57,6 +55,7 @@ from dualac.optim import (
 )
 from dualac.policies import TabularSoftmaxPolicy
 from conftest import enumerate_policy_values, fd_grad, softmax
+from reference_mdp import k_step_bellman, lambda_bellman
 from reference_prox import exact_prox_pi
 
 

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from dualac import cli
 from dualac.driver import DualAcConfig
+from dualac.envs import make_env
 from dualac.mdp import random_mdp, save_mdp
 
 
@@ -97,10 +99,10 @@ def test_docstring_config_example_loads():
 
 ORACLE_CHECK_LINES = {
     "chain5": [
-        "PASS fixed-point residual (8.603e-10)",
+        "PASS fixed-point residual (8.882e-16)",
         "PASS occupancy normalization (0.000e+00)",
         "PASS flow constraint residual (4.163e-17)",
-        "PASS strong duality gap (8.603e-10)",
+        "PASS strong duality gap (1.110e-16)",
         "PASS policy recovery from occupancy (0.000e+00)",
     ],
     "gridworld": [
@@ -111,10 +113,10 @@ ORACLE_CHECK_LINES = {
         "PASS policy recovery from occupancy (0.000e+00)",
     ],
     "random_100x4": [
-        "PASS fixed-point residual (9.850e-10)",
+        "PASS fixed-point residual (4.263e-14)",
         "PASS occupancy normalization (2.220e-16)",
         "PASS flow constraint residual (2.776e-17)",
-        "PASS strong duality gap (9.100e-10)",
+        "PASS strong duality gap (9.992e-16)",
         "PASS policy recovery from occupancy (0.000e+00)",
     ],
 }
@@ -140,3 +142,35 @@ def test_oracle_check_rejects_a_bad_tolerance_with_usage(capsys, tol):
     assert exc.value.code == 2 and out == ""
     assert err.startswith("usage: dualac oracle-check")
     assert err.endswith(f"error: argument --tol: must be a positive finite number, got '{tol}'\n")
+
+
+def _mdp_file(tmp_path, edit=None) -> str:
+    """chain2 saved as an MDP file, its payload changed by edit first."""
+    path = tmp_path / "mdp.json"
+    save_mdp(make_env("chain2").as_tabular(), str(path))
+    if edit is not None:
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command,source,message",
+    [
+        ("oracle-check", lambda d: ["--mdp-file", str(d / "absent.json")], "No such file or directory"),
+        ("oracle-check", lambda d: ["--mdp-file", _mdp_file(d, lambda p: p.pop("transition"))], "lacks the field(s) transition"),
+        ("oracle-check", lambda d: ["--mdp-file", _mdp_file(d, lambda p: p.update(gamma=1.0))], "gamma must lie strictly inside (0, 1)"),
+        ("oracle-check", lambda d: ["--mdp-file", _mdp_file(d, lambda p: p.update(reward=[[math.nan, 0.0], [1.0, 1.0]]))],
+         "transition, reward and mu must be finite"),
+        ("oracle-check", lambda d: ["--env", "bogus"], "unknown environment 'bogus'; known: "),
+        ("oracle-check", lambda d: ["--env", "pendulum"], "the pendulum has no tabular representation"),
+        ("train", lambda d: ["--env", "mdp:" + _mdp_file(d, lambda p: p.pop("mu"))], "lacks the field(s) mu"),
+    ],
+    ids=["missing_file", "missing_field", "invalid_mdp", "nan_reward", "unknown_env", "no_tabular_form", "train_mdp_file"],
+)
+def test_bad_mdp_source_reported_without_traceback(tmp_path, capsys, command, source, message):
+    code = cli.main([command, *source(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad environment: ") and message in err and err.count("\n") == 1

@@ -26,6 +26,7 @@ from dualac.mdp import (
 from dualac.policies import TabularSoftmaxPolicy
 from conftest import fd_grad, make_batch, softmax, tabular_deltas
 import reference_paths
+from reference_mdp import value_bound
 
 
 def optimal_triple(mdp, k=0, tol=1e-12):
@@ -300,7 +301,7 @@ def test_multi_step_strong_duality_on_grid(chain2_mdp):
     k = 1
     v_star = value_iteration(mdp, tol=1e-13)
     saddle = (1 - mdp.gamma ** (k + 1)) * mdp.mu @ v_star
-    bound = mdp.value_bound
+    bound = value_bound(mdp)
     grid = np.linspace(0.0, 1.0, 21)
     best = -np.inf
     for p in grid:
