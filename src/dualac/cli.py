@@ -94,6 +94,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _seed_list(text: str) -> list[int]:
+    """An argparse type: comma-separated integer seeds, at least two."""
+    try:
+        seeds = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"needs at least 2 seeds, got {text!r}")
+    return seeds
+
+
 def _load_env(args):
     """The environment a command runs on; oracle-check reads its tabular MDP."""
     if args.func is not _cmd_oracle_check:
@@ -114,9 +125,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_ablation(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",")]
     try:
-        result = ablation_suite(args.cfg, args.model, seeds)
+        result = ablation_suite(args.cfg, args.model, args.seeds)
     except IterationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -172,7 +182,7 @@ def main(argv=None) -> int:
     p_abl = sub.add_parser("ablation", help="run the ablation variant comparison")
     p_abl.add_argument("--env", required=True)
     p_abl.add_argument("--config", help="JSON file of DualAcConfig fields overriding the base (full) variant's tuning")
-    p_abl.add_argument("--seeds", default="0,1", help="comma-separated seed list")
+    p_abl.add_argument("--seeds", type=_seed_list, default="0,1", help="comma-separated seed list, at least two")
     p_abl.add_argument("--iterations", type=int, default=None)
     p_abl.add_argument("--out", help="output directory for ablation.json")
     p_abl.set_defaults(func=_cmd_ablation)

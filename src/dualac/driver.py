@@ -73,7 +73,7 @@ class InnerVConfig:
     grad_tol: float = 1e-4
 
     def __post_init__(self):
-        if not (self.stepsize > 0 and self.max_iters >= 1 and self.grad_tol >= 0):
+        if not (0 < self.stepsize < math.inf and self.max_iters >= 1 and 0 <= self.grad_tol < math.inf):
             raise ValueError("need inner_v stepsize > 0, max_iters >= 1 and grad_tol >= 0")
 
 
@@ -102,7 +102,7 @@ class DualAcConfig:
             raise ValueError("need k >= 0, batch_m >= 1, iterations >= 0")
         if not 0.0 < self.eta_mu <= 1.0:
             raise ValueError("eta_mu must lie in (0, 1]")
-        if not (self.eta_alpha > 0 and self.eta_v >= 0):
+        if not (0 < self.eta_alpha < math.inf and 0 <= self.eta_v < math.inf):
             raise ValueError("need eta_alpha > 0 and eta_v >= 0")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
@@ -192,10 +192,6 @@ class IterationRecord:
     def to_json_line(self) -> str:
         return json.dumps(dataclasses.asdict(self))
 
-    @classmethod
-    def from_json_line(cls, line: str) -> "IterationRecord":
-        return cls(**json.loads(line))
-
 
 @dataclass
 class TrainingState:
@@ -276,11 +272,12 @@ def dual_ac_iteration(state: TrainingState):
     # line 4: V^t = argmin of the sampled path-regularized objective; the
     # penalty also anchors on the previous batch (behavior-policy replay)
     rows = replay_rows(batch, cfg.gamma)
-    terms = value_grad_terms(res, weights, (rows, state.last_batch), state.value_map.rows, cfg.eta_v)
+    hessian, offset = value_grad_terms(res, weights, (rows, state.last_batch), state.value_map.rows, cfg.eta_v)
     try:
         fit = fit_value(
             state.value_params,
-            *terms.quadratic(),
+            hessian,
+            offset,
             kappa=cfg.inner_v.stepsize,
             max_iters=cfg.inner_v.max_iters,
             grad_tol=cfg.inner_v.grad_tol,
@@ -420,13 +417,13 @@ def load_checkpoint(path: str, env=None) -> TrainingState:
 # Experiment harness
 
 
-def run_experiment(cfg: DualAcConfig, env_name: str, out_dir=None, record_sink=None) -> list[IterationRecord]:
-    """Full training run; streams one record per iteration and checkpoints at the end.
+def run_experiment(cfg: DualAcConfig, env, out_dir=None, record_sink=None) -> list[IterationRecord]:
+    """Full training run on env; streams one record per iteration and
+    checkpoints at the end.
 
     On an iteration error the last good checkpoint is written before the
     error propagates.
     """
-    env = make_env(env_name) if isinstance(env_name, str) else env_name
     state = init_state(cfg, env)
     records: list[IterationRecord] = []
     records_fh = None
@@ -477,8 +474,8 @@ def ablation_variants(base: DualAcConfig, horizon: int) -> list[tuple[str, DualA
     return out
 
 
-def ablation_suite(base: DualAcConfig, env_name: str, seeds, record_sink=None) -> dict:
-    """Run every variant over the given seeds; returns per-run finals and
+def ablation_suite(base: DualAcConfig, env, seeds, record_sink=None) -> dict:
+    """Run every variant on env over the given seeds; returns per-run finals and
     per-variant mean +/- half-width (half the min-to-max spread).
 
     Runs are scored by the discounted return on tabular environments (the
@@ -489,9 +486,8 @@ def ablation_suite(base: DualAcConfig, env_name: str, seeds, record_sink=None) -
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ValueError("ablation comparisons need at least 2 seeds")
-    probe_env = make_env(env_name) if isinstance(env_name, str) else env_name
-    metric = "mean_disc_return" if probe_env.spec.tabular else "mean_return"
-    horizon = base.horizon if base.horizon is not None else probe_env.spec.horizon
+    metric = "mean_disc_return" if env.spec.tabular else "mean_return"
+    horizon = base.horizon if base.horizon is not None else env.spec.horizon
     rows = []
     for variant, cfg in ablation_variants(base, horizon):
         for seed in seeds:
@@ -499,7 +495,7 @@ def ablation_suite(base: DualAcConfig, env_name: str, seeds, record_sink=None) -
             collected: list[IterationRecord] = []
             diverged = False
             try:
-                run_experiment(run_cfg, env_name, record_sink=collected.append)
+                run_experiment(run_cfg, env, record_sink=collected.append)
             except IterationError:
                 diverged = True
             rows.append(

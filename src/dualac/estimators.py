@@ -18,13 +18,14 @@ Conventions that matter here:
 * A value function is a parameter vector w over a row map, v(s) =
   w . row(s) (policies.BiasedFeatureMap or IndicatorFeatureMap), so delta_k
   of a batch is affine in w: residuals builds the table of its parts once
-  per batch, with one row-map call for the starts and bootstrap states, and
-  traj_deltas and value_grad_terms read it.
-* The exact_grad_* functions are the exhaustive-expectation forms of the
-  same estimators, used by the tabular verification suite: weighted sums
+  per batch, with one row-map call for the starts and bootstrap states.
+  traj_deltas reads it, and value_grad_terms turns it into the quadratic
+  (hessian, offset) that the inner value fit descends.
+* exact_grad_pi and exact_grad_v are the exhaustive-expectation forms of the
+  policy and value gradients, for the tabular oracle checks: weighted sums
   over the path table of lagrangian.enumerate_paths, with each path's
-  weight prob * delta_k binned by its first state, its last state or its
-  (state, action) pairs (np.bincount).
+  weight prob * delta_k binned by its (state, action) pairs or by its first
+  and last states (np.bincount).
 """
 
 from __future__ import annotations
@@ -217,41 +218,25 @@ def grad_pi_estimate(window: Window, coefs, policy):
     return np.repeat(coefs, window.steps) @ scores / len(window.steps), scores
 
 
-@dataclass(frozen=True)
-class ValueGradTerms:
-    """The sampled value gradient of one batch, split by dependence on w:
-    g(w) = constant - (2 eta_v / n_b) sum_b (returns_b - rows_b . w) rows_b."""
-
-    constant: np.ndarray  # lead and weighted residual terms
-    rows: np.ndarray      # (n_b, n_params) grad v(s_0) of each behavior row
-    returns: np.ndarray   # (n_b,) discounted return of each behavior row
-    eta_v: float
-
-    def quadratic(self) -> tuple[np.ndarray, np.ndarray]:
-        """(H, b) with g(w) = b + H w: H = (2 eta_v / n_b) R^T R and
-        b = constant - (2 eta_v / n_b) R^T returns over the behavior rows R.
-        H is zero and b is constant when eta_v is 0."""
-        if self.eta_v <= 0:
-            return np.zeros((len(self.constant),) * 2), self.constant
-        scale = 2.0 * self.eta_v / len(self.returns)
-        return scale * (self.rows.T @ self.rows), self.constant - scale * (self.rows.T @ self.returns)
-
-
-def value_grad_terms(res: Residuals, weights, behavior, value_rows, eta_v: float) -> ValueGradTerms:
-    """Build the parts of the sampled path-regularized value gradient that stay
-    fixed while the value parameters move:
+def value_grad_terms(res: Residuals, weights, behavior, value_rows, eta_v: float):
+    """The sampled path-regularized value gradient
 
     (1 - gamma^{k+1}) E_mu[grad v(s_0)]
       + E[start_weight * (gamma^j grad v(s_j) - grad v(s_0))]      j = min(k+1, len)
       - 2 eta_v E[(return(tau_b) - v(s_0)) grad v(s_0)]             over behavior rows
 
+    as the quadratic (hessian, offset) with g(w) = offset + hessian @ w.
+
     res is the batch's residual table, weights holds each trajectory's start
     weight, and behavior is the pair (own, previous) of ReplayRows: the
     batch's own, whose start rows are res.starts, and the previous batch's
     (empty at the first iteration), whose start rows value_rows builds.
-    v(s) = w . row(s), so only v(s_0) in the penalty moves with w, and the
-    gradient is affine in w (ValueGradTerms.quadratic).  No behavior rows are
-    built when eta_v is 0.
+    v(s) = w . row(s), so only v(s_0) in the penalty moves with w:
+    hessian = (2 eta_v / n_b) R^T R and
+    offset = constant - (2 eta_v / n_b) R^T returns over the n_b behavior
+    start rows R, where constant holds the lead and weighted residual terms.
+    No behavior rows are built when eta_v is 0: hessian is zero and offset is
+    constant.
 
     The sums run over axis 0 from 0.0, which adds the rows in batch order:
     bitwise the trajectory-by-trajectory sums, the residual's two terms
@@ -263,12 +248,13 @@ def value_grad_terms(res: Residuals, weights, behavior, value_rows, eta_v: float
     tail = weights * res.discount
     resid = np.stack([-(weights[:, None] * res.starts), tail[:, None] * res.boots], axis=1).reshape(2 * m, -1)
     constant = res.lead * res.starts.sum(axis=0, initial=0.0) / m + resid.sum(axis=0, initial=0.0) / m
-    rows, returns = np.zeros((0, res.starts.shape[1])), np.zeros(0)
-    if eta_v > 0:
-        own, previous = behavior
-        rows = np.concatenate([res.starts, value_rows(previous.starts)]) if len(previous) else res.starts
-        returns = np.concatenate([own.returns, previous.returns])
-    return ValueGradTerms(constant, rows, returns, float(eta_v))
+    if eta_v <= 0:
+        return np.zeros((len(constant),) * 2), constant
+    own, previous = behavior
+    rows = np.concatenate([res.starts, value_rows(previous.starts)]) if len(previous) else res.starts
+    returns = np.concatenate([own.returns, previous.returns])
+    scale = 2.0 * eta_v / len(returns)
+    return scale * (rows.T @ rows), constant - scale * (rows.T @ returns)
 
 
 def delta_means_by_start(batch: Batch, deltas) -> np.ndarray:
@@ -290,41 +276,9 @@ def alpha_closed_form(delta_means, eta_alpha: float) -> np.ndarray:
     return np.maximum(0.0, np.asarray(delta_means, dtype=float)) / eta_alpha
 
 
-def alpha_objective(
-    tilde_alpha,
-    delta_means,
-    mu,
-    eta_mu: float,
-    eta_alpha: float,
-    half_quadratic: bool = True,
-) -> float:
-    """Dual objective in tilde_alpha:
-    E_mu[(tilde_alpha(s) + eta_mu) deltabar(s)] - c eta_alpha E_mu[tilde_alpha(s)^2].
-
-    half_quadratic picks c = 1/2, the convention under which the closed-form
-    update max(0, deltabar)/eta_alpha is exactly the maximizer; c = 1 is the
-    literal printed penalty (whose maximizer carries an extra factor 1/2).
-    """
-    ta = np.asarray(tilde_alpha, dtype=float)
-    db = np.asarray(delta_means, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    c = 0.5 if half_quadratic else 1.0
-    return float(np.sum(mu * ((ta + eta_mu) * db)) - c * eta_alpha * np.sum(mu * ta**2))
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive-expectation forms (tabular verification suite); v is a vector
 # of state values
-
-
-def exact_grad_alpha(mdp: TabularMdp, v, alpha, pi, k: int) -> np.ndarray:
-    """Exact E_alpha^pi[delta_k * grad log alpha(s_0)] by path enumeration, in
-    the logits of a softmax start distribution alpha: grad log alpha(s_0) =
-    e_{s_0} - alpha."""
-    alpha = np.asarray(alpha, dtype=float)
-    paths = enumerate_paths(mdp, alpha, pi, k)
-    w = paths.prob * path_deltas(mdp, v, paths)
-    return np.bincount(paths.states[:, 0], w, minlength=len(alpha)) - w.sum() * alpha
 
 
 def exact_grad_pi(mdp: TabularMdp, v, alpha, policy, k: int) -> np.ndarray:

@@ -1,15 +1,16 @@
 """Exact saddle-point objectives on tabular MDPs.
 
-The one-step objective couples a value vector v with a start-state weighting
-alpha and a policy pi through the advantage-like residual
-Delta[v](s, a) = R(s, a) + gamma E[v(s')] - v(s).  Its multi-step extension
-replaces Delta with the discounted k-step residual delta along sampled paths
-(estimators.residuals tabulates it for every trajectory of a sampled batch,
-and estimators.traj_deltas evaluates it at any value parameters), and the
-path-regularized variant adds a squared penalty pulling v toward the
-behavior policy's exact return.  Everything is computed in closed form or by
-exhaustive path enumeration so the stochastic estimators have a noise-free
-target.
+The multi-step objective couples a value vector v with a start-state
+weighting alpha and a policy pi through the discounted k-step residual
+delta_k along paths (estimators.residuals tabulates it for every trajectory
+of a sampled batch, and estimators.traj_deltas evaluates it at any value
+parameters).  The path-regularized objective adds a squared penalty pulling
+v toward the behavior policy's exact return: its value gradient
+(path_reg_value_gradient) and its minimizer over v (inner_min_v_exact) are
+here, and its value, like the one-step objective's, is a test reference
+(tests/reference_lagrangian.py).  Everything is computed in closed form
+or by exhaustive path enumeration so the stochastic estimators have a
+noise-free target.
 
 The enumeration (enumerate_paths) is one table of every positive-probability
 k-step path, built as arrays one step at a time, with each path's delta_k
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import TabularMdp, policy_value, q_values, transition_under, validate_policy
+from .mdp import TabularMdp, policy_value, transition_under, validate_policy
 
 
 class EnumerationLimitError(RuntimeError):
@@ -42,15 +43,6 @@ def validate_distribution(w: np.ndarray, name: str = "alpha") -> np.ndarray:
     if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
         raise ValueError(f"{name} must be a probability distribution")
     return w
-
-
-def one_step_lagrangian(mdp: TabularMdp, v: np.ndarray, alpha: np.ndarray, pi: np.ndarray) -> float:
-    """(1-gamma) E_mu[v] + sum_{s,a} alpha(s) pi(a|s) Delta[v](s, a), exactly."""
-    alpha = validate_distribution(alpha)
-    pi = validate_policy(mdp, pi)
-    v = np.asarray(v, dtype=float)
-    residual = q_values(mdp, v) - v[:, None]
-    return float((1.0 - mdp.gamma) * mdp.mu @ v + np.sum(alpha[:, None] * pi * residual))
 
 
 def _step_distributions(mdp: TabularMdp, alpha: np.ndarray, pi: np.ndarray, k: int) -> np.ndarray:
@@ -141,29 +133,6 @@ def multi_step_lagrangian(
     lead = (1.0 - mdp.gamma ** (k + 1)) * mdp.mu @ v
     paths = enumerate_paths(mdp, alpha, pi, k, max_paths)
     return float(lead + paths.prob @ path_deltas(mdp, v, paths))
-
-
-def path_reg_lagrangian(
-    mdp: TabularMdp,
-    v: np.ndarray,
-    alpha: np.ndarray,
-    pi: np.ndarray,
-    pi_b: np.ndarray,
-    k: int,
-    eta_v: float,
-    max_paths: int = 1_000_000,
-) -> float:
-    """Multi-step objective plus eta_v E_mu[(V^{pi_b}(s) - v(s))^2].
-
-    V^{pi_b} is the exact infinite-horizon return of the behavior policy
-    (linear solve), so the penalty target carries no sampling noise.
-    """
-    if eta_v < 0:
-        raise ValueError("eta_v must be nonnegative")
-    base = multi_step_lagrangian(mdp, v, alpha, pi, k, max_paths=max_paths)
-    v_b = policy_value(mdp, pi_b)
-    v = np.asarray(v, dtype=float)
-    return float(base + eta_v * mdp.mu @ (v_b - v) ** 2)
 
 
 def value_linear_coefficient(mdp: TabularMdp, alpha: np.ndarray, pi: np.ndarray, k: int) -> np.ndarray:

@@ -28,7 +28,7 @@ class StepsizeSchedule:
     beta: float = 0.5
 
     def __post_init__(self):
-        if not (self.c > 0 and self.n0 >= 0):
+        if not (0 < self.c < math.inf and 0 <= self.n0 < math.inf):
             raise ValueError("need c > 0 and n0 >= 0")
         if not 0.5 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [1/2, 1]")

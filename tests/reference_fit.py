@@ -2,9 +2,9 @@
 `dualac.optim.fit_value` is checked against.
 
 fit_value_loop is gradient descent as a Python loop, one gradient call per
-step, and grad_v_estimate evaluates the sampled value gradient of
-`estimators.ValueGradTerms` from its behavior rows, the way the loop read it
-before the fit took its closed form.
+step.  The tests hand it the gradient w -> offset + hessian @ w of a
+quadratic, such as the one `estimators.value_grad_terms` builds for a
+batch, or a sequence of gradients that turns non-finite at a given step.
 """
 
 import math
@@ -12,20 +12,6 @@ import math
 import numpy as np
 
 from dualac.optim import FitDivergedError, FitResult
-
-
-def grad_v_estimate(terms, params) -> np.ndarray:
-    """The sampled value gradient of value_grad_terms at value parameters params.
-
-    Bitwise equal to summing the penalty trajectory by trajectory: vecdot takes
-    each row's dot product as w @ row does, and the axis-0 sum from 0.0 adds
-    the rows in order.
-    """
-    if terms.eta_v <= 0:
-        return terms.constant.copy()
-    resid = terms.returns - np.vecdot(terms.rows, params)
-    pen = (resid[:, None] * terms.rows).sum(axis=0, initial=0.0)
-    return terms.constant - 2.0 * terms.eta_v * pen / len(terms.returns)
 
 
 def fit_value_loop(params0, grad_fn, kappa: float, max_iters: int, grad_tol: float) -> FitResult:

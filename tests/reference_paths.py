@@ -4,7 +4,9 @@ per-path loops over it.
 
 `lagrangian.enumerate_paths` must give the same set of paths with bitwise the
 same probabilities, and the enumerated forms in `lagrangian` and
-`estimators` must match these loops to rounding.
+`estimators` must match these loops to rounding.  exact_grad_alpha, the
+start-weight gradient, has no form in the package: it is checked against the
+marginal recursion and against finite differences of the dual.
 """
 
 from __future__ import annotations

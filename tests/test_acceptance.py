@@ -27,15 +27,11 @@ from dualac.driver import (
 from dualac.envs import make_env
 from dualac.estimators import (
     alpha_closed_form,
-    alpha_objective,
-    exact_grad_alpha,
     exact_grad_pi,
     exact_grad_v,
 )
 from dualac.lagrangian import (
     inner_min_v_exact,
-    one_step_lagrangian,
-    path_reg_lagrangian,
     path_reg_value_gradient,
 )
 from dualac.mdp import (
@@ -55,7 +51,9 @@ from dualac.optim import (
 )
 from dualac.policies import TabularSoftmaxPolicy
 from conftest import enumerate_policy_values, fd_grad, softmax
+from reference_lagrangian import alpha_objective, one_step_lagrangian, path_reg_lagrangian
 from reference_mdp import k_step_bellman, lambda_bellman
+from reference_paths import exact_grad_alpha
 from reference_prox import exact_prox_pi
 
 

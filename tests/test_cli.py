@@ -144,6 +144,23 @@ def test_oracle_check_rejects_a_bad_tolerance_with_usage(capsys, tol):
     assert err.endswith(f"error: argument --tol: must be a positive finite number, got '{tol}'\n")
 
 
+@pytest.mark.parametrize(
+    "seeds,message",
+    [
+        ("0,x", "must be comma-separated integers, got '0,x'"),
+        ("", "must be comma-separated integers, got ''"),
+        ("0", "needs at least 2 seeds, got '0'"),
+    ],
+)
+def test_ablation_rejects_bad_seeds_with_usage(capsys, seeds, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ablation", "--env", "chain2", "--seeds", seeds])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: dualac ablation")
+    assert err.endswith(f"error: argument --seeds: {message}\n")
+
+
 def _mdp_file(tmp_path, edit=None) -> str:
     """chain2 saved as an MDP file, its payload changed by edit first."""
     path = tmp_path / "mdp.json"

@@ -28,7 +28,6 @@ from dualac.driver import (
     tabular_policy_return,
 )
 from dualac.envs import TabularEnv, make_env
-from dualac.estimators import value_grad_terms
 from dualac.mdp import greedy_policy, policy_value, value_iteration
 from dualac.optim import StepsizeSchedule, fit_value
 from dualac.policies import (
@@ -39,7 +38,7 @@ from dualac.policies import (
     TabularSoftmaxPolicy,
 )
 from conftest import make_single_state_mdp
-from reference_fit import fit_value_loop, grad_v_estimate
+from reference_fit import fit_value_loop
 
 
 def chain_config(**overrides):
@@ -159,13 +158,28 @@ def test_config_validation():
         chain_config(ablation="bogus")
     with pytest.raises(ValueError):
         chain_config(eta_mu=0.0)
-    for bad in ({"eta_alpha": 0.0}, {"eta_alpha": math.nan}, {"eta_v": math.nan}):
+    for bad in (
+        {"eta_alpha": 0.0},
+        {"eta_alpha": math.nan},
+        {"eta_alpha": math.inf},
+        {"eta_v": math.nan},
+        {"eta_v": math.inf},
+        {"eta_v": -math.inf},
+    ):
         with pytest.raises(ValueError, match="need eta_alpha > 0 and eta_v >= 0"):
             chain_config(**bad)
     for bad in ({"gamma": 1.0}, {"gamma": 0.0}, {"horizon": 0}):
         with pytest.raises(ValueError, match="gamma must lie in|horizon must be"):
             chain_config(**bad)
-    for bad in ({"stepsize": 0.0}, {"max_iters": 0}, {"grad_tol": -1e-9}, {"stepsize": math.nan}, {"grad_tol": math.nan}):
+    for bad in (
+        {"stepsize": 0.0},
+        {"max_iters": 0},
+        {"grad_tol": -1e-9},
+        {"stepsize": math.nan},
+        {"stepsize": math.inf},
+        {"grad_tol": math.nan},
+        {"grad_tol": math.inf},
+    ):
         with pytest.raises(ValueError, match="need inner_v stepsize > 0"):
             InnerVConfig(**bad)
     # the under-fitted ablations' single inner step is a valid inner_v
@@ -248,22 +262,17 @@ def test_inner_fit_stops_where_the_reference_loop_stops(monkeypatch, env_name, i
     cfg = dataclasses.replace(default_config(env_name), iterations=iterations)
     if grad_tol is not None:
         cfg = dataclasses.replace(cfg, inner_v=dataclasses.replace(cfg.inner_v, grad_tol=grad_tol))
-    terms, fits = [], []
+    fits = []
 
-    def spy_terms(*args):
-        terms.append(value_grad_terms(*args))
-        return terms[-1]
+    def spy_fit(params0, hessian, offset, **kwargs):
+        fits.append((params0, hessian, offset, kwargs, fit_value(params0, hessian, offset, **kwargs)))
+        return fits[-1][-1]
 
-    def spy_fit(params0, *args, **kwargs):
-        fits.append((params0, kwargs, fit_value(params0, *args, **kwargs)))
-        return fits[-1][2]
-
-    monkeypatch.setattr(driver, "value_grad_terms", spy_terms)
     monkeypatch.setattr(driver, "fit_value", spy_fit)
-    run_experiment(cfg, env_name)
+    run_experiment(cfg, make_env(env_name))
     early = 0
-    for term, (params0, kwargs, fit) in zip(terms, fits, strict=True):
-        loop = fit_value_loop(params0, lambda w: grad_v_estimate(term, w), **kwargs)
+    for params0, hessian, offset, kwargs, fit in fits:
+        loop = fit_value_loop(params0, lambda w: offset + hessian @ w, **kwargs)
         assert (fit.converged, fit.n_iters) == (loop.converged, loop.n_iters)
         assert np.allclose(fit.params, loop.params, rtol=1e-8, atol=1e-8 * np.abs(loop.params).max())
         early += fit.converged
@@ -312,7 +321,7 @@ def _records_digest(records) -> str:
 @pytest.mark.parametrize("env_name,ablation,iterations", list(GOLDEN_RUNS))
 def test_golden_run_records(env_name, ablation, iterations):
     cfg = dataclasses.replace(default_config(env_name), ablation=ablation, iterations=iterations)
-    records = run_experiment(cfg, env_name)
+    records = run_experiment(cfg, make_env(env_name))
     assert _records_digest(records) == GOLDEN_RUNS[(env_name, ablation, iterations)]
 
 
@@ -321,13 +330,13 @@ def test_pendulum_records_stable_under_feature_rounding(monkeypatch):
     # stacked form in most rows; an exact policy step keeps that a rounding
     # change in the records instead of amplifying it
     cfg = dataclasses.replace(default_config("pendulum"), iterations=10)
-    stacked = run_experiment(cfg, "pendulum")
+    stacked = run_experiment(cfg, make_env("pendulum"))
 
     def matrix_rows(self, states):
         return np.cos(np.asarray(states, dtype=float) @ self.frequencies.T / self.bandwidth + self.phases)
 
     monkeypatch.setattr(RbfFeatureMap, "rows", matrix_rows)
-    matrix = run_experiment(cfg, "pendulum")
+    matrix = run_experiment(cfg, make_env("pendulum"))
     floats = [f.name for f in dataclasses.fields(IterationRecord) if f.type == "float" and f.compare]
     for a, b in zip(stacked, matrix, strict=True):
         for name in floats:
@@ -453,7 +462,7 @@ def test_no_unbiased_v_differs_only_in_inner_steps():
 
 def test_run_experiment_zero_iterations(tmp_path):
     out = str(tmp_path / "run0")
-    records = run_experiment(chain_config(iterations=0), "chain2", out_dir=out)
+    records = run_experiment(chain_config(iterations=0), make_env("chain2"), out_dir=out)
     assert records == []
     assert os.path.exists(os.path.join(out, "checkpoint.json"))
     assert open(os.path.join(out, "records.jsonl")).read() == ""
@@ -461,10 +470,10 @@ def test_run_experiment_zero_iterations(tmp_path):
 
 def test_run_experiment_streams_jsonl(tmp_path):
     out = str(tmp_path / "run")
-    records = run_experiment(chain_config(iterations=4), "chain2", out_dir=out)
+    records = run_experiment(chain_config(iterations=4), make_env("chain2"), out_dir=out)
     lines = [l for l in open(os.path.join(out, "records.jsonl")) if l.strip()]
     assert len(lines) == len(records) == 4
-    parsed = [IterationRecord.from_json_line(l) for l in lines]
+    parsed = [IterationRecord(**json.loads(l)) for l in lines]
     assert parsed == records
 
 
@@ -675,19 +684,11 @@ def test_ablation_variant_list_respects_horizon():
 
 
 def test_ablation_suite_bookkeeping_and_degenerate_equality():
-    mdp = make_single_state_mdp(n_actions=1)
-    env_factory_calls = []
-
     # single-state single-action: every variant must produce identical outcomes
     cfg = chain_config(k=2, batch_m=2, iterations=3,
                        inner_v=InnerVConfig(stepsize=0.3, max_iters=30, grad_tol=1e-6))
     seeds = [0, 1]
-
-    def run(env_name):
-        return ablation_suite(cfg, env_name, seeds)
-
     env = TabularEnv(make_single_state_mdp(n_actions=1), horizon=30, name="single")
-    # ablation_suite re-instantiates envs by name, so pass the env object through
     result = ablation_suite(cfg, env, seeds)
     n_variants = len(ablation_variants(cfg, 30))
     assert len(result["rows"]) == n_variants * len(seeds)
@@ -701,7 +702,7 @@ def test_ablation_suite_bookkeeping_and_degenerate_equality():
 
 def test_ablation_suite_needs_two_seeds():
     with pytest.raises(ValueError):
-        ablation_suite(chain_config(), "chain2", [0])
+        ablation_suite(chain_config(), make_env("chain2"), [0])
 
 
 def test_final_performance_window():

@@ -12,7 +12,6 @@ from dualac.estimators import (
     BatchRow,
     ReplayRows,
     alpha_closed_form,
-    alpha_objective,
     delta_means_by_start,
     exact_grad_pi,
     grad_pi_estimate,
@@ -32,8 +31,8 @@ from dualac.policies import (
     TabularSoftmaxPolicy,
 )
 from conftest import make_batch, make_single_state_mdp, tabular_deltas
+from reference_lagrangian import alpha_objective
 from reference_sampler import features, sample_reference
-from reference_fit import grad_v_estimate
 
 
 def make_test_mdp(seed=107, mu=None):
@@ -252,9 +251,9 @@ def _per_state_delta_means(batch, deltas, n_states):
     return means
 
 
-def _grad_v_reference(paths, weights, behavior_paths, value_map, w, gamma, k, eta_v):
-    """The sampled value gradient at value parameters w, walked trajectory by
-    trajectory and state by state."""
+def _grad_v_constant(paths, weights, value_map, gamma, k):
+    """The lead and weighted residual terms of the sampled value gradient (all
+    of it when eta_v is 0), walked trajectory by trajectory."""
     n = value_map.n_features
     lead = np.zeros(n)
     resid = np.zeros(n)
@@ -265,14 +264,34 @@ def _grad_v_reference(paths, weights, behavior_paths, value_map, w, gamma, k, et
         resid -= weight * g0
         if _bootstraps(path, j):
             resid += weight * gamma**j * _reference_row(value_map, path.obs[j])
-    grad = (1.0 - gamma ** (k + 1)) * lead / len(paths) + resid / len(paths)
+    return (1.0 - gamma ** (k + 1)) * lead / len(paths) + resid / len(paths)
+
+
+def _grad_v_reference(paths, weights, behavior_paths, value_map, w, gamma, k, eta_v):
+    """The sampled value gradient at value parameters w, walked trajectory by
+    trajectory and state by state."""
+    grad = _grad_v_constant(paths, weights, value_map, gamma, k)
     if eta_v > 0:
-        pen = np.zeros(n)
+        pen = np.zeros(value_map.n_features)
         for path in behavior_paths:
             v0, g0 = _reference_value(value_map, w, path.obs[0]), _reference_row(value_map, path.obs[0])
             pen += (_reference_return(path.rewards, gamma) - v0) * g0
         grad -= 2.0 * eta_v * pen / len(behavior_paths)
     return grad
+
+
+def _quadratic_reference(paths, weights, behavior_paths, value_map, gamma, k, eta_v):
+    """The (hessian, offset) of value_grad_terms by its definition, from the
+    loop's constant and the behavior start rows R and returns G stacked
+    trajectory by trajectory: (2 eta_v / n_b) R^T R and
+    constant - (2 eta_v / n_b) R^T G, or zero and the constant at eta_v = 0."""
+    constant = _grad_v_constant(paths, weights, value_map, gamma, k)
+    if eta_v <= 0:
+        return np.zeros((len(constant),) * 2), constant
+    rows = np.array([_reference_row(value_map, path.obs[0]) for path in behavior_paths])
+    returns = np.array([_reference_return(path.rewards, gamma) for path in behavior_paths])
+    scale = 2.0 * eta_v / len(returns)
+    return scale * (rows.T @ rows), constant - scale * (rows.T @ returns)
 
 
 def test_mc_return_examples():
@@ -341,10 +360,9 @@ def test_array_estimators_match_per_trajectory_reference(env_name, seed, scale, 
     weights = rng.uniform(0.1, 2.0, size=m)
     behavior = (rows, replay_rows(previous, gamma))
     for eta_v in (0.0, 1.0):
-        terms = value_grad_terms(res, weights, behavior, value_map.rows, eta_v)
-        w = rng.normal(scale=3.0, size=value_map.n_features)
-        want = _grad_v_reference(paths, weights, paths + list(previous), value_map, w, gamma, k, eta_v)
-        assert np.array_equal(grad_v_estimate(terms, w), want), eta_v
+        got = value_grad_terms(res, weights, behavior, value_map.rows, eta_v)
+        want = _quadratic_reference(paths, weights, paths + list(previous), value_map, gamma, k, eta_v)
+        assert all(map(np.array_equal, got, want)), eta_v
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +444,15 @@ def test_grad_v_terms_bitwise_match_trajectory_loop():
         rows = (replay_rows(batch, env.spec.gamma_hint), replay_rows(previous, env.spec.gamma_hint))
         res = residuals(batch, v.rows, env.spec.gamma_hint, k)
         for eta_v in (0.0, 1.0):
-            terms = value_grad_terms(res, weights, rows, v.rows, eta_v)
-            hessian, offset = terms.quadratic()
+            hessian, offset = value_grad_terms(res, weights, rows, v.rows, eta_v)
+            want = _quadratic_reference(list(batch), weights, behavior, v, env.spec.gamma_hint, k, eta_v)
+            assert np.array_equal(hessian, want[0]) and np.array_equal(offset, want[1]), (env.spec, eta_v)
             for _ in range(4):
                 w = rng.normal(scale=3.0, size=v.n_features)
                 want = _grad_v_reference(list(batch), weights, behavior, v, w, env.spec.gamma_hint, k, eta_v)
-                assert np.array_equal(grad_v_estimate(terms, w), want), (env.spec, eta_v)
-                # the quadratic that the inner fit descends: the same gradient up to rounding
+                # the quadratic that the inner fit descends: the loop's gradient up to rounding
                 scale = np.abs(offset).max() + np.abs(hessian).max() * np.abs(w).sum()
                 assert np.allclose(offset + hessian @ w, want, rtol=0.0, atol=1e-13 * scale), (env.spec, eta_v)
-            assert eta_v > 0 or (not hessian.any() and offset is terms.constant)
 
 
 def test_grad_v_terms_reject_empty_batches():
@@ -446,11 +463,14 @@ def test_grad_v_terms_reject_empty_batches():
     with pytest.raises(ValueError):
         value_grad_terms(residuals(make_batch([]), rows, 0.9, k=1), np.zeros(0), behavior, rows, 1.0)
     res = residuals(batch, rows, 0.9, k=1)
-    terms = value_grad_terms(res, weights, behavior, rows, eta_v=0.0)
-    assert terms.rows.shape == (0, 5)
+    # no behavior rows at eta_v = 0, not even of a nonempty previous batch
+    built = []
+    spy = lambda states: built.append(states) or rows(states)
+    hessian, offset = value_grad_terms(res, weights, (behavior[0], behavior[0]), spy, eta_v=0.0)
+    assert built == [] and np.array_equal(hessian, np.zeros((5, 5)))
     # the batch's own start rows are always there: an empty previous batch adds none
-    terms = value_grad_terms(res, weights, behavior, rows, eta_v=1.0)
-    assert np.array_equal(terms.rows, res.starts)
+    hessian, offset = value_grad_terms(res, weights, behavior, spy, eta_v=1.0)
+    assert built == [] and np.array_equal(hessian, 2.0 / 3 * (res.starts.T @ res.starts))
 
 
 def test_grad_v_single_state_hand_value():
@@ -461,13 +481,12 @@ def test_grad_v_single_state_hand_value():
     rows = IndicatorFeatureMap(1).rows
     k, eta_v = 0, 0.5
     behavior = (replay_rows(batch, 0.9), ReplayRows())
-    terms = value_grad_terms(residuals(batch, rows, 0.9, k), np.ones(3), behavior, rows, eta_v)
-    got = grad_v_estimate(terms, np.array([8.0]))
+    hessian, offset = value_grad_terms(residuals(batch, rows, 0.9, k), np.ones(3), behavior, rows, eta_v)
+    got = offset + hessian @ np.array([8.0])
     G = (1 - 0.9**300) / 0.1
     # lead and residual terms cancel ((1-g) + (g-1)); penalty remains
     want = -2 * eta_v * (G - 8.0)
     assert got == pytest.approx([want], abs=1e-9)
-    hessian, offset = terms.quadratic()
     assert np.array_equal(hessian, [[2 * eta_v]]) and offset == pytest.approx([-2 * eta_v * G], abs=1e-9)
 
 
@@ -480,9 +499,9 @@ def test_grad_v_penalty_vanishes_at_behavior_value():
     value_rows, weights = IndicatorFeatureMap(5).rows, np.ones(400)
     v_b = policy_value(mdp, policy.prob_matrix())
     res, rows = residuals(batch, value_rows, mdp.gamma, k=0), (replay_rows(batch, mdp.gamma), ReplayRows())
-    got = grad_v_estimate(value_grad_terms(res, weights, rows, value_rows, eta_v=1.0), v_b)
-    no_pen = grad_v_estimate(value_grad_terms(res, weights, rows, value_rows, eta_v=0.0), v_b)
-    penalty_part = got - no_pen
+    hessian, offset = value_grad_terms(res, weights, rows, value_rows, eta_v=1.0)
+    _, no_pen = value_grad_terms(res, weights, rows, value_rows, eta_v=0.0)
+    penalty_part = offset + hessian @ v_b - no_pen
     assert np.max(np.abs(penalty_part)) < 0.2  # MC/truncation noise only
 
 

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualac.estimators import exact_grad_alpha, exact_grad_pi, exact_grad_v
+from dualac.estimators import exact_grad_pi, exact_grad_v
 from dualac.lagrangian import (
     EnumerationLimitError,
     enumerate_paths,
     expected_delta_dp,
     inner_min_v_exact,
     multi_step_lagrangian,
-    one_step_lagrangian,
-    path_reg_lagrangian,
     path_reg_value_gradient,
     value_linear_coefficient,
 )
@@ -26,6 +24,7 @@ from dualac.mdp import (
 from dualac.policies import TabularSoftmaxPolicy
 from conftest import fd_grad, make_batch, softmax, tabular_deltas
 import reference_paths
+from reference_lagrangian import one_step_lagrangian, path_reg_lagrangian
 from reference_mdp import value_bound
 
 
@@ -176,11 +175,15 @@ def test_enumerate_paths_matches_depth_first_reference(case):
     forms = {
         multi_step_lagrangian: (mdp, v, alpha, pi, k),
         exact_grad_v: (mdp, v, alpha, pi, pi_b, k, 0.7),
-        exact_grad_alpha: (mdp, v, alpha, pi, k),
         exact_grad_pi: (mdp, v, alpha, policy, k),
     }
     for form, args in forms.items():
         assert _rel(form(*args), getattr(reference_paths, form.__name__)(*args)) <= 1e-12, form.__name__
+    # the start-weight gradient alpha(s) (E[delta_k | s] - E_alpha[delta_k]) has
+    # no table form; its loop against the marginal recursion from each start
+    per_start = np.array([expected_delta_dp(mdp, v, e, pi, k) for e in np.eye(mdp.n_states)])
+    want = alpha * (per_start - alpha @ per_start)
+    assert _rel(reference_paths.exact_grad_alpha(mdp, v, alpha, pi, k), want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def test_stepsize_default_monotone():
 def test_stepsize_validation():
     with pytest.raises(ValueError):
         StepsizeSchedule(c=1.0, beta=0.3)
-    for bad in ({"c": -1.0}, {"c": math.nan}, {"n0": math.nan}):
+    for bad in ({"c": -1.0}, {"c": math.nan}, {"c": math.inf}, {"n0": math.nan}, {"n0": math.inf}, {"n0": -math.inf}):
         with pytest.raises(ValueError, match="need c > 0 and n0 >= 0"):
             StepsizeSchedule(**bad)
 
