@@ -95,11 +95,13 @@ def _positive_float(text: str) -> float:
 
 
 def _seed_list(text: str) -> list[int]:
-    """An argparse type: comma-separated integer seeds, at least two."""
+    """An argparse type: comma-separated non-negative integer seeds, at least two."""
     try:
         seeds = [int(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {text!r}")
     if len(seeds) < 2:
         raise argparse.ArgumentTypeError(f"needs at least 2 seeds, got {text!r}")
     return seeds

@@ -28,6 +28,7 @@ from .estimators import (
     replay_rows,
     residuals,
     sample_trajectories,
+    start_groups,
     traj_deltas,
     value_grad_terms,
 )
@@ -60,6 +61,14 @@ class IterationError(RuntimeError):
         self.reason = reason
 
 
+def _check_ints(config, *names: str) -> None:
+    """An int field takes an int but not a bool."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InnerVConfig:
     """The inner value fit: at most max_iters gradient steps of size stepsize
@@ -73,6 +82,7 @@ class InnerVConfig:
     grad_tol: float = 1e-4
 
     def __post_init__(self):
+        _check_ints(self, "max_iters")
         if not (0 < self.stepsize < math.inf and self.max_iters >= 1 and 0 <= self.grad_tol < math.inf):
             raise ValueError("need inner_v stepsize > 0, max_iters >= 1 and grad_tol >= 0")
 
@@ -96,10 +106,15 @@ class DualAcConfig:
     normalize_grad: bool = False  # True: trust-region rescale of the prox step by 1/sqrt(g.F^-1.g)
 
     def __post_init__(self):
+        _check_ints(self, "k", "batch_m", "seed", "iterations")
+        if self.horizon is not None:
+            _check_ints(self, "horizon")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}")
         if self.k < 0 or self.batch_m < 1 or self.iterations < 0:
             raise ValueError("need k >= 0, batch_m >= 1, iterations >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.eta_mu <= 1.0:
             raise ValueError("eta_mu must lie in (0, 1]")
         if not (0 < self.eta_alpha < math.inf and 0 <= self.eta_v < math.inf):
@@ -246,10 +261,11 @@ def _fresh_state(cfg: DualAcConfig, env, fmap: RbfFeatureMap | None) -> Training
     return TrainingState(env, cfg, policy, value_map, np.zeros(value_map.n_features))
 
 
-def _start_weights(cfg: DualAcConfig, batch, deltas) -> np.ndarray:
+def _start_weights(cfg: DualAcConfig, groups, deltas) -> np.ndarray:
     """The closed-form reweighting from the batch's deltas at one value
-    function: each trajectory's start weight tilde_alpha(s_0) + eta_mu."""
-    return alpha_closed_form(delta_means_by_start(batch, deltas), cfg.eta_alpha) + cfg.eta_mu
+    function and its start groups: each trajectory's start weight
+    tilde_alpha(s_0) + eta_mu."""
+    return alpha_closed_form(delta_means_by_start(groups, deltas), cfg.eta_alpha) + cfg.eta_mu
 
 
 def dual_ac_iteration(state: TrainingState):
@@ -266,8 +282,9 @@ def dual_ac_iteration(state: TrainingState):
     # delta_k of the batch is affine in the value parameters: one table serves
     # V^{t-1}, the inner fit and V^t
     res = residuals(batch, state.value_map.rows, cfg.gamma, cfg.k)
-    # alpha^{t-1}: closed form at V^{t-1}
-    weights = _start_weights(cfg, batch, traj_deltas(res, state.value_params))
+    # alpha^{t-1}: closed form at V^{t-1}; both reweightings share the grouping
+    groups = start_groups(batch)
+    weights = _start_weights(cfg, groups, traj_deltas(res, state.value_params))
 
     # line 4: V^t = argmin of the sampled path-regularized objective; the
     # penalty also anchors on the previous batch (behavior-policy replay)
@@ -287,7 +304,7 @@ def dual_ac_iteration(state: TrainingState):
 
     # line 5: closed-form reweighting at V^t
     deltas = traj_deltas(res, fit.params)
-    weights = _start_weights(cfg, batch, deltas)
+    weights = _start_weights(cfg, groups, deltas)
 
     # line 6: stepsize decay
     zeta = cfg.schedule.at(t)

@@ -111,30 +111,31 @@ def sample_trajectories(env, policy, m: int, horizon: int, rng_seed, *, window: 
     actions, rewards = None, np.zeros((m, horizon))
     lengths = np.zeros(m, dtype=int)
     draw = policy.action_sampler()
-    live = np.flatnonzero(~env.is_terminal(state))
+    done = env.is_terminal(state)
     for i in range(horizon):
-        if live.size == 0:
+        if done.all():
             break
-        x = policy.inputs(obs[live, i])
-        a = draw(x, action_u[live, i])
-        nxt, r = env.step_states(state[live], a, None if step_u is None else step_u[live, i])
+        x = policy.inputs(obs[:, i])
+        a = draw(x, action_u[:, i])
+        state, rewards[:, i] = env.step_states(state, a, None if step_u is None else step_u[:, i])
         if actions is None:
             actions = np.zeros((m, horizon) + a.shape[1:], dtype=a.dtype)
             kept = np.zeros((m, min(window, horizon)) + x.shape[1:], dtype=x.dtype)
         if i < window:
-            kept[live, i] = x
-        state[live] = nxt
-        obs[live, i + 1] = env.observe(nxt)
-        actions[live, i] = a
-        rewards[live, i] = r
-        lengths[live] += 1
-        live = live[~env.is_terminal(nxt)]
+            kept[:, i] = x
+        obs[:, i + 1] = env.observe(state)
+        actions[:, i] = a
+        lengths += ~done
+        done |= env.is_terminal(state)
     if actions is None:  # every start was terminal
         actions, kept = np.zeros((m, horizon)), np.zeros((m, 0))
+    # rows that ended kept stepping; what they did after their end is padding
+    padding = np.arange(horizon) >= lengths[:, None]
+    obs[:, 1:][padding] = actions[padding] = rewards[padding] = 0
     inside = np.arange(kept.shape[1]) < lengths[:, None]
     # a view where no trajectory ends inside the window: the rows exist once
     inputs = kept.reshape((-1,) + kept.shape[2:]) if inside.all() else kept[inside]
-    return Batch(obs, actions, rewards, lengths, env.is_terminal(state), inputs, window)
+    return Batch(obs, actions, rewards, lengths, done, inputs, window)
 
 
 def _returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
@@ -257,16 +258,17 @@ def value_grad_terms(res: Residuals, weights, behavior, value_rows, eta_v: float
     return scale * (rows.T @ rows), constant - scale * (rows.T @ returns)
 
 
-def delta_means_by_start(batch: Batch, deltas) -> np.ndarray:
+def start_groups(batch: Batch) -> np.ndarray:
+    """Each trajectory's group: the index of its start observation among the
+    batch's distinct ones.  Tabular starts group by state, and continuous
+    starts, all distinct, are groups of one."""
+    return np.unique(batch.obs[:, 0], axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def delta_means_by_start(groups, deltas) -> np.ndarray:
     """Each trajectory's sampled E[delta_k | s_0]: the mean of deltas over the
-    trajectories of the batch that share its start observation, summed in
-    batch order.  One rule for every environment: tabular starts group by
-    state, and continuous starts, all distinct, are their own means."""
-    starts, group = np.unique(batch.obs[:, 0], axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    sums = np.zeros(len(starts))
-    np.add.at(sums, group, deltas)
-    return (sums / np.bincount(group))[group]
+    trajectories of its start group (start_groups), summed in batch order."""
+    return (np.bincount(groups, deltas) / np.bincount(groups))[groups]
 
 
 def alpha_closed_form(delta_means, eta_alpha: float) -> np.ndarray:

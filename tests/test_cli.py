@@ -35,11 +35,12 @@ def _config_file(tmp_path, payload) -> str:
         ({"eta_alpha": float("nan")}, "config field eta_alpha must be finite, got nan"),
         ({"schedule": {"c": float("nan")}}, "config field schedule.c must be finite, got nan"),
         ({"inner_v": {"stepsize": float("inf")}}, "config field inner_v.stepsize must be finite, got inf"),
+        ({"seed": -3}, "seed must be >= 0"),
     ],
     ids=[
         "bad_value", "unknown_fields", "unknown_nested_field", "str_int", "null_nested", "float_int", "nested_str_int",
         "zero_inner_steps", "negative_inner_stepsize", "gamma_above_one", "zero_horizon",
-        "nan_grad_tol", "nan_eta_alpha", "nan_schedule_c", "infinite_inner_stepsize",
+        "nan_grad_tol", "nan_eta_alpha", "nan_schedule_c", "infinite_inner_stepsize", "negative_seed",
     ],
 )
 def test_bad_config_reported_without_traceback(tmp_path, capsys, command, payload, message):
@@ -47,6 +48,13 @@ def test_bad_config_reported_without_traceback(tmp_path, capsys, command, payloa
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == f"error: bad config: {message}\n"
+
+
+def test_negative_seed_flag_reported_without_traceback(capsys):
+    code = cli.main(["train", "--env", "chain2", "--seed", "-1", "--iterations", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: bad config: seed must be >= 0\n"
 
 
 def test_missing_config_file_reported(tmp_path, capsys):
@@ -150,11 +158,12 @@ def test_oracle_check_rejects_a_bad_tolerance_with_usage(capsys, tol):
         ("0,x", "must be comma-separated integers, got '0,x'"),
         ("", "must be comma-separated integers, got ''"),
         ("0", "needs at least 2 seeds, got '0'"),
+        ("-1,0", "seeds must be >= 0, got '-1,0'"),
     ],
 )
 def test_ablation_rejects_bad_seeds_with_usage(capsys, seeds, message):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["ablation", "--env", "chain2", "--seeds", seeds])
+        cli.main(["ablation", "--env", "chain2", f"--seeds={seeds}"])
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert err.startswith("usage: dualac ablation")

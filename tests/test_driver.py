@@ -186,6 +186,27 @@ def test_config_validation():
     assert InnerVConfig(max_iters=1, grad_tol=0.0).max_iters == 1
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: chain_config(k=math.inf), "k must be an int, got inf"),
+        (lambda: chain_config(k=True), "k must be an int, got True"),
+        (lambda: chain_config(batch_m=2.5), "batch_m must be an int, got 2.5"),
+        (lambda: chain_config(iterations=1.5), "iterations must be an int, got 1.5"),
+        (lambda: chain_config(horizon=30.0), "horizon must be an int, got 30.0"),
+        (lambda: chain_config(seed=0.0), "seed must be an int, got 0.0"),
+        (lambda: chain_config(seed=-1), "seed must be >= 0"),
+        (lambda: InnerVConfig(max_iters=math.inf), "max_iters must be an int, got inf"),
+        (lambda: InnerVConfig(max_iters=False), "max_iters must be an int, got False"),
+    ],
+    ids=["inf_k", "bool_k", "float_batch_m", "float_iterations", "float_horizon", "float_seed", "negative_seed",
+         "inf_max_iters", "bool_max_iters"],
+)
+def test_config_int_fields_take_ints_and_seeds_are_non_negative(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_config_from_dict_overrides_a_base():
     # fields a config leaves out, nested ones too, keep the base's; the
     # default base is the tabular tuning
@@ -362,6 +383,18 @@ def test_iteration_computes_deltas_once_per_value_function(monkeypatch):
             calls.clear()
             state, _ = dual_ac_iteration(state)
             assert len(calls) == 2, name
+
+
+def test_iteration_groups_the_starts_once(monkeypatch):
+    # both reweightings, at V^{t-1} and at V^t, read one grouping of the starts
+    calls = []
+    monkeypatch.setattr(driver, "start_groups", _recorded(calls, driver.start_groups))
+    for name in ("gridworld", "pendulum"):
+        state = init_state(dataclasses.replace(default_config(name), batch_m=6, horizon=8), make_env(name))
+        for _ in range(2):
+            calls.clear()
+            state, _ = dual_ac_iteration(state)
+            assert len(calls) == 1, name
 
 
 def _recorded(calls, fn):

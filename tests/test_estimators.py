@@ -18,6 +18,7 @@ from dualac.estimators import (
     replay_rows,
     residuals,
     sample_trajectories,
+    start_groups,
     traj_deltas,
     value_grad_terms,
 )
@@ -348,7 +349,7 @@ def test_array_estimators_match_per_trajectory_reference(env_name, seed, scale, 
     assert np.array_equal(rows.returns, [_reference_return(p.rewards, gamma) for p in paths])
     # one start-weight rule: the per-state means indexed by start on tabular
     # envs, and the deltas themselves on the pendulum, whose starts are distinct
-    means = delta_means_by_start(batch, deltas)
+    means = delta_means_by_start(start_groups(batch), deltas)
     if env.spec.tabular:
         per_state = _per_state_delta_means(batch, deltas, env.spec.n_states)
         assert np.array_equal(per_state, _reference_delta_means(paths, deltas, env.spec.n_states))
@@ -549,7 +550,7 @@ def test_reweighting_identity():
 
 def test_delta_means_by_start_grouping():
     batch = make_batch([([0, 1], [0], [1.0]), ([0, 2], [0], [3.0]), ([2, 1], [1], [5.0])])
-    means = delta_means_by_start(batch, tabular_deltas(batch, np.zeros(3), 0.9, k=0))
+    means = delta_means_by_start(start_groups(batch), tabular_deltas(batch, np.zeros(3), 0.9, k=0))
     assert means.shape == (3,)
     assert means[0] == pytest.approx(2.0) and means[1] == pytest.approx(2.0)
     assert means[2] == pytest.approx(5.0)
@@ -561,7 +562,7 @@ def test_delta_means_by_start_shared_continuous_start():
     s0, s1 = [1.0, 0.0, 0.5], [0.0, 1.0, -0.5]
     obs = np.array([[s0, s1], [s1, s0], [s0, s0]])
     batch = make_batch([(o, np.zeros((1, 1)), [0.0]) for o in obs])
-    means = delta_means_by_start(batch, np.array([1.0, 4.0, 6.0]))
+    means = delta_means_by_start(start_groups(batch), np.array([1.0, 4.0, 6.0]))
     assert means.tolist() == [3.5, 4.0, 3.5]
 
 
