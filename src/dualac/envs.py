@@ -7,8 +7,11 @@ classic torque-limited swing-up task with semi-implicit Euler dynamics.
 Every kernel works on m states at once, held as (m, ...) arrays, and takes
 its randomness as variates drawn beforehand:
 
-* draw_variates(rng, horizon) - one trajectory's whole random stream, in the
-  order a rollout stepped one state at a time consumes it;
+* draw_variates(seq, m, horizon) - a whole batch's random variates from one
+  np.random.SeedSequence, as (start_u, action_u, step_u) arrays of m rows.
+  Each array comes from one call on its own spawned child of seq (children
+  0, 1 and 2: starts, action draws, transitions), filled row by row, so row
+  l is trajectory l's and is the same for every m > l;
 * initial_states(u) / step_states(states, actions, u) / observe(states) /
   is_terminal(states) - the batched kernels the lockstep sampler calls.
 """
@@ -70,11 +73,12 @@ class TabularEnv:
         self._step_cdf = cumulative(mdp.transition)
         self._terminal = np.isin(np.arange(mdp.n_states), list(self.terminal_states))
 
-    def draw_variates(self, rng: np.random.Generator, horizon: int):
-        """One trajectory's uniforms: the start state's, then per step the
-        policy's action draw followed by the transition's."""
-        u = rng.random(self.start_draws + 2 * horizon)
-        return u[0], u[1::2], u[2::2]
+    def draw_variates(self, seq: np.random.SeedSequence, m: int, horizon: int):
+        """Uniforms for m trajectories from seq's next three spawned children:
+        the start states' (m,), the policy's action draws (m, horizon) and
+        the transitions' (m, horizon)."""
+        starts, draws, steps = map(np.random.default_rng, seq.spawn(3))
+        return starts.random(m), draws.random((m, horizon)), steps.random((m, horizon))
 
     def initial_states(self, u: np.ndarray) -> np.ndarray:
         return inverse_cdf(self._start_cdf, u)
@@ -132,11 +136,13 @@ class PendulumEnv:
         )
         self.clip_count = 0
 
-    def draw_variates(self, rng: np.random.Generator, horizon: int):
-        """One trajectory's stream: the start state's uniforms, then the
-        Gaussian policy's standard normal action noise for every step;
-        transitions are deterministic and draw nothing."""
-        return rng.random(self.start_draws), rng.standard_normal((horizon, self.spec.action_dim)), None
+    def draw_variates(self, seq: np.random.SeedSequence, m: int, horizon: int):
+        """Variates for m trajectories from seq's next two spawned children:
+        the start states' uniforms (m, start_draws) and the Gaussian policy's
+        standard normal action noise (m, horizon, action_dim); transitions
+        are deterministic and draw nothing."""
+        starts, draws = map(np.random.default_rng, seq.spawn(2))
+        return starts.random((m, self.start_draws)), draws.standard_normal((m, horizon, self.spec.action_dim)), None
 
     def initial_states(self, u: np.ndarray) -> np.ndarray:
         """theta ~ U(-pi, pi), theta_dot ~ U(-1, 1), as low + (high - low) * u."""

@@ -3,7 +3,9 @@
 Conventions that matter here:
 
 * A sampled batch is one immutable Batch of m trajectories padded to the
-  horizon, and every estimator is an array expression on it.
+  horizon, and every estimator is an array expression on it.  The sampler
+  draws a batch's variates from one seed sequence (env.draw_variates), row l
+  of each array being trajectory l's, and steps all m rows as whole arrays.
 * delta is the discounted k-step residual of a trajectory,
   sum_{i<=k} gamma^i r_i + gamma^{k+1} v(s_{k+1}) - v(s_0).  Trajectories
   that end early (terminal absorption) bootstrap with v at their last state
@@ -93,17 +95,18 @@ def sample_trajectories(env, policy, m: int, horizon: int, rng_seed, *, window: 
     all m in lockstep, keeping the policy inputs that the action draws read
     at the first `window` steps (k+1) for Batch.window.
 
-    Trajectory l consumes its own random stream, seeded by (rng_seed..., l)
-    and drawn up front (env.draw_variates), so each trajectory is
-    reproducible, independent of the others and of m, and bitwise the one
-    that stepping it alone would give.  rng_seed may be an int or a sequence
-    of ints.
+    The batch's variates are drawn up front from one
+    np.random.SeedSequence(rng_seed) (env.draw_variates): one generator per
+    kind of draw, whatever m is, each filling one array row by row.
+    Trajectory l reads row l of each, so it is reproducible and the same for
+    every m > l, and every row is stepped on its own (elementwise kernels and
+    stacked products), so it is bitwise the trajectory that stepping row l
+    alone would give.  rng_seed is a non-negative int or a sequence of them.
     """
     if m < 1 or horizon < 1 or window < 1:
         raise ValueError("m, horizon and window must be >= 1")
-    seed_prefix = [int(s) for s in np.atleast_1d(rng_seed)]
-    streams = [env.draw_variates(np.random.default_rng(seed_prefix + [l]), horizon) for l in range(m)]
-    start_u, action_u, step_u = (None if part[0] is None else np.array(part) for part in zip(*streams))
+    seq = np.random.SeedSequence([int(s) for s in np.atleast_1d(rng_seed)])
+    start_u, action_u, step_u = env.draw_variates(seq, m, horizon)
     state = env.initial_states(start_u)
     first = env.observe(state)
     obs = np.zeros((m, horizon + 1) + first.shape[1:], dtype=first.dtype)

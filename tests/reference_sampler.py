@@ -1,6 +1,16 @@
 """Reference for the lockstep sampler: trajectories rolled out one at a time,
 one step at a time, on scalar environment kernels, each trajectory drawing
-from its own generator as it goes.
+as it goes from its own generators.
+
+The batch's seed sequence spawns one child per kind of draw (starts, action
+draws, transitions), and row l of each child's stream is trajectory l's.  So
+trajectory l's generators are the children's, positioned at row l: uniforms
+take one 64-bit output each, and PCG64.advance skips the l rows before it;
+standard normals take a varying number of outputs, so the pendulum's action
+generator first draws the l rows of noise before it.  Tabular draws are
+Generator.choice on the MDP's probabilities and the pendulum's starts
+Generator.uniform, not the sampler's inverse-CDF and affine maps of its
+arrays.
 
 `estimators.sample_trajectories` must give bitwise the same trajectories and
 the same pendulum clip counts.
@@ -90,21 +100,38 @@ def _sample_action(policy, obs, rng):
     return int(rng.choice(policy.n_actions, p=p / p.sum()))
 
 
+def _advanced(child, outputs: int) -> np.random.Generator:
+    """A generator on child's stream past its first `outputs` 64-bit outputs."""
+    bits = np.random.PCG64(child)
+    bits.advance(outputs)
+    return np.random.Generator(bits)
+
+
+def _row_generators(env, children, l: int, horizon: int):
+    """Trajectory l's (start, action, transition) generators."""
+    start = _advanced(children[0], l * env.start_draws)
+    if isinstance(env, PendulumEnv):
+        draws = np.random.default_rng(children[1])
+        draws.standard_normal((l, horizon, env.spec.action_dim))
+        return start, draws, None
+    return start, _advanced(children[1], l * horizon), _advanced(children[2], l * horizon)
+
+
 def sample_reference(env, policy, m: int, horizon: int, rng_seed):
     """(one BatchRow per trajectory, clipped actions) of the per-step loop."""
     kernel = ScalarPendulum(env) if isinstance(env, PendulumEnv) else ScalarTabular(env)
-    seed_prefix = [int(s) for s in np.atleast_1d(rng_seed)]
+    children = np.random.SeedSequence([int(s) for s in np.atleast_1d(rng_seed)]).spawn(3)
     out = []
     for l in range(m):
-        rng = np.random.default_rng(seed_prefix + [l])
-        state = kernel.initial_state(rng)
+        start_rng, action_rng, step_rng = _row_generators(env, children, l, horizon)
+        state = kernel.initial_state(start_rng)
         states = [kernel.observe(state)]
         actions, rewards = [], []
         for _ in range(horizon):
             if kernel.is_terminal(state):
                 break
-            a = _sample_action(policy, states[-1], rng)
-            state, r = kernel.step_state(state, a, rng)
+            a = _sample_action(policy, states[-1], action_rng)
+            state, r = kernel.step_state(state, a, step_rng)
             actions.append(a)
             rewards.append(r)
             states.append(kernel.observe(state))

@@ -16,13 +16,12 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Repeat.digest() of one repeat at workload seed 0, as `bench/run.py --seed 0`
 # reports it, at OpenBLAS's default thread count on a 2-core machine;
-# captured for gridworld_naive when the policy step became one dense solve of
-# the damped Fisher, and for gridworld and the pendulum when the inner value
-# fit took its closed form (one eigendecomposition of the quadratic).
+# captured for all three when each batch's variates came to be drawn from one
+# seed sequence (env.draw_variates), which moved every trajectory.
 SEED0_DIGESTS = {
-    "gridworld": "27078cc22e8e3bde843d4cf46e120020f96086efdbfe3b40dccf15a8d07e4ba5",
-    "gridworld_naive": "b7236744c5088b26eebf1d94569de727dc0ad60079453167c2cd45bce669cd16",
-    "pendulum": "279b4a7cecf9a5f19505bf6d63049316b1a50c3afa4c0ae4b1b891430b5a8356",
+    "gridworld": "fdfed5ca7f1ba3b71795bd36a5751e9af2c98f78897d509a65e957c37d68f549",
+    "gridworld_naive": "61be6e09694f725a821d44a32f5fa44b7ff2b7605ae299161c7adaeab1cb4e8a",
+    "pendulum": "ba79b5971c3edf13a04e41857214451107dffe09464f69a28ac4e50615579366",
 }
 
 # The tracer's phase markers: without them a traced run books the whole

@@ -320,13 +320,13 @@ def test_iteration_determinism_bitwise():
 # per line; pinned so that rewrites of the sampler or the estimators can show
 # whole-run bitwise equivalence.  Captured with OpenBLAS at its default
 # thread count on a 2-core machine (the Gram product and the LU solve round
-# differently at other thread counts): the naive run when the policy step
-# became one dense solve of the damped Fisher, the full runs when the inner
-# value fit took its closed form (one eigendecomposition of the quadratic).
+# differently at other thread counts), all three when each batch's variates
+# came to be drawn from one seed sequence (env.draw_variates), which moved
+# every trajectory.
 GOLDEN_RUNS = {
-    ("gridworld", "full", 10): "c6f6b98ececbeb8651981f4225ba6df3e9c08cbdaf0b5440a777cd088d7a1d45",
-    ("gridworld", "naive", 5): "990c69fb9983eede81c590468a69c36e66b33eeb5afa3a3202e6fbe962ec5581",
-    ("pendulum", "full", 2): "4d85b4dfb89d34ed05707460b252185f52ff30de9af52a4244d736693b79f003",
+    ("gridworld", "full", 10): "8699f72716264f649ece89d5317d7338a534808cf70aa7fe0928592436605e60",
+    ("gridworld", "naive", 5): "b545f0302c4ee83179eff43e837596aa3ee1308da85066ed5c80f4b86243d687",
+    ("pendulum", "full", 2): "f9c36b22524ed50dbd739346ee41a9ccec0f7c9d41a2732fe4b77fcdbde1a4b3",
 }
 
 

@@ -43,20 +43,20 @@ def test_pendulum_reward_bounds():
     assert np.all((lo - 1e-12 <= r) & (r <= 0.0))
 
 
-def _starts(env, seeds):
-    """Start states drawn from each seed's stream, as the sampler draws them."""
-    return env.initial_states(np.array([env.draw_variates(np.random.default_rng(s), 1)[0] for s in seeds]))
+def _starts(env, n, seed=0):
+    """n start states drawn from one batch's seed sequence, as the sampler draws them."""
+    return env.initial_states(env.draw_variates(np.random.SeedSequence(seed), n, 1)[0])
 
 
 def test_pendulum_reset_deterministic_per_seed():
     env = PendulumEnv()
-    assert np.array_equal(_starts(env, [123, 124]), _starts(env, [123, 124]))
-    assert not np.array_equal(_starts(env, [123]), _starts(env, [124]))
+    assert np.array_equal(_starts(env, 2, 123), _starts(env, 2, 123))
+    assert not np.array_equal(_starts(env, 1, 123), _starts(env, 1, 124))
 
 
 def test_pendulum_reset_distribution():
     env = PendulumEnv()
-    sins = env.observe(_starts(env, range(10_000)))[:, 1]
+    sins = env.observe(_starts(env, 10_000))[:, 1]
     # sin(theta) for theta ~ U(-pi, pi] has mean 0, variance 1/2
     assert abs(sins.mean()) < 3 * math.sqrt(0.5 / len(sins))
 
@@ -124,15 +124,14 @@ def test_chain_oracle_values():
     assert np.allclose(v, [1.0, 2.0], atol=1e-10)
 
 
-def _greedy_rollouts(env, pi, seeds, gamma):
-    """(start states, discounted returns) of greedy episodes, one per seed,
-    stepped together on the batched kernels; absorbed rows collect no more
-    reward."""
-    draws = [env.draw_variates(np.random.default_rng(s), env.spec.horizon) for s in seeds]
-    starts = env.initial_states(np.array([d[0] for d in draws]))
-    step_u = np.array([d[2] for d in draws])
+def _greedy_rollouts(env, pi, n, gamma, seed=0):
+    """(start states, discounted returns) of n greedy episodes drawn from one
+    batch's seed sequence and stepped together on the batched kernels;
+    absorbed rows collect no more reward."""
+    start_u, _, step_u = env.draw_variates(np.random.SeedSequence(seed), n, env.spec.horizon)
+    starts = env.initial_states(start_u)
     states, live = starts.copy(), ~env.is_terminal(starts)
-    total, disc = np.zeros(len(seeds)), 1.0
+    total, disc = np.zeros(n), 1.0
     for i in range(env.spec.horizon):
         nxt, r = env.step_states(states, np.argmax(pi[states], axis=1), step_u[:, i])
         total += live * disc * r
@@ -148,13 +147,13 @@ def test_chain_simulated_return_matches_oracle():
     env = two_state_chain(horizon=40)
     mdp = env.as_tabular()
     v_star = value_iteration(mdp, tol=1e-12)
-    starts, returns = _greedy_rollouts(env, greedy_policy(mdp, v_star), range(10), mdp.gamma)
+    starts, returns = _greedy_rollouts(env, greedy_policy(mdp, v_star), 10, mdp.gamma)
     assert np.allclose(returns, v_star[starts], rtol=0.0, atol=1e-9)
 
 
 def test_point_mass_start_always_s0():
     env = make_env("chain5")
-    assert _starts(env, range(20)).tolist() == [0] * 20
+    assert _starts(env, 20).tolist() == [0] * 20
 
 
 def test_gridworld_simulated_return_matches_oracle():
@@ -162,7 +161,7 @@ def test_gridworld_simulated_return_matches_oracle():
     mdp = env.as_tabular()
     v_star = value_iteration(mdp, tol=1e-12)
     n = 4000
-    _, returns = _greedy_rollouts(env, greedy_policy(mdp, v_star), range(n), mdp.gamma)
+    _, returns = _greedy_rollouts(env, greedy_policy(mdp, v_star), n, mdp.gamma)
     want = mdp.mu @ v_star
     se = returns.std(ddof=1) / math.sqrt(n)
     assert abs(returns.mean() - want) < 4 * se + 1e-6

@@ -126,6 +126,59 @@ def test_lockstep_sampler_matches_per_step_reference(env_name, seed, scale, log_
         assert a.n_steps == b.n_steps and a.terminated is b.terminated
 
 
+def _window_rows(batch):
+    """Each trajectory's window inputs, cut from the stacked rows."""
+    window = batch.window()
+    return np.split(window.inputs, np.cumsum(window.steps)[:-1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    env_name=st.sampled_from(["chain2", "chain5", "gridworld", "pendulum"]),
+    seed=st.integers(0, 2**31),
+    scale=st.floats(0.0, 6.0),
+    m=st.integers(1, 12),
+    more=st.integers(1, 40),
+    horizon=st.integers(1, 80),
+    k=st.integers(0, 80),
+    rng_seed=st.lists(st.integers(0, 2**31), min_size=1, max_size=2),
+)
+@example(env_name="chain5", seed=1, scale=0.0, m=5, more=20, horizon=64, k=3, rng_seed=[0])  # absorbing end
+def test_trajectory_l_does_not_depend_on_m(env_name, seed, scale, m, more, horizon, k, rng_seed):
+    # row l of every variate array is trajectory l's, whatever the batch size
+    env, policy = _sampler_case(env_name, seed, scale, log_std=0.0)
+    small = sample_trajectories(env, policy, m, horizon, rng_seed, window=k + 1)
+    large = sample_trajectories(env, policy, m + more, horizon, rng_seed, window=k + 1)
+    for a, b, x, y in zip(small, large, _window_rows(small), _window_rows(large)):
+        for name in ("obs", "actions", "rewards"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.n_steps == b.n_steps and a.terminated is b.terminated
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("env_name", ["gridworld", "pendulum"])
+def test_sampler_builds_a_fixed_number_of_generators(monkeypatch, env_name):
+    # one generator per kind of draw, however many trajectories the batch holds
+    built = []
+
+    def counted(make):
+        def wrapped(*args, **kwargs):
+            built.append(make.__name__)
+            return make(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("default_rng", "Generator", "PCG64"):
+        monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
+    env, policy = _sampler_case(env_name, seed=3, scale=1.0, log_std=0.0)
+    counts = []
+    for m in (1, 7, 300):
+        built.clear()
+        sample_trajectories(env, policy, m, 20, (3, 1), window=4)
+        counts.append(len(built))
+    assert counts == [3 if env.spec.tabular else 2] * 3
+
+
 @pytest.mark.parametrize("env_name", ["gridworld", "pendulum"])
 def test_window_inputs_are_the_policy_inputs_of_its_states(env_name):
     # the batch keeps the inputs that the sampler's action draws read at the
@@ -155,14 +208,15 @@ def _batch_digest(batch) -> str:
 
 
 # One batch per environment (m = 16, seed (5, 3)), hashed with _batch_digest
-# from the trajectories of the one-step-at-a-time sampler that preceded the
-# lockstep one, each cut to its length; (digest, steps, absorbed
-# trajectories, clipped actions).
+# from its trajectories, each cut to its length; (digest, steps, absorbed
+# trajectories, clipped actions).  Captured when each batch's variates came
+# to be drawn from one seed sequence (env.draw_variates); the same batches
+# are the per-step reference's (tests/reference_sampler.py).
 PINNED_BATCHES = {
-    "chain2": ("7f643aee8c3394cb060ee88f8c1a2ecc5eafc8872f4936d51afcdddd1f6044bd", 192, 0, 0),
-    "chain5": ("ce3855492583cb3737da592c3cffd9da2b75e4002d445f59a18a59eb7bf1c185", 320, 0, 0),
-    "gridworld": ("a5719fbc0bee8f8cc9e8a2dbc0ee18e030163e35a1f71381ca1aed728ee5ba09", 704, 6, 0),
-    "pendulum": ("750c4b0b57514486cac303bd32276b5e8116bb0263e03cc19483c386b27dd5a2", 800, 0, 273),
+    "chain2": ("967c3da16b236487fba11e612023ed5e36ee32fb6b6d24cd1fa63778667dc94d", 192, 0, 0),
+    "chain5": ("d218e834f9ed31223bf04fcff700fa6d59f00605446f4891d43c54eca418524c", 320, 0, 0),
+    "gridworld": ("dd6bc1764395b5b30523228886de825ec61694f9b390f95b65d436c7aa50602d", 874, 2, 0),
+    "pendulum": ("cb85a6a0fc393a0ec503d179df6044ae25a73560281e3d05b6df06260807a08d", 800, 0, 229),
 }
 
 
