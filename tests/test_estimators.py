@@ -124,6 +124,9 @@ def test_lockstep_sampler_matches_per_step_reference(env_name, seed, scale, log_
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y), name
         assert a.n_steps == b.n_steps and a.terminated is b.terminated
+    # the steps that rows took after their trajectory ended are padding
+    padding = np.arange(horizon) >= got.lengths[:, None]
+    assert not got.obs[:, 1:][padding].any() and not got.actions[padding].any() and not got.rewards[padding].any()
 
 
 def _window_rows(batch):
