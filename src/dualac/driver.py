@@ -69,7 +69,7 @@ def _check_ints(config, *names: str) -> None:
             raise ValueError(f"{name} must be an int, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InnerVConfig:
     """The inner value fit: at most max_iters gradient steps of size stepsize
     on the sampled objective, stopping once the gradient norm is at most
@@ -87,7 +87,7 @@ class InnerVConfig:
             raise ValueError("need inner_v stepsize > 0, max_iters >= 1 and grad_tol >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualAcConfig:
     """The run's settings; the defaults are the tabular environments' tuning."""
 
@@ -192,7 +192,10 @@ def _replaced(base, payload: dict, prefix: str = ""):
     return dataclasses.replace(base, **out)
 
 
-@dataclass
+# Records and training states, and the configs, policies and row maps that a
+# state holds, are slotted: code that keeps many of them (a run's record list,
+# a benchmark's finished states) stores no instance dict for each.
+@dataclass(slots=True)
 class IterationRecord:
     iteration: int
     mean_return: float          # undiscounted per-trajectory total reward
@@ -208,7 +211,7 @@ class IterationRecord:
         return json.dumps(dataclasses.asdict(self))
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainingState:
     env: object
     cfg: DualAcConfig           # resolved config

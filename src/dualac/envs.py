@@ -41,10 +41,12 @@ class EnvSpec:
 
 def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Index drawn by each uniform u against the cumulative probabilities
-    along cdf's last axis: the count of entries <= u.  With
-    cdf = cumsum(p) / cumsum(p)[-1] this is the index that
-    Generator.choice(len(p), p=p) draws from the same uniform."""
-    return (cdf <= u[:, None]).sum(axis=-1)
+    along cdf's last axis: the first entry > u, which is the count of
+    entries <= u because a cumulative row is nondecreasing and ends at
+    exactly 1.0 > u.  With cdf = cumsum(p) / cumsum(p)[-1] (cumulative) this
+    is the index that Generator.choice(len(p), p=p) draws from the same
+    uniform."""
+    return (cdf > u[:, None]).argmax(axis=-1)
 
 
 def cumulative(p: np.ndarray) -> np.ndarray:
@@ -85,7 +87,7 @@ class TabularEnv:
 
     def step_states(self, states: np.ndarray, actions: np.ndarray, u: np.ndarray):
         """(next states, rewards) of a batch of (state, action) pairs."""
-        if np.any((actions < 0) | (actions >= self.mdp.n_actions)):
+        if not ((actions >= 0) & (actions < self.mdp.n_actions)).all():
             raise ValueError(f"action out of range 0..{self.mdp.n_actions - 1}")
         return inverse_cdf(self._step_cdf[states, actions], u), self.mdp.reward[states, actions]
 

@@ -152,7 +152,7 @@ class ReplayRow(NamedTuple):
     n_steps: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ReplayRows:
     """What the inner value fit's behavior replay reads of a past batch, one
     row per trajectory: its start observation, full-length discounted return
@@ -209,8 +209,8 @@ def traj_deltas(res: Residuals, params) -> np.ndarray:
 
 def grad_pi_estimate(window: Window, coefs, policy):
     """The policy gradient over a batch's window (Batch.window), and the
-    window's score rows grad log pi(a_i|s_i) (policy.score_batch of the
-    window's inputs), which the Fisher matrix reuses.
+    window's score rows grad log pi(a_i|s_i) in the policy's score form
+    (policy.scores of the window's inputs), which the Fisher reuses.
 
     The gradient is the batch mean of coefs * sum_i grad log pi(a_i|s_i) over
     each trajectory's rows, with coefs each trajectory's
@@ -218,8 +218,8 @@ def grad_pi_estimate(window: Window, coefs, policy):
     """
     if len(window.steps) == 0:
         raise ValueError("empty trajectory batch")
-    scores = policy.score_batch(window.inputs, window.actions)
-    return np.repeat(coefs, window.steps) @ scores / len(window.steps), scores
+    scores = policy.scores(window.inputs, window.actions)
+    return scores.weighted_sum(np.repeat(coefs, window.steps)) / len(window.steps), scores
 
 
 def value_grad_terms(res: Residuals, weights, behavior, value_rows, eta_v: float):

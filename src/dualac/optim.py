@@ -1,11 +1,13 @@
 """Update machinery: stepsize schedule, the inner value fit as fixed-budget
 gradient descent in closed form, and the policy's KL prox step in
-natural-gradient form, one dense solve of the damped Fisher.
+natural-gradient form, one stacked solve of the damped Fisher's diagonal
+blocks.
 
 Every model here has at most about a hundred parameters, so the value fit's
-Hessian and the Fisher are formed as matrices and decomposed exactly; the
-step-by-step descent and the exact prox solve that they are checked against
-are test references (tests/reference_fit.py, tests/reference_prox.py).
+Hessian and the Fisher's blocks are formed as matrices and decomposed
+exactly; the step-by-step descent and the exact prox solve that they are
+checked against are test references (tests/reference_fit.py,
+tests/reference_prox.py).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepsizeSchedule:
     """Outer stepsize zeta_t = C / (n0 + t^beta), decaying in t."""
 
@@ -42,30 +44,28 @@ class StepsizeSchedule:
 @dataclass(frozen=True)
 class Fisher:
     """The damped empirical Fisher sum_i w_i g_i g_i^T + damping I of the
-    score rows g_i, formed as one dense matrix."""
+    score rows g_i, as its diagonal blocks: blocks[b] covers parameters
+    b n to (b + 1) n - 1, and the Fisher is zero outside them.  A tabular
+    policy's rows give one A x A block per state, dense rows one (P, P)
+    block."""
 
-    scores: np.ndarray  # (m, n_params), the rows it was formed from (bench/tracer.py counts them)
-    matrix: np.ndarray  # (n_params, n_params)
+    scores: object       # the score form it was built from, one entry per row (bench/tracer.py counts them)
+    blocks: np.ndarray   # (B, n, n) with B n = n_params
 
 
 def fisher_estimate(scores, damping: float = 1e-4, weights=None) -> Fisher:
     """Empirical score outer-product Fisher over a batch of score rows, one
-    per (state, action) pair (policy.score_batch).
+    per (state, action) pair, in the score form of the policy's family
+    (policy.scores, or policies.DenseScores of any rows).
 
     weights defaults to 1/m; the rows of every pair weighted by its exact
-    probability yield the analytic Fisher.  The weights must be nonnegative:
-    the matrix is the Gram matrix of the rows scaled by sqrt(w), which keeps
-    it exactly symmetric.
+    probability yield the analytic Fisher.  The weights must be nonnegative.
     """
-    scores = np.asarray(scores, dtype=float)
     m = len(scores)
     if m == 0:
         raise ValueError("empty Fisher batch")
     w = np.full(m, 1.0 / m) if weights is None else np.asarray(weights, dtype=float)
-    rows = np.sqrt(w)[:, None] * scores
-    matrix = rows.T @ rows
-    matrix[np.diag_indices_from(matrix)] += damping
-    return Fisher(scores, matrix)
+    return Fisher(scores, scores.fisher_blocks(w, damping))
 
 
 def natural_gradient_step(
@@ -77,7 +77,9 @@ def natural_gradient_step(
 ) -> np.ndarray:
     """theta + zeta F^{-1} g, optionally rescaled by 1/sqrt(g . F^{-1} g).
 
-    F^{-1} g is one dense solve; np.linalg.LinAlgError if F is singular.
+    F^{-1} g is one stacked solve over the Fisher's blocks, each block with
+    its own slice of g (bitwise the 2-D solve for a single block);
+    np.linalg.LinAlgError if a block is singular.
     """
     if zeta <= 0:
         raise ValueError("zeta must be positive")
@@ -85,7 +87,8 @@ def natural_gradient_step(
     g = np.asarray(g, dtype=float)
     if not np.any(g):
         return params.copy()
-    direction = np.linalg.solve(fisher.matrix, g)
+    blocks = fisher.blocks
+    direction = np.linalg.solve(blocks, g.reshape(len(blocks), -1, 1)).reshape(-1)
     if normalize:
         sq = float(g @ direction)
         if sq > 1e-12 and np.isfinite(sq):

@@ -10,8 +10,15 @@
   them; rows gives the rows of a batch of states at once.
 
 Both policies read states through policy.inputs (the feature rows, or the
-int states): the action draw, score_batch and kl take inputs, which the
-sampler builds once and keeps for the k-step window (estimators.Batch).
+int states): the action draw, score_batch, scores and kl take inputs, which
+the sampler builds once and keeps for the k-step window (estimators.Batch).
+
+Each policy family owns the form of its score rows (policy.scores): the
+weighted sum that is the policy gradient and the diagonal blocks of the
+damped Fisher that the prox step solves.  The Gaussian policy's rows are
+dense (DenseScores, one block); a tabular row is zero outside its own
+state's logits (TabularScores, one A x A block per state, built by
+np.bincount without forming the rows).
 
 All parameter gradients are returned as flat vectors so the optimizer can
 treat every family uniformly.  No autodiff: each gradient is derived by hand
@@ -43,7 +50,7 @@ def median_trick_bandwidth(states: np.ndarray) -> float:
     return med
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RbfFeatureMap:
     """Random Fourier features f_j(s) = cos(w_j . s / bandwidth + b_j).
 
@@ -87,6 +94,8 @@ class RbfFeatureMap:
 class BiasedFeatureMap:
     """Appends a constant 1 to a base feature map's rows (intercept for linear values)."""
 
+    __slots__ = ("base", "n_features")
+
     def __init__(self, base):
         self.base = base
         self.n_features = base.n_features + 1
@@ -99,6 +108,8 @@ class BiasedFeatureMap:
 class IndicatorFeatureMap:
     """The indicator of each of n_features states: a tabular value's row map."""
 
+    __slots__ = ("n_features",)
+
     def __init__(self, n_features: int):
         self.n_features = n_features
 
@@ -106,8 +117,78 @@ class IndicatorFeatureMap:
         return np.eye(self.n_features)[np.asarray(states)]
 
 
+class DenseScores:
+    """Score rows held as one dense (N, P) array.  The Fisher is their
+    weighted Gram matrix, a single (P, P) block."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def weighted_sum(self, w) -> np.ndarray:
+        """sum_i w_i row_i."""
+        return w @ self.rows
+
+    def fisher_blocks(self, w, damping: float) -> np.ndarray:
+        """sum_i w_i row_i row_i^T + damping I as one (1, P, P) block.  The
+        weights must be nonnegative: the matrix is the Gram matrix of the
+        rows scaled by sqrt(w), which keeps it exactly symmetric."""
+        scaled = np.sqrt(w)[:, None] * self.rows
+        matrix = scaled.T @ scaled
+        matrix[np.diag_indices_from(matrix)] += damping
+        return matrix[None]
+
+
+class TabularScores:
+    """The score rows e_a - p(s) of (state, action) pairs in the logits of
+    s, held as the pairs and the probability table p (S, A) instead of
+    (N, S A) rows.
+
+    A weighted sum over the rows bins by state.  With N_s the weights
+    binned by (s, a) pair and W_s their sum over the rows in state s (two
+    np.bincount calls), state s's logits get N_s - W_s p(s) of the gradient,
+    and the Fisher is block-diagonal with the A x A block
+    diag(N_s) - N_s p(s)^T - p(s) N_s^T + W_s p(s) p(s)^T + damping I.
+    The bins add the rows in order and the blocks are small, so the forms
+    and their solves round the same at any BLAS thread count.  They
+    subtract terms of size W_s: where p(s) is nearly one-hot they agree
+    with the dense rows' forms to about 1e-16 W_s, not to relative
+    precision."""
+
+    def __init__(self, states, actions, probs):
+        self.states, self.actions, self.probs = states, actions, probs
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def _bins(self, w):
+        n_states, n_actions = self.probs.shape
+        pairs = np.bincount(self.states * n_actions + self.actions, w, minlength=self.probs.size)
+        return pairs.reshape(n_states, n_actions), np.bincount(self.states, w, minlength=n_states)
+
+    def weighted_sum(self, w) -> np.ndarray:
+        """sum_i w_i (e_{a_i} - p(s_i)), flat in the logits' order."""
+        pairs, totals = self._bins(w)
+        return (pairs - totals[:, None] * self.probs).ravel()
+
+    def fisher_blocks(self, w, damping: float) -> np.ndarray:
+        """The (S, A, A) diagonal blocks of sum_i w_i g_i g_i^T + damping I,
+        each exactly symmetric; a state that no row visits gets damping I."""
+        pairs, totals = self._bins(w)
+        p = self.probs
+        cross = pairs[:, :, None] * p[:, None, :]
+        blocks = totals[:, None, None] * (p[:, :, None] * p[:, None, :]) - (cross + cross.transpose(0, 2, 1))
+        diag = np.arange(p.shape[1])
+        blocks[:, diag, diag] += pairs + damping
+        return blocks
+
+
 class GaussianRbfPolicy:
     """pi(a|s) = Normal(W f(s), diag(exp(2 log_std)))."""
+
+    __slots__ = ("feature_map", "weights", "log_std")
 
     def __init__(self, feature_map: RbfFeatureMap, action_dim: int, init_log_std: float = 0.0, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -162,6 +243,10 @@ class GaussianRbfPolicy:
         grad_ls = diff**2 / var - 1.0
         return np.concatenate([grad_w.reshape(len(phi), -1), grad_ls], axis=1)
 
+    def scores(self, phi, actions) -> DenseScores:
+        """The score rows of (input, action) pairs (score_batch), held dense."""
+        return DenseScores(self.score_batch(phi, actions))
+
     def kl(self, old: "GaussianRbfPolicy", phi: np.ndarray) -> float:
         """Mean over states of KL(self(.|s) || old(.|s)), given their feature
         rows phi (inputs), which the two policies share."""
@@ -173,6 +258,8 @@ class GaussianRbfPolicy:
 
 class TabularSoftmaxPolicy:
     """Per-state softmax over action logits."""
+
+    __slots__ = ("logits",)
 
     def __init__(self, n_states: int, n_actions: int, logits: np.ndarray | None = None):
         self.logits = np.zeros((n_states, n_actions)) if logits is None else np.array(logits, dtype=float)
@@ -227,6 +314,11 @@ class TabularSoftmaxPolicy:
         out[rows, states] = -self.prob_matrix()[states]
         out[rows, states, actions] += 1.0
         return out.reshape(len(states), -1)
+
+    def scores(self, states, actions) -> TabularScores:
+        """The score rows of (state, action) pairs (score_batch), held as the
+        pairs and the current probability table."""
+        return TabularScores(np.asarray(states, dtype=int), np.asarray(actions, dtype=int), self.prob_matrix())
 
     def kl(self, old: "TabularSoftmaxPolicy", states) -> float:
         lp, lq = self.log_prob_matrix(), old.log_prob_matrix()

@@ -49,7 +49,7 @@ from dualac.optim import (
     fisher_estimate,
     natural_gradient_step,
 )
-from dualac.policies import TabularSoftmaxPolicy
+from dualac.policies import DenseScores, TabularSoftmaxPolicy
 from conftest import enumerate_policy_values, fd_grad, softmax
 from reference_lagrangian import alpha_objective, one_step_lagrangian, path_reg_lagrangian
 from reference_mdp import k_step_bellman, lambda_bellman
@@ -249,7 +249,7 @@ def test_criterion_5_optimizer_suite():
         rng = np.random.default_rng(1005)
         # Fisher symmetry and PSD
         scores = rng.normal(size=(30, 8))
-        F = fisher_estimate(scores, damping=1e-4).matrix
+        F = fisher_estimate(DenseScores(scores), damping=1e-4).blocks[0]
         for _ in range(10):
             u, v = rng.normal(size=8), rng.normal(size=8)
             assert abs(u @ F @ v - v @ F @ u) < 1e-10
@@ -258,7 +258,7 @@ def test_criterion_5_optimizer_suite():
         # F = A^T A with A = [sqrt(w) S; sqrt(damping) I], so F^-1 g = R^-1 R^-T g
         for n in (3, 8, 14, 20):
             scores, weights, g = rng.normal(size=(5 * n, n)), rng.random(5 * n), rng.normal(size=n)
-            fisher = fisher_estimate(scores, damping=1e-4, weights=weights)
+            fisher = fisher_estimate(DenseScores(scores), damping=1e-4, weights=weights)
             x = natural_gradient_step(np.zeros(n), g, fisher, zeta=1.0)
             _, r = np.linalg.qr(np.vstack([np.sqrt(weights)[:, None] * scores, np.sqrt(1e-4) * np.eye(n)]))
             assert np.max(np.abs(x - np.linalg.solve(r, np.linalg.solve(r.T, g)))) < 1e-8
@@ -276,7 +276,7 @@ def test_criterion_5_optimizer_suite():
                 states.append(s)
                 actions.append(a)
                 weights.append(p[s, a] / len(kl_states))
-        fisher = fisher_estimate(policy.score_batch(states, actions), damping=1e-12, weights=np.array(weights))
+        fisher = fisher_estimate(policy.scores(states, actions), damping=1e-12, weights=np.array(weights))
         zetas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
         gaps = []
         for zeta in zetas:
@@ -291,7 +291,7 @@ def test_criterion_5_optimizer_suite():
         for shift in (0.0, 2.5):
             pol = TabularSoftmaxPolicy(2, 3, logits=logits + shift)
             fisher2 = fisher_estimate(
-                pol.score_batch(states, actions),
+                pol.scores(states, actions),
                 damping=1e-8,
                 weights=np.array([pol.prob_matrix()[s, a] / 2 for s, a in zip(states, actions)]),
             )

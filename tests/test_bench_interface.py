@@ -7,6 +7,7 @@ fails here first.  One oracle case (a 100x4 deterministic MDP, k = 2) must
 pass the benchmark's exact identities at its tolerances."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -15,12 +16,14 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Repeat.digest() of one repeat at workload seed 0, as `bench/run.py --seed 0`
-# reports it, at OpenBLAS's default thread count on a 2-core machine;
-# captured for all three when each batch's variates came to be drawn from one
-# seed sequence (env.draw_variates), which moved every trajectory.
+# reports it.  The pendulum's holds at OpenBLAS's default thread count on a
+# 2-core machine and was captured when each batch's variates came to be drawn
+# from one seed sequence (env.draw_variates); the gridworld ones hold at any
+# thread count and were recaptured when the tabular Fisher came to be built
+# and solved per state, which moved only the kl field, by rounding.
 SEED0_DIGESTS = {
-    "gridworld": "fdfed5ca7f1ba3b71795bd36a5751e9af2c98f78897d509a65e957c37d68f549",
-    "gridworld_naive": "61be6e09694f725a821d44a32f5fa44b7ff2b7605ae299161c7adaeab1cb4e8a",
+    "gridworld": "71ebdaf051546f9b5bef079764368f73eced08ceecd2f5210dae2da0d179e9b0",
+    "gridworld_naive": "59960eb6ca5d18f5cbd8b51c05e69f0cdc0ebb37057ba7f4ab6d82bbc7008f0a",
     "pendulum": "ba79b5971c3edf13a04e41857214451107dffe09464f69a28ac4e50615579366",
 }
 
@@ -67,7 +70,11 @@ def test_traced_workload_splits_phases(workloads, name):
     assert all(tracer.phase_s[phase] > 0 for phase in tracing.PHASES)
     # the phases and driver.self against the traced iterations' own wall time
     wall = sum(rec.wall_time for rep in repeats for rec, traced in zip(rep.records, rep.traced) if traced)
-    assert abs(sum(tracer.phase_s.values()) - wall) <= check_tolerance * wall
+    phases = sum(tracer.phase_s.values())
+    assert abs(phases - wall) <= check_tolerance * wall, (
+        f"phases {tracer.phase_s} sum to {phases:.6f} s against a wall time of {wall:.6f} s; "
+        f"1-minute load average {os.getloadavg()[0]:.2f}"
+    )
     assert not tracer.missing & set(PHASE_MARKERS)
 
 

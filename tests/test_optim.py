@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from dualac.optim import (
     fit_value,
     natural_gradient_step,
 )
-from dualac.policies import TabularSoftmaxPolicy
+from dualac.policies import DenseScores, TabularSoftmaxPolicy
 from conftest import tabular_deltas
 from reference_fit import fit_value_loop
 from reference_prox import exact_prox_pi
@@ -253,17 +254,18 @@ def test_fit_value_budget_costs_no_memory():
 
 def test_fisher_rank_one():
     g = np.array([1.0, -2.0, 0.5])
-    fisher = fisher_estimate(g[None, :], damping=0.01)
+    fisher = fisher_estimate(DenseScores(g[None, :]), damping=0.01)
     v = np.array([0.3, 0.1, -0.7])
-    assert np.allclose(fisher.matrix @ v, g * (g @ v) + 0.01 * v)
-    assert np.array_equal(fisher.scores, g[None, :])
+    assert fisher.blocks.shape == (1, 3, 3)
+    assert np.allclose(fisher.blocks[0] @ v, g * (g @ v) + 0.01 * v)
+    assert np.array_equal(fisher.scores.rows, g[None, :])
 
 
 def test_fisher_null_space_gives_damping():
     scores = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    fisher = fisher_estimate(scores, damping=0.5)
+    fisher = fisher_estimate(DenseScores(scores), damping=0.5)
     v = np.array([0.0, 0.0, 2.0])
-    assert np.allclose(fisher.matrix @ v, 0.5 * v)
+    assert np.allclose(fisher.blocks[0] @ v, 0.5 * v)
 
 
 def test_fisher_matches_analytic_categorical():
@@ -276,13 +278,13 @@ def test_fisher_matches_analytic_categorical():
             states.append(s)
             actions.append(a)
             weights.append(p[s, a] / 2.0)  # uniform over states, exact over actions
-    fisher = fisher_estimate(policy.score_batch(states, actions), damping=0.0, weights=np.array(weights))
+    fisher = fisher_estimate(policy.scores(states, actions), damping=0.0, weights=np.array(weights))
     # analytic: block diag of (diag(p_s) - p_s p_s^T) / n_states
     F = np.zeros((6, 6))
     for s in range(2):
         block = (np.diag(p[s]) - np.outer(p[s], p[s])) / 2.0
         F[s * 3 : (s + 1) * 3, s * 3 : (s + 1) * 3] = block
-    assert np.max(np.abs(fisher.matrix - F)) < 1e-8
+    assert np.max(np.abs(block_diag(*fisher.blocks) - F)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,7 @@ def test_fisher_matches_analytic_categorical():
 
 
 def test_natural_gradient_identity_fisher_is_plain_ascent():
-    fisher = fisher_estimate(np.zeros((1, 3)), damping=1.0)  # F = I
+    fisher = fisher_estimate(DenseScores(np.zeros((1, 3))), damping=1.0)  # F = I
     params = np.array([1.0, 2.0, 3.0])
     g = np.array([0.1, -0.2, 0.3])
     out = natural_gradient_step(params, g, fisher, zeta=0.5, normalize=False)
@@ -298,7 +300,7 @@ def test_natural_gradient_identity_fisher_is_plain_ascent():
 
 
 def test_natural_gradient_zero_gradient_no_move():
-    fisher = fisher_estimate(np.ones((1, 2)), damping=0.1)
+    fisher = fisher_estimate(DenseScores(np.ones((1, 2))), damping=0.1)
     params = np.array([0.4, -0.4])
     out = natural_gradient_step(params, np.zeros(2), fisher, zeta=1.0, normalize=True)
     assert np.array_equal(out, params)
@@ -306,7 +308,7 @@ def test_natural_gradient_zero_gradient_no_move():
 
 def test_natural_gradient_scale_invariance_under_normalize():
     rng = np.random.default_rng(241)
-    fisher = fisher_estimate(rng.normal(size=(20, 5)), damping=1e-3)
+    fisher = fisher_estimate(DenseScores(rng.normal(size=(20, 5))), damping=1e-3)
     params = rng.normal(size=5)
     g = rng.normal(size=5)
     a = natural_gradient_step(params, g, fisher, zeta=0.2, normalize=True)
@@ -321,15 +323,62 @@ def test_natural_gradient_solves_the_damped_fisher_exactly():
     scores, weights, damping = rng.normal(size=(200, 12)), rng.random(200), 1e-4
     scores[:, 0] = scores[:, 1]  # a rank-deficient score matrix: only the damping keeps F regular
     g = rng.normal(size=12)
-    fisher = fisher_estimate(scores, damping=damping, weights=weights)
+    fisher = fisher_estimate(DenseScores(scores), damping=damping, weights=weights)
     direction = natural_gradient_step(np.zeros(12), g, fisher, zeta=1.0)
     q, r = np.linalg.qr(np.vstack([np.sqrt(weights)[:, None] * scores, np.sqrt(damping) * np.eye(12)]))
     exact = np.linalg.solve(r, np.linalg.solve(r.T, g))
     assert np.linalg.norm(direction - exact) <= 1e-8 * np.linalg.norm(exact)
 
 
+@st.composite
+def tabular_score_cases(draw):
+    """A random softmax policy (logit scales up to a saturated softmax), rows
+    in a random subset of its states (so that some states have no row), and
+    random nonnegative row weights (some 0) and signed gradient coefficients."""
+    n_states, n_actions = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 5.0, 20.0]))
+    policy = TabularSoftmaxPolicy(n_states, n_actions, logits=scale * rng.normal(size=(n_states, n_actions)))
+    visited = rng.choice(n_states, size=draw(st.integers(1, n_states)), replace=False)
+    n_rows = draw(st.integers(1, 40))
+    states, actions = rng.choice(visited, size=n_rows), rng.integers(0, n_actions, size=n_rows)
+    weights = rng.random(n_rows) * (rng.random(n_rows) < 0.8)
+    return policy, states, actions, weights, rng.normal(size=n_rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tabular_score_cases(), st.sampled_from([1e-4, 1e-2]))
+def test_tabular_block_forms_match_dense_score_rows(case, damping):
+    # the tabular gradient and Fisher, built per state from bincounts,
+    # against the same forms of the dense (N, S A) score_batch rows, and the
+    # stacked per-state solve against the QR form of the dense system:
+    # F = A^T A with A = [sqrt(w) S; sqrt(damping) I], so F^-1 g = R^-1 R^-T g
+    policy, states, actions, weights, coefs = case
+    n_states, n_actions = policy.logits.shape
+    rows = policy.score_batch(states, actions)
+    scores = policy.scores(states, actions)
+    assert len(scores) == len(rows)
+    g = scores.weighted_sum(coefs) / len(rows)
+    # the forms subtract terms of the size of the summed weights
+    assert np.max(np.abs(g - coefs @ rows / len(rows))) <= 1e-14 * np.abs(coefs).sum()
+    fisher = fisher_estimate(scores, damping=damping, weights=weights)
+    dense = fisher_estimate(DenseScores(rows), damping=damping, weights=weights)
+    assert fisher.blocks.shape == (n_states, n_actions, n_actions) and fisher.scores is scores
+    assert np.max(np.abs(block_diag(*fisher.blocks) - dense.blocks[0])) <= 1e-14 * (1.0 + weights.sum())
+    assert np.array_equal(fisher.blocks, fisher.blocks.transpose(0, 2, 1))
+    for s in set(range(n_states)) - set(states.tolist()):
+        assert np.array_equal(fisher.blocks[s], damping * np.eye(n_actions))
+    _, r = np.linalg.qr(np.vstack([np.sqrt(weights)[:, None] * rows, np.sqrt(damping) * np.eye(policy.n_params)]))
+    exact = np.linalg.solve(r, np.linalg.solve(r.T, g))
+    sq = g @ exact
+    assume(not 0.5e-12 < sq < 2e-12)  # where the normalized step's fallback threshold sits
+    for normalize, expected in ((False, exact), (True, exact / np.sqrt(sq) if sq > 1e-12 else exact)):
+        step = natural_gradient_step(np.zeros(policy.n_params), g, fisher, zeta=1.0, normalize=normalize)
+        assert np.linalg.norm(step - expected) <= 1e-8 * np.linalg.norm(expected), normalize
+
+
 def test_natural_gradient_singular_fisher_raises():
-    fisher = fisher_estimate(np.array([[1.0, 1.0]]), damping=0.0)
+    fisher = fisher_estimate(DenseScores(np.array([[1.0, 1.0]])), damping=0.0)
     with pytest.raises(np.linalg.LinAlgError):
         natural_gradient_step(np.zeros(2), np.array([1.0, 0.0]), fisher, zeta=1.0)
 
@@ -342,7 +391,7 @@ def exhaustive_fisher(policy, kl_states, damping):
             states.append(s)
             actions.append(a)
             weights.append(p[s, a] / len(kl_states))
-    return fisher_estimate(policy.score_batch(states, actions), damping=damping, weights=np.array(weights))
+    return fisher_estimate(policy.scores(states, actions), damping=damping, weights=np.array(weights))
 
 
 def test_logit_shift_invariance():
