@@ -80,7 +80,10 @@ def _load_config(args) -> DualAcConfig:
         overrides["iterations"] = args.iterations
     if getattr(args, "ablation", None):
         overrides["ablation"] = args.ablation
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    cfg = dataclasses.replace(cfg, **overrides) if overrides else cfg
+    if args.func is _cmd_ablation and cfg.iterations < 1:
+        raise ValueError("an ablation needs iterations >= 1")  # a run of none has no final return
+    return cfg
 
 
 def _positive_float(text: str) -> float:
@@ -95,7 +98,7 @@ def _positive_float(text: str) -> float:
 
 
 def _seed_list(text: str) -> list[int]:
-    """An argparse type: comma-separated non-negative integer seeds, at least two."""
+    """An argparse type: comma-separated distinct non-negative integer seeds, at least two."""
     try:
         seeds = [int(s) for s in text.split(",")]
     except ValueError:
@@ -104,6 +107,8 @@ def _seed_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {text!r}")
     if len(seeds) < 2:
         raise argparse.ArgumentTypeError(f"needs at least 2 seeds, got {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"seeds must be distinct, got {text!r}")
     return seeds
 
 

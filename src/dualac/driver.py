@@ -248,7 +248,7 @@ def _bandwidth_probe(env) -> np.ndarray:
     s = env.initial_states(u[:, : env.start_draws])
     obs = [env.observe(s)]
     for i in range(steps):
-        s, _ = env.step_states(s, actions[:, i])
+        s = env.step_states(s, actions[:, i])
         obs.append(env.observe(s))
     return np.stack(obs, axis=1).reshape(rollouts * (steps + 1), -1)
 
@@ -495,7 +495,8 @@ def ablation_variants(base: DualAcConfig, horizon: int) -> list[tuple[str, DualA
 
 
 def ablation_suite(base: DualAcConfig, env, seeds, record_sink=None) -> dict:
-    """Run every variant on env over the given seeds; returns per-run finals and
+    """Run every variant on env over the given seeds (at least two, all
+    distinct) for base.iterations >= 1 iterations; returns per-run finals and
     per-variant mean +/- half-width (half the min-to-max spread).
 
     Runs are scored by the discounted return on tabular environments (the
@@ -504,8 +505,12 @@ def ablation_suite(base: DualAcConfig, env, seeds, record_sink=None) -> dict:
     diverges is scored by the records it produced before halting.
     """
     seeds = list(seeds)
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"ablation seeds must be distinct, got {seeds}")
     if len(seeds) < 2:
         raise ValueError("ablation comparisons need at least 2 seeds")
+    if base.iterations < 1:
+        raise ValueError("ablation comparisons need iterations >= 1")
     metric = "mean_disc_return" if env.spec.tabular else "mean_return"
     horizon = base.horizon if base.horizon is not None else env.spec.horizon
     rows = []

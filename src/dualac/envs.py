@@ -13,7 +13,11 @@ its randomness as variates drawn beforehand:
   0, 1 and 2: starts, action draws, transitions), filled row by row, so row
   l is trajectory l's and is the same for every m > l;
 * initial_states(u) / step_states(states, actions, u) / observe(states) /
-  is_terminal(states) - the batched kernels the lockstep sampler calls.
+  is_terminal(states) - the batched kernels the lockstep sampler calls at
+  every step; step_states returns the next states alone;
+* rewards(states, actions) - the rewards of pre-step states and their
+  actions, of any leading shape, which the sampler evaluates once per batch
+  on the whole state history after its loop.
 """
 
 from __future__ import annotations
@@ -85,11 +89,15 @@ class TabularEnv:
     def initial_states(self, u: np.ndarray) -> np.ndarray:
         return inverse_cdf(self._start_cdf, u)
 
-    def step_states(self, states: np.ndarray, actions: np.ndarray, u: np.ndarray):
-        """(next states, rewards) of a batch of (state, action) pairs."""
+    def step_states(self, states: np.ndarray, actions: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next states of a batch of (state, action) pairs."""
         if not ((actions >= 0) & (actions < self.mdp.n_actions)).all():
             raise ValueError(f"action out of range 0..{self.mdp.n_actions - 1}")
-        return inverse_cdf(self._step_cdf[states, actions], u), self.mdp.reward[states, actions]
+        return inverse_cdf(self._step_cdf[states, actions], u)
+
+    def rewards(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """reward[s, a] of (state, action) pairs of any leading shape."""
+        return self.mdp.reward[states, actions]
 
     def observe(self, states: np.ndarray) -> np.ndarray:
         return states
@@ -107,8 +115,10 @@ class PendulumEnv:
     Dynamics are semi-implicit Euler with the standard classic-control
     constants (g = 10, m = l = 1, dt = 0.05, torque bound 2, speed cap 8);
     the per-step reward is -(wrap(theta)^2 + 0.1 theta_dot^2 + 0.001 u^2)
-    evaluated before the state update.  Episodes run a fixed horizon.
-    clip_count counts the actions whose torque was clipped to the bound.
+    of the state before the update.  Episodes run a fixed horizon.
+    clip_count counts the actions whose torque was clipped to the bound; it
+    is counted where the rewards are, once per batch over all of the batch's
+    actions.
     """
 
     start_draws = 2  # uniforms per start state: theta, then theta_dot
@@ -151,26 +161,52 @@ class PendulumEnv:
         lows, highs = np.array([-math.pi, -1.0]), np.array([math.pi, 1.0])
         return lows + (highs - lows) * u
 
-    def step_states(self, states: np.ndarray, actions: np.ndarray, u=None):
-        """(next states, rewards) of a batch: states (m, 2), actions (m, action_dim);
-        transitions are deterministic, so u is unused.
+    def step_states(self, states: np.ndarray, actions: np.ndarray, u=None) -> np.ndarray:
+        """Next states of a batch: states (m, 2), actions (m, action_dim);
+        transitions are deterministic, so u is unused.  The update runs in
+        place on one new (m, 2) array, in the order of the arithmetic
+        thdot + (3 g / (2 l) sin(theta) + 3 torque / (m l^2)) dt."""
+        th, thdot = states[:, 0], states[:, 1]
+        out = np.empty((len(states), 2))
+        new_th, new_thdot = out[:, 0], out[:, 1]
+        torque = np.minimum(actions[:, 0], self.max_torque)
+        np.maximum(torque, -self.max_torque, out=torque)
+        torque *= 3.0
+        torque /= self.m * self.l**2
+        np.sin(th, out=new_thdot)
+        new_thdot *= 3.0 * self.g / (2.0 * self.l)
+        new_thdot += torque
+        new_thdot *= self.dt
+        new_thdot += thdot
+        np.minimum(new_thdot, self.max_speed, out=new_thdot)
+        np.maximum(new_thdot, -self.max_speed, out=new_thdot)
+        np.multiply(new_thdot, self.dt, out=new_th)
+        new_th += th
+        _wrap(new_th)
+        return out
+
+    def rewards(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """-(wrap(theta)^2 + 0.1 theta_dot^2 + 0.001 u^2) of pre-step states
+        (..., 2) and their actions (..., action_dim), of any leading shape,
+        with u the torque clipped to the bound; adds the actions clipped to
+        clip_count.
 
         Squares are np.float_power, the libm pow of Python's x ** 2: x * x
         rounds differently in about 0.1% of values."""
-        th, thdot = states[:, 0], states[:, 1]
-        torque = actions[:, 0]
+        torque = actions[..., 0]
         self.clip_count += int(np.count_nonzero(np.abs(torque) > self.max_torque))
-        torque = np.clip(torque, -self.max_torque, self.max_torque)
         sq = np.float_power
-        rewards = -(sq(wrap_angle(th), 2) + 0.1 * sq(thdot, 2) + 0.001 * sq(torque, 2))
-        thdot = thdot + (3.0 * self.g / (2.0 * self.l) * np.sin(th) + 3.0 * torque / (self.m * self.l**2)) * self.dt
-        thdot = np.clip(thdot, -self.max_speed, self.max_speed)
-        th = wrap_angle(th + thdot * self.dt)
-        return np.stack([th, thdot], axis=1), rewards
+        torque = np.clip(torque, -self.max_torque, self.max_torque)
+        return -(sq(wrap_angle(states[..., 0]), 2) + 0.1 * sq(states[..., 1], 2) + 0.001 * sq(torque, 2))
 
     def observe(self, states: np.ndarray) -> np.ndarray:
-        th, thdot = states[:, 0], states[:, 1]
-        return np.stack([np.cos(th), np.sin(th), thdot], axis=1)
+        """(cos theta, sin theta, theta_dot) of each state, into one new (m, 3) array."""
+        th = states[:, 0]
+        out = np.empty((len(states), 3))
+        np.cos(th, out=out[:, 0])
+        np.sin(th, out=out[:, 1])
+        out[:, 2] = states[:, 1]
+        return out
 
     def is_terminal(self, states: np.ndarray) -> np.ndarray:
         return np.zeros(len(states), dtype=bool)
@@ -180,10 +216,18 @@ class PendulumEnv:
 
 
 def wrap_angle(theta):
-    """Wrap to (-pi, pi], elementwise."""
-    out = np.fmod(theta + math.pi, 2.0 * math.pi)
-    out = np.where(out <= 0.0, out + 2.0 * math.pi, out)
-    return out - math.pi
+    """Wrap to (-pi, pi], elementwise, into a new float array (0-d for a scalar)."""
+    return _wrap(np.array(theta, dtype=float))
+
+
+def _wrap(out: np.ndarray) -> np.ndarray:
+    """wrap_angle in place: fmod(theta + pi, 2 pi), plus 2 pi where that is
+    <= 0, minus pi.  Adding 0.0 elsewhere leaves those entries as they are."""
+    out += math.pi
+    np.fmod(out, 2.0 * math.pi, out=out)
+    out += (out <= 0.0) * (2.0 * math.pi)
+    out -= math.pi
+    return out
 
 
 # ---------------------------------------------------------------------------

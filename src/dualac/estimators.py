@@ -102,36 +102,49 @@ def sample_trajectories(env, policy, m: int, horizon: int, rng_seed, *, window: 
     every m > l, and every row is stepped on its own (elementwise kernels and
     stacked products), so it is bitwise the trajectory that stepping row l
     alone would give.  rng_seed is a non-negative int or a sequence of them.
+
+    The loop keeps the state history and steps it with env.step_states; the
+    rewards of every step taken are evaluated once per batch after the loop
+    (env.rewards on the pre-step states and the actions: elementwise, the
+    pendulum's squares still np.float_power, so each is bitwise the
+    per-step reward), and a trajectory's length is the count of steps it
+    took before it was done.
     """
     if m < 1 or horizon < 1 or window < 1:
         raise ValueError("m, horizon and window must be >= 1")
     seq = np.random.SeedSequence([int(s) for s in np.atleast_1d(rng_seed)])
     start_u, action_u, step_u = env.draw_variates(seq, m, horizon)
-    state = env.initial_states(start_u)
-    first = env.observe(state)
+    start = env.initial_states(start_u)
+    states = np.zeros((m, horizon + 1) + start.shape[1:], dtype=start.dtype)
+    states[:, 0] = start
+    first = env.observe(start)
     obs = np.zeros((m, horizon + 1) + first.shape[1:], dtype=first.dtype)
     obs[:, 0] = first
     actions, rewards = None, np.zeros((m, horizon))
-    lengths = np.zeros(m, dtype=int)
+    was_done = np.ones((horizon, m), dtype=bool)  # steps not taken count as done
     draw = policy.action_sampler()
-    done = env.is_terminal(state)
+    done = env.is_terminal(start)
     for i in range(horizon):
         if done.all():
             break
         x = policy.inputs(obs[:, i])
         a = draw(x, action_u[:, i])
-        state, rewards[:, i] = env.step_states(state, a, None if step_u is None else step_u[:, i])
+        states[:, i + 1] = env.step_states(states[:, i], a, None if step_u is None else step_u[:, i])
         if actions is None:
             actions = np.zeros((m, horizon) + a.shape[1:], dtype=a.dtype)
             kept = np.zeros((m, min(window, horizon)) + x.shape[1:], dtype=x.dtype)
         if i < window:
             kept[:, i] = x
-        obs[:, i + 1] = env.observe(state)
+        obs[:, i + 1] = env.observe(states[:, i + 1])
         actions[:, i] = a
-        lengths += ~done
-        done |= env.is_terminal(state)
+        was_done[i] = done
+        done |= env.is_terminal(states[:, i + 1])
+    lengths = horizon - np.count_nonzero(was_done, axis=0)
     if actions is None:  # every start was terminal
         actions, kept = np.zeros((m, horizon)), np.zeros((m, 0))
+    else:  # the longest trajectory took every step the loop took
+        taken = lengths.max()
+        rewards[:, :taken] = env.rewards(states[:, :taken], actions[:, :taken])
     # rows that ended kept stepping; what they did after their end is padding
     padding = np.arange(horizon) >= lengths[:, None]
     obs[:, 1:][padding] = actions[padding] = rewards[padding] = 0

@@ -86,9 +86,13 @@ class RbfFeatureMap:
     def rows(self, states: np.ndarray) -> np.ndarray:
         """Features of a batch (N, D) -> (N, F), each row bitwise equal to the
         map of that state alone: a stacked matrix-vector product, where
-        x @ frequencies.T rounds differently in most rows."""
+        x @ frequencies.T rounds differently in most rows.  The divide, the
+        add and the cosine run in place on the product."""
         x = np.asarray(states, dtype=float)
-        return np.cos(np.matmul(self.frequencies, x[..., None])[..., 0] / self.bandwidth + self.phases)
+        z = np.matmul(self.frequencies, x[..., None])[..., 0]
+        z /= self.bandwidth
+        z += self.phases
+        return np.cos(z, out=z)
 
 
 class BiasedFeatureMap:

@@ -159,6 +159,7 @@ def test_oracle_check_rejects_a_bad_tolerance_with_usage(capsys, tol):
         ("", "must be comma-separated integers, got ''"),
         ("0", "needs at least 2 seeds, got '0'"),
         ("-1,0", "seeds must be >= 0, got '-1,0'"),
+        ("0,0", "seeds must be distinct, got '0,0'"),
     ],
 )
 def test_ablation_rejects_bad_seeds_with_usage(capsys, seeds, message):
@@ -168,6 +169,18 @@ def test_ablation_rejects_bad_seeds_with_usage(capsys, seeds, message):
     assert exc.value.code == 2 and out == ""
     assert err.startswith("usage: dualac ablation")
     assert err.endswith(f"error: argument --seeds: {message}\n")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_ablation_of_zero_iterations_reported_without_file(tmp_path, capsys, source):
+    # a run of no iterations has no final return: its summary would be -inf +/- nan
+    out_dir = tmp_path / "out"
+    given = ["--iterations", "0"] if source == "flag" else ["--config", _config_file(tmp_path, {"iterations": 0})]
+    code = cli.main(["ablation", "--env", "chain2", *given, "--out", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: bad config: an ablation needs iterations >= 1\n"
+    assert not out_dir.exists()
 
 
 def _mdp_file(tmp_path, edit=None) -> str:

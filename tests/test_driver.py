@@ -775,6 +775,18 @@ def test_ablation_suite_needs_two_seeds():
         ablation_suite(chain_config(), make_env("chain2"), [0])
 
 
+@pytest.mark.parametrize("seeds", [[0, 0], [0, 1, 0]])
+def test_ablation_suite_rejects_repeated_seeds(seeds):
+    # a repeated seed is one run counted twice: [0, 0] would read a spread of 0
+    with pytest.raises(ValueError, match="seeds must be distinct"):
+        ablation_suite(chain_config(), make_env("chain2"), seeds)
+
+
+def test_ablation_suite_needs_an_iteration():
+    with pytest.raises(ValueError, match="iterations >= 1"):
+        ablation_suite(chain_config(iterations=0), make_env("chain2"), [0, 1])
+
+
 def test_final_performance_window():
     recs = [IterationRecord(i, float(i), 0.0, 0.0, True, 0.0, 0.0, 0.1) for i in range(1, 21)]
     assert final_performance(recs, window=10) == pytest.approx(np.mean(range(11, 21)))

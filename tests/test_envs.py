@@ -16,8 +16,8 @@ from dualac.policies import GaussianRbfPolicy, RbfFeatureMap
 
 def test_pendulum_upright_rest_is_free():
     env = PendulumEnv()
-    state = np.array([[0.0, 0.0]])
-    nxt, reward = env.step_states(state, np.array([[0.0]]))
+    state, action = np.array([[0.0, 0.0]]), np.array([[0.0]])
+    nxt, reward = env.step_states(state, action), env.rewards(state, action)
     assert reward.tolist() == [0.0]
     assert np.allclose(nxt, state)
 
@@ -29,8 +29,8 @@ def test_pendulum_reward_symmetry():
     th = rng.uniform(-math.pi + 1e-6, math.pi, size=n)  # avoid the wrap boundary
     thdot = rng.uniform(-8, 8, size=n)
     u = rng.uniform(-2, 2, size=(n, 1))
-    _, r1 = env.step_states(np.stack([th, thdot], axis=1), u)
-    _, r2 = env.step_states(np.stack([-th, -thdot], axis=1), -u)
+    r1 = env.rewards(np.stack([th, thdot], axis=1), u)
+    r2 = env.rewards(np.stack([-th, -thdot], axis=1), -u)
     assert np.allclose(r1, r2, rtol=0.0, atol=1e-12)
 
 
@@ -39,7 +39,7 @@ def test_pendulum_reward_bounds():
     rng = np.random.default_rng(62)
     lo = -(math.pi**2 + 0.1 * 64 + 0.001 * 4)
     states = np.stack([rng.uniform(-math.pi, math.pi, size=200), rng.uniform(-8, 8, size=200)], axis=1)
-    _, r = env.step_states(states, rng.uniform(-2, 2, size=(200, 1)))
+    r = env.rewards(states, rng.uniform(-2, 2, size=(200, 1)))
     assert np.all((lo - 1e-12 <= r) & (r <= 0.0))
 
 
@@ -72,7 +72,7 @@ def test_pendulum_energy_drift_small():
     state = np.array([[math.pi, 1.0]])  # hanging down, gentle swing; no speed clamp
     e0 = energy(state)
     for _ in range(200):
-        state, _ = env.step_states(state, np.array([[0.0]]))
+        state = env.step_states(state, np.array([[0.0]]))
         assert abs(state[0, 1]) < 8.0
     assert abs(energy(state) - e0) / abs(e0) < 0.02
 
@@ -94,9 +94,10 @@ def test_pendulum_clips_and_counts():
     env = PendulumEnv()
     states = np.array([[0.5, 1.0], [0.5, 1.0], [0.5, 1.0]])
     before = env.clip_count
-    nxt, reward = env.step_states(states, np.array([[10.0], [1.0], [-3.0]]))
+    actions, clipped = np.array([[10.0], [1.0], [-3.0]]), np.array([[2.0], [1.0], [-2.0]])
+    nxt, reward = env.step_states(states, actions), env.rewards(states, actions)
     assert env.clip_count == before + 2
-    want, want_reward = env.step_states(states, np.array([[2.0], [1.0], [-2.0]]))
+    want, want_reward = env.step_states(states, clipped), env.rewards(states, clipped)
     assert np.array_equal(nxt, want) and np.array_equal(reward, want_reward)
     assert env.clip_count == before + 2
 
@@ -106,6 +107,51 @@ def test_wrap_angle_range():
         w = wrap_angle(th)
         assert -math.pi < w <= math.pi
         assert abs(math.sin(w) - math.sin(th)) < 1e-12
+
+
+def test_kernels_leave_their_inputs_alone():
+    """The kernels write into arrays of their own: the sampler hands them views
+    of its state and observation histories, which must stay as they were."""
+    rng = np.random.default_rng(64)
+    pendulum, grid = PendulumEnv(), gridworld_5x5()
+    fmap = RbfFeatureMap.create(10, 3, bandwidth=1.0, seed=5)
+    # past the wrap and the speed cap, torques past their bound
+    history = np.stack([rng.uniform(-10, 10, size=(6, 4)), rng.uniform(-12, 12, size=(6, 4))], axis=2)
+    torques = rng.uniform(-4, 4, size=(6, 4, 1))
+    cells, moves = rng.integers(0, 25, size=(6, 4)), rng.integers(0, 4, size=(6, 4))
+    observed = np.stack([np.cos(history[..., 0]), np.sin(history[..., 0]), history[..., 1]], axis=2)
+    cases = [
+        (pendulum.step_states, history, torques, lambda h, a: (h[:, 1], a[:, 1])),
+        (pendulum.rewards, history, torques, lambda h, a: (h[:, :3], a[:, :3])),
+        (pendulum.observe, history, None, lambda h, _: (h[:, 2],)),
+        (grid.step_states, cells, moves, lambda h, a: (h[:, 1], a[:, 1], np.full(6, 0.5))),
+        (grid.rewards, cells, moves, lambda h, a: (h[:, :3], a[:, :3])),
+        (wrap_angle, history, None, lambda h, _: (h[:, 0, 0],)),
+        (fmap.rows, observed, None, lambda h, _: (h[:, 3],)),
+    ]
+    for kernel, states, actions, args in cases:
+        kept = [np.copy(x) for x in (states, actions)]
+        kernel(*args(states, actions))
+        for x, was in zip((states, actions), kept):
+            assert np.array_equal(x, was), kernel.__name__
+    # wrap_angle also takes Python floats and 0-d arrays
+    theta = np.array(-7.0)
+    assert wrap_angle(theta) == wrap_angle(-7.0) == 2.0 * math.pi - 7.0 and theta == -7.0
+
+
+def test_rewards_of_a_history_are_each_steps():
+    """rewards on (m, n, ...) states and actions, as the sampler calls it once
+    per batch, gives bitwise the rewards of each step's (m, ...) batch."""
+    rng = np.random.default_rng(65)
+    pendulum, grid = PendulumEnv(), gridworld_5x5()
+    history = np.stack([rng.uniform(-10, 10, size=(7, 5)), rng.uniform(-8, 8, size=(7, 5))], axis=2)
+    torques = rng.uniform(-4, 4, size=(7, 5, 1))
+    cells, moves = rng.integers(0, 25, size=(7, 5)), rng.integers(0, 4, size=(7, 5))
+    for env, states, actions in ((pendulum, history, torques), (grid, cells, moves)):
+        whole = env.rewards(states, actions)
+        assert whole.shape == (7, 5)
+        for i in range(5):
+            assert np.array_equal(whole[:, i], env.rewards(states[:, i], actions[:, i]))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +179,8 @@ def _greedy_rollouts(env, pi, n, gamma, seed=0):
     states, live = starts.copy(), ~env.is_terminal(starts)
     total, disc = np.zeros(n), 1.0
     for i in range(env.spec.horizon):
-        nxt, r = env.step_states(states, np.argmax(pi[states], axis=1), step_u[:, i])
+        actions = np.argmax(pi[states], axis=1)
+        nxt, r = env.step_states(states, actions, step_u[:, i]), env.rewards(states, actions)
         total += live * disc * r
         disc *= gamma
         states = np.where(live, nxt, states)
@@ -174,7 +221,7 @@ def test_tabular_transition_frequencies_match_export():
     n_per = 10_000
     for s in range(mdp.n_states):
         for a in range(mdp.n_actions):
-            nxt, _ = env.step_states(np.full(n_per, s), np.full(n_per, a), rng.random(n_per))
+            nxt = env.step_states(np.full(n_per, s), np.full(n_per, a), rng.random(n_per))
             counts = np.bincount(nxt, minlength=mdp.n_states).astype(float)
             expected = mdp.transition[s, a] * n_per
             keep = expected > 0
@@ -195,9 +242,11 @@ def test_tabular_step_rejects_out_of_range_actions():
 def test_gridworld_terminal_absorption_shortens_episode():
     env = gridworld_5x5()
     # moving right from cell 23 enters the goal, which then absorbs
-    nxt, r = env.step_states(np.array([23]), np.array([0]), np.array([0.5]))
+    states, actions = np.array([23]), np.array([0])
+    nxt, r = env.step_states(states, actions, np.array([0.5])), env.rewards(states, actions)
     assert nxt.tolist() == [24] and r.tolist() == [1.0] and env.is_terminal(nxt).tolist() == [True]
-    stay, r = env.step_states(np.full(4, 24), np.arange(4), np.full(4, 0.5))
+    states, actions = np.full(4, 24), np.arange(4)
+    stay, r = env.step_states(states, actions, np.full(4, 0.5)), env.rewards(states, actions)
     assert stay.tolist() == [24] * 4 and r.tolist() == [0.0] * 4
     assert env.is_terminal(np.arange(25)).tolist() == [False] * 24 + [True]
 

@@ -85,6 +85,14 @@ def test_gridworld_absorption_shortens():
     assert np.all(batch.obs[short, batch.lengths[short]] == 24)
 
 
+def test_terminal_starts_take_no_step():
+    env = TabularEnv(make_env("chain2").as_tabular(), horizon=5, terminal_states=(0, 1))
+    batch = sample_trajectories(env, TabularSoftmaxPolicy(2, 2), m=3, horizon=5, rng_seed=0, window=2)
+    assert batch.lengths.tolist() == [0, 0, 0] and batch.terminated.all()
+    assert batch.rewards.shape == batch.actions.shape == (3, 5)
+    assert not batch.rewards.any() and not batch.actions.any() and len(batch.window().inputs) == 0
+
+
 def _sampler_case(env_name: str, seed: int, scale: float, log_std: float):
     """An environment and a random policy on it; chain5 gets an absorbing
     right end so that its trajectories can end early too."""
