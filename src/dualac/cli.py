@@ -142,7 +142,6 @@ def _cmd_ablation(args) -> int:
     for variant, stats in result["summary"].items():
         print(f"{variant}: {stats['mean']:.2f} +/- {stats['half_width']:.2f}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "ablation.json"), "w") as fh:
             json.dump(result, fh, indent=2)
     return 0
@@ -214,6 +213,12 @@ def main(argv=None) -> int:
         # missing or malformed MDP file, or an environment with no MDP
         print(f"error: bad environment: {err.args[0] if isinstance(err, KeyError) else err}", file=sys.stderr)
         return 2
+    if getattr(args, "out", None):
+        try:  # before any training, which an unusable directory would waste
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as err:
+            print(f"error: bad output directory: {err}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

@@ -386,9 +386,17 @@ def load_checkpoint(path: str, env=None) -> TrainingState:
     loading runs no bandwidth probe.  A config with unknown fields (such as
     one saved before a field was removed), an env_name that make_env cannot
     rebuild while env is None, parameters of another size than the rebuilt
-    models' or a malformed feature map raises ValueError."""
+    models', a malformed feature map, t or last_batch, or a missing field
+    raises ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
+    required = ("config", "t", "policy_params", "value_params", "last_batch") + (("env_name",) if env is None else ())
+    missing = [name for name in required if name not in payload]
+    if missing:
+        raise ValueError(f"checkpoint field {missing[0]} is missing")
+    t = payload["t"]
+    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
+        raise ValueError(f"checkpoint field t must be an int >= 0, got {t!r}")
     if env is None:
         name = payload["env_name"]
         try:
@@ -423,14 +431,40 @@ def load_checkpoint(path: str, env=None) -> TrainingState:
             raise ValueError(f"checkpoint field {name} holds {params[name].size} entries, the model has {size}")
     state.policy.set_params(params["policy_params"])
     state.value_params = params["value_params"]
-    state.t = int(payload["t"])
-    rows = payload["last_batch"]
-    state.last_batch = ReplayRows(
-        starts=np.array(rows["starts"]),
-        returns=np.array(rows["returns"], dtype=float),
-        n_steps=np.array(rows["n_steps"], dtype=int),
-    )
+    state.t = t
+    state.last_batch = _saved_replay_rows(payload["last_batch"], env.spec)
     return state
+
+
+def _saved_replay_rows(rows, spec) -> ReplayRows:
+    """A checkpoint's last_batch as ReplayRows: three columns of one length,
+    starts of the environment's observation shape (tabular: states in
+    [0, S)) and finite returns."""
+    try:
+        last = ReplayRows(
+            starts=np.array(rows["starts"]),
+            returns=np.array(rows["returns"], dtype=float),
+            n_steps=np.array(rows["n_steps"], dtype=int),
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"checkpoint field last_batch is malformed ({err})") from None
+    lengths = [len(column) if column.ndim else None for column in (last.starts, last.returns, last.n_steps)]
+    if last.returns.ndim != 1 or last.n_steps.ndim != 1 or len(set(lengths)) > 1:
+        raise ValueError(f"checkpoint field last_batch needs starts, returns and n_steps of one length, got {lengths}")
+    if len(last) == 0:
+        return last
+    obs = () if spec.tabular else (spec.obs_dim,)
+    if last.starts.shape[1:] != obs:
+        raise ValueError(
+            f"checkpoint field last_batch.starts holds observations of shape {last.starts.shape[1:]}, "
+            f"the environment's have {obs}"
+        )
+    states = last.starts
+    if spec.tabular and (states.dtype.kind != "i" or not ((states >= 0) & (states < spec.n_states)).all()):
+        raise ValueError(f"checkpoint field last_batch.starts must be states in 0..{spec.n_states - 1}")
+    if not np.isfinite(last.returns).all():
+        raise ValueError("checkpoint field last_batch.returns must be finite")
+    return last
 
 
 # ---------------------------------------------------------------------------

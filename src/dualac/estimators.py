@@ -223,7 +223,7 @@ def traj_deltas(res: Residuals, params) -> np.ndarray:
 def grad_pi_estimate(window: Window, coefs, policy):
     """The policy gradient over a batch's window (Batch.window), and the
     window's score rows grad log pi(a_i|s_i) in the policy's score form
-    (policy.scores of the window's inputs), which the Fisher reuses.
+    (policy.score_batch of the window's inputs), which the Fisher reuses.
 
     The gradient is the batch mean of coefs * sum_i grad log pi(a_i|s_i) over
     each trajectory's rows, with coefs each trajectory's
@@ -231,7 +231,7 @@ def grad_pi_estimate(window: Window, coefs, policy):
     """
     if len(window.steps) == 0:
         raise ValueError("empty trajectory batch")
-    scores = policy.scores(window.inputs, window.actions)
+    scores = policy.score_batch(window.inputs, window.actions)
     return scores.weighted_sum(np.repeat(coefs, window.steps)) / len(window.steps), scores
 
 
@@ -302,14 +302,20 @@ def alpha_closed_form(delta_means, eta_alpha: float) -> np.ndarray:
 def exact_grad_pi(mdp: TabularMdp, v, alpha, policy, k: int) -> np.ndarray:
     """Exact E_alpha^pi[delta_k * sum_i grad log pi(a_i|s_i)] by path enumeration:
     each path's weight prob * delta_k lands on the (s_i, a_i) pairs it visits,
-    and the per-pair totals multiply the score table of every pair."""
+    and the per-pair totals multiply the score table of every pair.
+
+    The table, row (s, a) holding e_a - pi(s) in the logits of s, is written
+    out here rather than read from the policy's score form: this is the
+    reference that the sampled gradient is checked against, so it shares no
+    code with it."""
     pi = policy.prob_matrix()
     n_states, n_actions = pi.shape
-    table = policy.score_batch(np.repeat(np.arange(n_states), n_actions), np.tile(np.arange(n_actions), n_states))
+    table, idx = np.zeros((n_states, n_actions, n_states, n_actions)), np.arange(n_states)
+    table[idx, :, idx] = np.eye(n_actions) - pi[:, None, :]
     paths = enumerate_paths(mdp, alpha, pi, k)
     w = paths.prob * path_deltas(mdp, v, paths)
     pairs = (paths.states[:, :-1] * n_actions + paths.actions).ravel()
-    return np.bincount(pairs, np.repeat(w, k + 1), minlength=n_states * n_actions) @ table
+    return np.bincount(pairs, np.repeat(w, k + 1), minlength=pi.size) @ table.reshape(pi.size, pi.size)
 
 
 def exact_grad_v(mdp: TabularMdp, v, alpha, pi, pi_b, k: int, eta_v: float) -> np.ndarray:

@@ -56,7 +56,7 @@ class Fisher:
 def fisher_estimate(scores, damping: float = 1e-4, weights=None) -> Fisher:
     """Empirical score outer-product Fisher over a batch of score rows, one
     per (state, action) pair, in the score form of the policy's family
-    (policy.scores, or policies.DenseScores of any rows).
+    (policy.score_batch, or policies.DenseScores of any rows).
 
     weights defaults to 1/m; the rows of every pair weighted by its exact
     probability yield the analytic Fisher.  The weights must be nonnegative.

@@ -10,15 +10,16 @@
   them; rows gives the rows of a batch of states at once.
 
 Both policies read states through policy.inputs (the feature rows, or the
-int states): the action draw, score_batch, scores and kl take inputs, which
-the sampler builds once and keeps for the k-step window (estimators.Batch).
+int states): the action draw, score_batch and kl take inputs, which the
+sampler builds once and keeps for the k-step window (estimators.Batch).
 
-Each policy family owns the form of its score rows (policy.scores): the
-weighted sum that is the policy gradient and the diagonal blocks of the
-damped Fisher that the prox step solves.  The Gaussian policy's rows are
-dense (DenseScores, one block); a tabular row is zero outside its own
-state's logits (TabularScores, one A x A block per state, built by
-np.bincount without forming the rows).
+Each policy family has one score method, score_batch, which returns the
+score rows grad log pi(a|s) in the family's own form: the weighted sum that
+is the policy gradient and the diagonal blocks of the damped Fisher that the
+prox step solves.  The Gaussian policy's rows are dense (DenseScores, one
+block); a tabular row is zero outside its own state's logits
+(TabularScores, one A x A block per state, built by np.bincount without
+forming the rows).
 
 All parameter gradients are returned as flat vectors so the optimizer can
 treat every family uniformly.  No autodiff: each gradient is derived by hand
@@ -235,8 +236,8 @@ class GaussianRbfPolicy:
         weights, scale = self.weights.copy(), np.exp(self.log_std)
         return lambda phi, noise: np.matmul(weights, phi[..., None])[..., 0] + scale * noise
 
-    def score_batch(self, phi, actions) -> np.ndarray:
-        """Stacked log-probability gradients grad log pi(a|s), one row per
+    def score_batch(self, phi, actions) -> DenseScores:
+        """The log-probability gradients grad log pi(a|s), one dense row per
         (input, action) pair: (diff / var) f(s) for the weights and
         diff^2 / var - 1 for log_std, with diff = a - mean(s) and phi the
         feature rows f(s) (inputs)."""
@@ -245,11 +246,7 @@ class GaussianRbfPolicy:
         var = np.exp(2 * self.log_std)
         grad_w = (diff / var)[:, :, None] * phi[:, None, :]
         grad_ls = diff**2 / var - 1.0
-        return np.concatenate([grad_w.reshape(len(phi), -1), grad_ls], axis=1)
-
-    def scores(self, phi, actions) -> DenseScores:
-        """The score rows of (input, action) pairs (score_batch), held dense."""
-        return DenseScores(self.score_batch(phi, actions))
+        return DenseScores(np.concatenate([grad_w.reshape(len(phi), -1), grad_ls], axis=1))
 
     def kl(self, old: "GaussianRbfPolicy", phi: np.ndarray) -> float:
         """Mean over states of KL(self(.|s) || old(.|s)), given their feature
@@ -269,14 +266,6 @@ class TabularSoftmaxPolicy:
         self.logits = np.zeros((n_states, n_actions)) if logits is None else np.array(logits, dtype=float)
 
     @property
-    def n_states(self) -> int:
-        return self.logits.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.logits.shape[1]
-
-    @property
     def n_params(self) -> int:
         return self.logits.size
 
@@ -287,7 +276,7 @@ class TabularSoftmaxPolicy:
         self.logits = np.asarray(flat, dtype=float).reshape(self.logits.shape).copy()
 
     def copy(self) -> "TabularSoftmaxPolicy":
-        return TabularSoftmaxPolicy(self.n_states, self.n_actions, logits=self.logits)
+        return TabularSoftmaxPolicy(*self.logits.shape, logits=self.logits)
 
     def log_prob_matrix(self) -> np.ndarray:
         z = self.logits - self.logits.max(axis=1, keepdims=True)
@@ -309,19 +298,10 @@ class TabularSoftmaxPolicy:
         cdf = cumulative(p / p.sum(axis=1, keepdims=True))
         return lambda states, u: inverse_cdf(cdf[states], u)
 
-    def score_batch(self, states, actions) -> np.ndarray:
-        """Stacked log-probability gradients grad log pi(a|s) = e_a - p(s) in
-        the logits of s, one row per (state, action) pair."""
-        states, actions = np.asarray(states, dtype=int), np.asarray(actions, dtype=int)
-        rows = np.arange(len(states))
-        out = np.zeros((len(states),) + self.logits.shape)
-        out[rows, states] = -self.prob_matrix()[states]
-        out[rows, states, actions] += 1.0
-        return out.reshape(len(states), -1)
-
-    def scores(self, states, actions) -> TabularScores:
-        """The score rows of (state, action) pairs (score_batch), held as the
-        pairs and the current probability table."""
+    def score_batch(self, states, actions) -> TabularScores:
+        """The log-probability gradients grad log pi(a|s) = e_a - p(s) in the
+        logits of s of (state, action) pairs, held as the pairs and the
+        current probability table."""
         return TabularScores(np.asarray(states, dtype=int), np.asarray(actions, dtype=int), self.prob_matrix())
 
     def kl(self, old: "TabularSoftmaxPolicy", states) -> float:

@@ -15,6 +15,7 @@ import numpy as np
 
 from dualac.lagrangian import validate_distribution
 from dualac.mdp import policy_value, validate_policy
+from reference_scores import tabular_score_rows
 
 
 def iter_paths(mdp, alpha, pi, k):
@@ -66,8 +67,8 @@ def exact_grad_pi(mdp, v, alpha, policy, k):
     v = np.asarray(v, dtype=float)
     pi = policy.prob_matrix()
     n_states, n_actions = pi.shape
-    table = policy.score_batch(np.repeat(np.arange(n_states), n_actions), np.tile(np.arange(n_actions), n_states))
-    table = table.reshape(n_states, n_actions, -1)
+    pairs = np.repeat(np.arange(n_states), n_actions), np.tile(np.arange(n_actions), n_states)
+    table = tabular_score_rows(policy, *pairs).reshape(n_states, n_actions, -1)
     total = np.zeros(policy.n_params)
     for prob, states, actions in iter_paths(mdp, alpha, pi, k):
         total += prob * _delta(mdp, v, states, actions, k) * table[list(states[:-1]), list(actions)].sum(axis=0)

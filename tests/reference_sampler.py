@@ -97,7 +97,7 @@ def _sample_action(policy, obs, rng):
         mean = policy.weights @ features(policy.feature_map, obs)
         return mean + np.exp(policy.log_std) * rng.standard_normal(policy.action_dim)
     p = policy.prob_matrix()[obs]
-    return int(rng.choice(policy.n_actions, p=p / p.sum()))
+    return int(rng.choice(len(p), p=p / p.sum()))
 
 
 def _advanced(child, outputs: int) -> np.random.Generator:

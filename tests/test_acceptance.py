@@ -276,7 +276,7 @@ def test_criterion_5_optimizer_suite():
                 states.append(s)
                 actions.append(a)
                 weights.append(p[s, a] / len(kl_states))
-        fisher = fisher_estimate(policy.scores(states, actions), damping=1e-12, weights=np.array(weights))
+        fisher = fisher_estimate(policy.score_batch(states, actions), damping=1e-12, weights=np.array(weights))
         zetas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
         gaps = []
         for zeta in zetas:
@@ -291,7 +291,7 @@ def test_criterion_5_optimizer_suite():
         for shift in (0.0, 2.5):
             pol = TabularSoftmaxPolicy(2, 3, logits=logits + shift)
             fisher2 = fisher_estimate(
-                pol.scores(states, actions),
+                pol.score_batch(states, actions),
                 damping=1e-8,
                 weights=np.array([pol.prob_matrix()[s, a] / 2 for s, a in zip(states, actions)]),
             )

@@ -183,6 +183,35 @@ def test_ablation_of_zero_iterations_reported_without_file(tmp_path, capsys, sou
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablation"])
+@pytest.mark.parametrize("where", ["file", "under_file"])
+def test_unusable_out_directory_reported_before_training(tmp_path, capsys, monkeypatch, command, where):
+    # an --out that cannot be a directory is reported before any training,
+    # instead of a traceback (train) or after the whole suite has run (ablation)
+    def never(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    monkeypatch.setattr(cli, "ablation_suite", never)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out_dir = taken if where == "file" else taken / "sub"
+    code = cli.main([command, "--env", "chain2", "--iterations", "1", "--out", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad output directory: ") and err.count("\n") == 1
+    assert taken.read_text() == "kept"
+
+
+def test_ablation_writes_its_result_into_a_new_directory(tmp_path, capsys):
+    out_dir = tmp_path / "runs" / "abl"
+    code = cli.main(["ablation", "--env", "chain2", "--iterations", "1", "--out", str(out_dir)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    result = json.loads((out_dir / "ablation.json").read_text())
+    assert [json.dumps(row) for row in result["rows"]] == out.splitlines()[: len(result["rows"])]
+
+
 def _mdp_file(tmp_path, edit=None) -> str:
     """chain2 saved as an MDP file, its payload changed by edit first."""
     path = tmp_path / "mdp.json"

@@ -622,23 +622,8 @@ def test_rbf_dimension_mismatch_rejected_on_construction_and_load(tmp_path):
         load_checkpoint(path)
 
 
-def test_load_checkpoint_names_malformed_fields(tmp_path):
-    # parameters that do not fit the rebuilt models, or a malformed feature
-    # map, are rejected on load instead of failing inside the first iteration
-    state = init_state(dataclasses.replace(default_config("pendulum"), iterations=0), make_env("pendulum"))
-    path = str(tmp_path / "ck.json")
-    save_checkpoint(path, state)
-    with open(path) as fh:
-        saved = json.load(fh)
-    edits = [
-        (lambda p: p["policy_params"].append(0.0), "policy_params holds 102 entries, the model has 101"),
-        (lambda p: p["value_params"].append(0.0), "value_params holds 102 entries, the model has 101"),
-        (lambda p: p["value_params"].pop(), "value_params holds 100 entries, the model has 101"),
-        (lambda p: p["feature_map"]["phases"].pop(), r"feature_map is malformed \(need frequencies"),
-        (lambda p: p["feature_map"].update(bandwidth=0.0), "feature_map is malformed .bandwidth must be positive"),
-        (lambda p: p["feature_map"].pop("bandwidth"), "feature_map is malformed"),
-        (lambda p: p.pop("feature_map"), "feature_map is malformed"),
-    ]
+def _assert_rejected(path, saved, edits):
+    """Each edit of the saved payload fails to load with its message."""
     for edit, message in edits:
         payload = json.loads(json.dumps(saved))
         edit(payload)
@@ -646,6 +631,54 @@ def test_load_checkpoint_names_malformed_fields(tmp_path):
             json.dump(payload, fh)
         with pytest.raises(ValueError, match=f"^checkpoint field {message}"):
             load_checkpoint(path)
+
+
+def test_load_checkpoint_names_malformed_fields(tmp_path):
+    # parameters that do not fit the rebuilt models, a malformed feature
+    # map, t or last batch, or a missing field, are rejected on load instead
+    # of failing inside the first iteration
+    state = init_state(dataclasses.replace(default_config("pendulum"), iterations=0), make_env("pendulum"))
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(path, state)
+    with open(path) as fh:
+        saved = json.load(fh)
+    rows = {"starts": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.5]], "returns": [1.0, 2.0], "n_steps": [3, 3]}
+    _assert_rejected(path, saved, [
+        (lambda p: p["policy_params"].append(0.0), "policy_params holds 102 entries, the model has 101"),
+        (lambda p: p["value_params"].append(0.0), "value_params holds 102 entries, the model has 101"),
+        (lambda p: p["value_params"].pop(), "value_params holds 100 entries, the model has 101"),
+        (lambda p: p["feature_map"]["phases"].pop(), r"feature_map is malformed \(need frequencies"),
+        (lambda p: p["feature_map"].update(bandwidth=0.0), "feature_map is malformed .bandwidth must be positive"),
+        (lambda p: p["feature_map"].pop("bandwidth"), "feature_map is malformed"),
+        (lambda p: p.pop("feature_map"), "feature_map is malformed"),
+        (lambda p: p.pop("t"), "t is missing$"),
+        (lambda p: p.pop("last_batch"), "last_batch is missing$"),
+        (lambda p: p.update(t=2.7), "t must be an int >= 0, got 2.7$"),
+        (lambda p: p.update(t=True), "t must be an int >= 0, got True$"),
+        (lambda p: p.update(t=-1), "t must be an int >= 0, got -1$"),
+        (lambda p: p.update(last_batch=dict(rows, starts=[[0.0, 1.0]] * 2)),
+         r"last_batch.starts holds observations of shape \(2,\), the environment's have \(3,\)$"),
+        (lambda p: p.update(last_batch=dict(rows, returns=[1.0])),
+         r"last_batch needs starts, returns and n_steps of one length, got \[2, 1, 2\]$"),
+        (lambda p: p.update(last_batch=dict(rows, returns=[1.0, math.nan])), "last_batch.returns must be finite$"),
+        (lambda p: p.update(last_batch={"starts": [], "returns": []}), "last_batch is malformed"),
+    ])
+    state = init_state(dataclasses.replace(default_config("gridworld"), batch_m=4), make_env("gridworld"))
+    state, _ = dual_ac_iteration(state)
+    save_checkpoint(path, state)
+    with open(path) as fh:
+        saved = json.load(fh)
+    _assert_rejected(path, saved, [
+        (lambda p: p["last_batch"]["starts"].__setitem__(0, 99), "last_batch.starts must be states in 0..24$"),
+        (lambda p: p["last_batch"]["starts"].__setitem__(0, -1), "last_batch.starts must be states in 0..24$"),
+        (lambda p: p["last_batch"]["starts"].__setitem__(0, 1.5), "last_batch.starts must be states in 0..24$"),
+        (lambda p: p["last_batch"]["starts"].__setitem__(0, [0, 1]), "last_batch is malformed"),
+        (lambda p: p["last_batch"]["returns"].pop(), r"last_batch needs starts, returns and n_steps of one length"),
+        (lambda p: p["last_batch"]["n_steps"].append(1), r"last_batch needs starts, returns and n_steps of one length"),
+        (lambda p: p.pop("t"), "t is missing$"),
+        (lambda p: p.update(t="3"), "t must be an int >= 0, got '3'$"),
+        (lambda p: p.pop("env_name"), "env_name is missing$"),
+    ])
     state = init_state(chain_config(), make_env("chain2"))
     save_checkpoint(path, state)
     with open(path) as fh:

@@ -34,6 +34,7 @@ from dualac.policies import (
 from conftest import make_batch, make_single_state_mdp, tabular_deltas
 from reference_lagrangian import alpha_objective
 from reference_sampler import features, sample_reference
+from reference_scores import tabular_score_rows
 
 
 def make_test_mdp(seed=107, mu=None):
@@ -640,7 +641,7 @@ def test_score_zero_mean_softmax():
     policy = TabularSoftmaxPolicy(1, 3, logits=rng.normal(size=(1, 3)))
     m = 20_000
     actions = policy.action_sampler()(np.zeros(m, dtype=int), rng.random(m))
-    scores = policy.score_batch(np.zeros(m, dtype=int), actions)
+    scores = tabular_score_rows(policy, np.zeros(m, dtype=int), actions)
     sem = scores.std(axis=0) / np.sqrt(m)
     assert np.all(np.abs(scores.mean(axis=0)) < 3 * sem + 1e-12)
 
@@ -653,7 +654,7 @@ def test_score_zero_mean_gaussian():
     m = 20_000
     phi = policy.inputs(np.tile(s, (m, 1)))
     actions = policy.action_sampler()(phi, rng.standard_normal((m, policy.action_dim)))
-    scores = policy.score_batch(phi, actions)
+    scores = policy.score_batch(phi, actions).rows
     sem = scores.std(axis=0) / np.sqrt(m)
     assert np.all(np.abs(scores.mean(axis=0)) < 3.5 * sem + 1e-12)
 

@@ -22,6 +22,7 @@ from dualac.policies import DenseScores, TabularSoftmaxPolicy
 from conftest import tabular_deltas
 from reference_fit import fit_value_loop
 from reference_prox import exact_prox_pi
+from reference_scores import tabular_score_rows
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +279,7 @@ def test_fisher_matches_analytic_categorical():
             states.append(s)
             actions.append(a)
             weights.append(p[s, a] / 2.0)  # uniform over states, exact over actions
-    fisher = fisher_estimate(policy.scores(states, actions), damping=0.0, weights=np.array(weights))
+    fisher = fisher_estimate(policy.score_batch(states, actions), damping=0.0, weights=np.array(weights))
     # analytic: block diag of (diag(p_s) - p_s p_s^T) / n_states
     F = np.zeros((6, 6))
     for s in range(2):
@@ -350,13 +351,13 @@ def tabular_score_cases(draw):
 @given(tabular_score_cases(), st.sampled_from([1e-4, 1e-2]))
 def test_tabular_block_forms_match_dense_score_rows(case, damping):
     # the tabular gradient and Fisher, built per state from bincounts,
-    # against the same forms of the dense (N, S A) score_batch rows, and the
+    # against the same forms of the dense (N, S A) reference score rows, and the
     # stacked per-state solve against the QR form of the dense system:
     # F = A^T A with A = [sqrt(w) S; sqrt(damping) I], so F^-1 g = R^-1 R^-T g
     policy, states, actions, weights, coefs = case
     n_states, n_actions = policy.logits.shape
-    rows = policy.score_batch(states, actions)
-    scores = policy.scores(states, actions)
+    rows = tabular_score_rows(policy, states, actions)
+    scores = policy.score_batch(states, actions)
     assert len(scores) == len(rows)
     g = scores.weighted_sum(coefs) / len(rows)
     # the forms subtract terms of the size of the summed weights
@@ -387,11 +388,11 @@ def exhaustive_fisher(policy, kl_states, damping):
     states, actions, weights = [], [], []
     p = policy.prob_matrix()
     for s in kl_states:
-        for a in range(policy.n_actions):
+        for a in range(policy.logits.shape[1]):
             states.append(s)
             actions.append(a)
             weights.append(p[s, a] / len(kl_states))
-    return fisher_estimate(policy.scores(states, actions), damping=damping, weights=np.array(weights))
+    return fisher_estimate(policy.score_batch(states, actions), damping=damping, weights=np.array(weights))
 
 
 def test_logit_shift_invariance():

@@ -111,7 +111,7 @@ def test_gaussian_log_prob_at_mean():
     s = np.array([0.1, -0.4, 0.9])
     a = gaussian_mean(pol, s)
     assert gaussian_log_prob(pol, s, a) == pytest.approx(-0.5 * np.sum(np.log(2 * np.pi * np.exp(2 * pol.log_std))))
-    grad = pol.score_batch(pol.inputs(s[None]), a[None])[0]
+    grad = pol.score_batch(pol.inputs(s[None]), a[None]).rows[0]
     assert np.allclose(grad[: pol.weights.size], 0.0)
 
 
@@ -121,7 +121,7 @@ def test_gaussian_grad_matches_finite_differences():
         pol = make_gaussian(seed=trial)
         s = rng.normal(size=3)
         a = rng.normal(size=2)
-        grad = pol.score_batch(pol.inputs(s[None]), a[None])[0]
+        grad = pol.score_batch(pol.inputs(s[None]), a[None]).rows[0]
 
         def f(theta, pol=pol, s=s, a=a):
             c = pol.copy()
@@ -159,7 +159,7 @@ def test_gaussian_kl_zero_to_self():
 def test_softmax_uniform_two_actions():
     pol = TabularSoftmaxPolicy(1, 2)
     assert pol.log_prob_matrix()[0, 0] == pytest.approx(np.log(0.5))
-    grad = pol.score_batch([0], [0])[0]
+    grad = pol.score_batch([0], [0]).weighted_sum(np.ones(1))
     assert np.allclose(grad, [0.5, -0.5])
 
 
@@ -168,7 +168,7 @@ def test_softmax_grad_matches_finite_differences():
     for _ in range(100):
         pol = TabularSoftmaxPolicy(3, 4, logits=rng.normal(size=(3, 4)))
         s, a = int(rng.integers(3)), int(rng.integers(4))
-        grad = pol.score_batch([s], [a])[0]
+        grad = pol.score_batch([s], [a]).weighted_sum(np.ones(1))
 
         def f(theta, pol=pol, s=s, a=a):
             c = pol.copy()
