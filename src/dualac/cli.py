@@ -15,8 +15,10 @@ an unknown field, a value of the wrong type or a bad value is rejected with
 exit status 2.
 
 MDP text files (for `--env mdp:<path>` and `oracle-check --mdp-file`) are
-JSON with fields n_states, n_actions, gamma, reward [S][A],
-transition [S][A][S], and mu [S].
+the JSON object json.dump writes, with int fields n_states and n_actions, the
+number gamma, and the number arrays reward [S][A], transition [S][A][S] and
+mu [S] (mdp.save_mdp writes them; mdp.load_mdp rejects a field of another
+type with exit status 2).
 
 Metrics stream as line-delimited JSON, one IterationRecord per line; the
 process exits nonzero if an iteration fails.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -171,7 +174,10 @@ def _cmd_oracle_check(args) -> int:
     return 1 if failed else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; every parse_args call
+    fills a fresh Namespace, so no call sees another's options."""
     parser = argparse.ArgumentParser(prog="dualac", description="Dual actor-critic training and oracle checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -198,8 +204,11 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--mdp-file", help="JSON MDP file (overrides --env)")
     p_oracle.add_argument("--tol", type=_positive_float, default=1e-6)
     p_oracle.set_defaults(func=_cmd_oracle_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.func in (_cmd_train, _cmd_ablation):
         try:
             args.cfg = _load_config(args)

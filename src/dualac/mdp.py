@@ -19,8 +19,10 @@ stopping test holds.  Its sweeps are bitwise the one-step backups from that
 start, and its result does not depend on the BLAS thread count: the last
 policy's value is solved by elimination in elementwise numpy operations.
 
-save_mdp writes the text json.dump would write, but encodes one state's
-transition block at a time with the C encoder (json.dumps).
+save_mdp writes the text json.dump would write, at the cost of the
+transition's nonzero entries: each (s, a) row is a row of "0.0" tokens with
+the runs of other entries, encoded by the C encoder (json.dumps), spliced in.
+load_mdp reads only what save_mdp writes.
 """
 
 from __future__ import annotations
@@ -279,31 +281,64 @@ def random_mdp(
 
 
 def save_mdp(mdp: TabularMdp, path: str) -> None:
-    """Write the bytes json.dump writes for the payload, but through the C
-    encoder (json.dumps), one state's (A, S) transition block at a time."""
-    head = json.dumps(
-        {"n_states": mdp.n_states, "n_actions": mdp.n_actions, "gamma": mdp.gamma, "reward": mdp.reward.tolist()}
-    )
+    """Write the bytes json.dump writes for the payload, with Python work
+    that grows with the runs of nonzero transition entries, not with S * A * S.
+
+    Each (s, a) row of the transition is written as a row of S "0.0" tokens
+    with every run of entries other than +0.0 (-0.0 too, whose text differs)
+    spliced in.  All runs are encoded in one call of the C encoder
+    (json.dumps); a dense row is a single run."""
+    n_states, n_actions = mdp.n_states, mdp.n_actions
+    head = json.dumps({"n_states": n_states, "n_actions": n_actions, "gamma": mdp.gamma, "reward": mdp.reward.tolist()})
+    rows = mdp.transition.reshape(-1, n_states)
+    kept = (rows != 0.0) | np.signbit(rows)
+    # Run i spans columns [j[2i], j[2i + 1]) of row q[2i].  Every row sums to
+    # 1, so every row holds a run.
+    q, j = np.nonzero(np.diff(kept, prepend=False, append=False, axis=1))
+    first, stop = j[0::2], j[1::2]
+    values = rows[kept].tolist()
+    ends = np.cumsum(stop - first).tolist()
+    # No number's text holds "], [", so the runs' texts split apart there.
+    texts = json.dumps([values[a:b] for a, b in zip([0] + ends, ends)])[2:-2].split("], [")
+    zero_row = "[" + ", ".join(["0.0"] * n_states) + "]"  # token j is zero_row[5j + 1 : 5j + 4]
+    runs = zip(q[0::2].tolist(), (5 * first + 1).tolist(), (5 * stop - 1).tolist(), texts)
     with open(path, "w") as fh:
-        fh.write(head[:-1] + ', "transition": [')
-        for s, block in enumerate(mdp.transition):
-            fh.write((", " if s else "") + json.dumps(block.tolist()))
-        fh.write('], "mu": ' + json.dumps(mdp.mu.tolist()) + "}")
+        fh.write(head[:-1] + ', "transition": [[')
+        row, pos = 0, 0
+        for run_row, start, end, text in runs:
+            if run_row != row:  # close the row, and the state's block after n_actions rows
+                fh.write(zero_row[pos:] + (", " if run_row % n_actions else "], ["))
+                row, pos = run_row, 0
+            fh.write(zero_row[pos:start] + text)
+            pos = end
+        fh.write(zero_row[pos:] + ']], "mu": ' + json.dumps(mdp.mu.tolist()) + "}")
 
 
 def load_mdp(path: str) -> TabularMdp:
-    """Read a file save_mdp wrote; a missing field is a ValueError that names it."""
+    """Read a file save_mdp wrote.  A missing field or a field of the wrong
+    type is a ValueError that names it: the payload must be a JSON object,
+    gamma a number but not a bool, n_states and n_actions ints, and reward,
+    transition and mu arrays whose dtype numpy infers as an int or a float.
+    The arrays are checked by that dtype, with no scan per element in Python,
+    so booleans mixed into a list of floats pass, cast to 0.0 and 1.0."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"MDP file {path} must hold a JSON object, got {type(payload).__name__}")
     missing = [name for name in ("n_states", "n_actions", "gamma", "reward", "transition", "mu") if name not in payload]
     if missing:
         raise ValueError(f"MDP file {path} lacks the field(s) {', '.join(missing)}")
-    mdp = TabularMdp(
-        transition=np.array(payload["transition"], dtype=float),
-        reward=np.array(payload["reward"], dtype=float),
-        gamma=float(payload["gamma"]),
-        mu=np.array(payload["mu"], dtype=float),
-    )
+    gamma = payload["gamma"]
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
+        raise ValueError(f"MDP file {path}: gamma must be a number, got {gamma!r}")
+    for name in ("n_states", "n_actions"):
+        if type(payload[name]) is not int:
+            raise ValueError(f"MDP file {path}: {name} must be an int, got {payload[name]!r}")
+    arrays = {name: np.array(payload[name]) for name in ("transition", "reward", "mu")}
+    for name, array in arrays.items():
+        if array.dtype.kind not in "iuf":
+            raise ValueError(f"MDP file {path}: {name} must be an array of numbers, got dtype {array.dtype}")
+    mdp = TabularMdp(gamma=gamma, **arrays)  # an int gamma, never inside (0, 1), is rejected there
     if mdp.n_states != payload["n_states"] or mdp.n_actions != payload["n_actions"]:
         raise ValueError("header (n_states, n_actions) disagrees with array shapes")
     return mdp

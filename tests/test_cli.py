@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -142,6 +143,35 @@ def test_oracle_check_prints_pinned_lines(tmp_path, capsys, case):
     assert capsys.readouterr().out.splitlines() == ORACLE_CHECK_LINES[case]
 
 
+def test_parser_reused_after_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle-check", "--tol", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["oracle-check", "--env", "chain5"]) == 0
+    assert capsys.readouterr().out.splitlines() == ORACLE_CHECK_LINES["chain5"]
+
+
+def test_parsed_options_do_not_carry_over(capsys, monkeypatch):
+    seen = []
+    load_env = cli._load_env
+    monkeypatch.setattr(cli, "_load_env", lambda args: seen.append(vars(args).copy()) or load_env(args))
+    assert cli.main(["train", "--env", "chain2", "--iterations", "1", "--quiet"]) == 0
+    assert cli.main(["oracle-check"]) == 0
+    assert seen[0]["quiet"] is True
+    assert set(seen[1]) == {"command", "env", "mdp_file", "tol", "func"}
+    assert (seen[1]["env"], seen[1]["tol"]) == ("gridworld", 1e-6)
+
+
+def test_main_calls_share_one_parser(capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", lambda self, *a: parsers.append(self) or parse_args(self, *a))
+    for env in ("chain2", "chain5"):
+        assert cli.main(["oracle-check", "--env", env]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_oracle_check_rejects_a_bad_tolerance_with_usage(capsys, tol):
     with pytest.raises(SystemExit) as exc:
@@ -223,6 +253,20 @@ def _mdp_file(tmp_path, edit=None) -> str:
     return str(path)
 
 
+def _json_file(tmp_path, payload) -> str:
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_mdp_file_with_booleans_among_floats_loads(tmp_path, capsys):
+    # the arrays are checked by numpy's inferred dtype, not entry by entry, so
+    # a bool among numbers is cast like the numbers
+    path = _mdp_file(tmp_path, lambda p: p.update(mu=[True, 0.0]))
+    assert cli.main(["oracle-check", "--mdp-file", path]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "command,source,message",
     [
@@ -234,8 +278,30 @@ def _mdp_file(tmp_path, edit=None) -> str:
         ("oracle-check", lambda d: ["--env", "bogus"], "unknown environment 'bogus'; known: "),
         ("oracle-check", lambda d: ["--env", "pendulum"], "the pendulum has no tabular representation"),
         ("train", lambda d: ["--env", "mdp:" + _mdp_file(d, lambda p: p.pop("mu"))], "lacks the field(s) mu"),
+        ("oracle-check", lambda d: ["--mdp-file", _json_file(d, 3)], "must hold a JSON object, got int"),
+        ("oracle-check", lambda d: ["--mdp-file", _json_file(d, "mdp")], "must hold a JSON object, got str"),
+        ("oracle-check", lambda d: ["--mdp-file", _mdp_file(d, lambda p: p.update(gamma="0.5"))],
+         "gamma must be a number, got '0.5'"),
+        ("oracle-check", lambda d: ["--mdp-file", _mdp_file(d, lambda p: p.update(gamma=True))],
+         "gamma must be a number, got True"),
+        ("oracle-check", lambda d: ["--mdp-file", _mdp_file(d, lambda p: p.update(gamma=10**400))],
+         "gamma must lie strictly inside (0, 1), got 1000"),
+        ("oracle-check", lambda d: ["--mdp-file", _mdp_file(d, lambda p: p.update(n_states=2.0))],
+         "n_states must be an int, got 2.0"),
+        ("oracle-check", lambda d: ["--mdp-file", _mdp_file(d, lambda p: p.update(n_actions=True))],
+         "n_actions must be an int, got True"),
+        ("oracle-check", lambda d: ["--mdp-file", _mdp_file(d, lambda p: p.update(reward=[["0", "0"], ["1", "1"]]))],
+         "reward must be an array of numbers, got dtype <U1"),
+        ("oracle-check", lambda d: ["--mdp-file", _mdp_file(d, lambda p: p.update(mu=[True, False]))],
+         "mu must be an array of numbers, got dtype bool"),
+        ("train", lambda d: ["--env", "mdp:" + _mdp_file(d, lambda p: p["transition"][0][0].__setitem__(0, None))],
+         "transition must be an array of numbers, got dtype object"),
     ],
-    ids=["missing_file", "missing_field", "invalid_mdp", "nan_reward", "unknown_env", "no_tabular_form", "train_mdp_file"],
+    ids=[
+        "missing_file", "missing_field", "invalid_mdp", "nan_reward", "unknown_env", "no_tabular_form", "train_mdp_file",
+        "int_payload", "str_payload", "str_gamma", "bool_gamma", "huge_int_gamma", "float_n_states", "bool_n_actions",
+        "str_reward", "bool_mu", "null_transition",
+    ],
 )
 def test_bad_mdp_source_reported_without_traceback(tmp_path, capsys, command, source, message):
     code = cli.main([command, *source(tmp_path)])

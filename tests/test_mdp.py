@@ -444,23 +444,50 @@ def _json_dump_reference(mdp, path):
         json.dump(payload, fh)
 
 
+SUBNORMALS = (5e-324, 1e-320, 2.2250738585072009e-308)
+
+
+@st.composite
+def transition_rows(draw, n_states):
+    """One row of P that sums to 1: its support is the first or the last
+    entry, a run (at the start, in the middle or at the end), the whole row or
+    a random mask; each zero is +0.0 or -0.0, and some become subnormal."""
+    kind = draw(st.sampled_from(["first", "last", "run", "dense", "mask"]))
+    if kind == "run":
+        start = draw(st.integers(0, n_states - 1))
+        support = np.arange(start, draw(st.integers(start + 1, n_states)))
+    elif kind == "mask":
+        support = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n_states, max_size=n_states)))
+        support = support if len(support) else np.array([draw(st.integers(0, n_states - 1))])
+    else:
+        support = {"first": np.array([0]), "last": np.array([n_states - 1]), "dense": np.arange(n_states)}[kind]
+    signs = draw(st.lists(st.booleans(), min_size=n_states, max_size=n_states))
+    row = np.where(signs, -0.0, 0.0)
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=len(support), max_size=len(support))))
+    row[support] = weights / weights.sum()
+    zeros = np.setdiff1d(np.arange(n_states), support)
+    if len(zeros):
+        tiny = draw(st.lists(st.sampled_from(zeros.tolist()), max_size=len(zeros), unique=True))
+        row[tiny] = [draw(st.sampled_from(SUBNORMALS)) for _ in tiny]
+    return row
+
+
 @st.composite
 def mdps_to_save(draw):
     n_states, n_actions = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     gamma = draw(st.floats(1e-6, 1.0, exclude_max=True))
-    base = random_mdp(n_states, n_actions, gamma, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
-                      deterministic=draw(st.booleans()))
+    base = random_mdp(n_states, n_actions, gamma, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    transition = np.array([draw(transition_rows(n_states)) for _ in range(n_states * n_actions)])
     values = st.one_of(
         st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300, 1.7976931348623157e308])
     )
     reward = np.array(draw(st.lists(values, min_size=n_states * n_actions, max_size=n_states * n_actions)))
-    return TabularMdp(base.transition, reward.reshape(n_states, n_actions), base.gamma, base.mu)
+    return TabularMdp(
+        transition.reshape(n_states, n_actions, n_states), reward.reshape(n_states, n_actions), base.gamma, base.mu
+    )
 
 
-@settings(max_examples=80, deadline=None)
-@given(mdps_to_save())
-def test_save_mdp_writes_json_dump_bytes(tmp_path_factory, mdp):
-    folder = tmp_path_factory.mktemp("mdp")
+def _assert_saved_as_json_dump(folder, mdp):
     _json_dump_reference(mdp, str(folder / "reference.json"))
     save_mdp(mdp, str(folder / "saved.json"))
     assert (folder / "saved.json").read_bytes() == (folder / "reference.json").read_bytes()
@@ -468,3 +495,59 @@ def test_save_mdp_writes_json_dump_bytes(tmp_path_factory, mdp):
     for name in ("transition", "reward", "mu"):
         assert getattr(back, name).tobytes() == getattr(mdp, name).tobytes()
     assert back.gamma == mdp.gamma
+
+
+@settings(max_examples=80, deadline=None)
+@given(mdps_to_save())
+def test_save_mdp_writes_json_dump_bytes(tmp_path_factory, mdp):
+    _assert_saved_as_json_dump(tmp_path_factory.mktemp("mdp"), mdp)
+
+
+SAVED_MDPS = {
+    "chain5": lambda: make_env("chain5").as_tabular(),
+    "gridworld": lambda: make_env("gridworld").as_tabular(),
+    # the oracle benchmark's cases 0-2 at seed 0
+    **{
+        f"oracle_case{i}": lambda i=i: random_mdp(100, 4, 0.99, np.random.default_rng([0, i]), deterministic=True)
+        for i in range(3)
+    },
+    "dense_100x4": lambda: random_mdp(100, 4, 0.99, np.random.default_rng(1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAVED_MDPS))
+def test_save_mdp_writes_json_dump_bytes_on_named_mdps(tmp_path, case):
+    _assert_saved_as_json_dump(tmp_path, SAVED_MDPS[case]())
+
+
+def test_transition_rows_reach_every_row_form():
+    # the drawn rows hold every form the writer splices: a lone entry in the
+    # first or the last column, runs at the start, middle and end, dense rows,
+    # -0.0 and subnormal entries
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(transition_rows(5))
+    def collect(row):
+        assert row.sum() == pytest.approx(1.0, abs=1e-12) and not (row < 0).any()
+        kept = np.flatnonzero((row != 0) | np.signbit(row))
+        nonzero = np.flatnonzero(row)
+        seen.update(
+            name
+            for name, hit in [
+                ("first_only", nonzero.tolist() == [0]),
+                ("last_only", nonzero.tolist() == [4]),
+                ("dense", len(nonzero) == 5),
+                ("run_start", 0 < len(kept) < 5 and kept[0] == 0 and (np.diff(kept) == 1).all()),
+                ("run_end", 0 < len(kept) < 5 and kept[-1] == 4 and (np.diff(kept) == 1).all()),
+                ("run_middle", len(kept) and kept[0] > 0 and kept[-1] < 4 and (np.diff(kept) == 1).all()),
+                ("negative_zero", (np.signbit(row) & (row == 0)).any()),
+                ("subnormal", ((row > 0) & (row < np.finfo(float).tiny)).any()),
+            ]
+            if hit
+        )
+
+    collect()
+    assert seen == {
+        "first_only", "last_only", "dense", "run_start", "run_end", "run_middle", "negative_zero", "subnormal"
+    }
