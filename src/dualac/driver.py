@@ -386,8 +386,8 @@ def load_checkpoint(path: str, env=None) -> TrainingState:
     loading runs no bandwidth probe.  A config with unknown fields (such as
     one saved before a field was removed), an env_name that make_env cannot
     rebuild while env is None, parameters of another size than the rebuilt
-    models', a malformed feature map, t or last_batch, or a missing field
-    raises ValueError."""
+    models' or not finite, a malformed feature map (non-finite entries
+    included), t or last_batch, or a missing field raises ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
     required = ("config", "t", "policy_params", "value_params", "last_batch") + (("env_name",) if env is None else ())
@@ -429,6 +429,8 @@ def load_checkpoint(path: str, env=None) -> TrainingState:
         params[name] = np.array(payload[name], dtype=float)
         if params[name].shape != (size,):
             raise ValueError(f"checkpoint field {name} holds {params[name].size} entries, the model has {size}")
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"checkpoint field {name} must be finite")
     state.policy.set_params(params["policy_params"])
     state.value_params = params["value_params"]
     state.t = t

@@ -9,6 +9,10 @@
   indicators.  A value function is its parameter vector w beside one of
   them; rows gives the rows of a batch of states at once.
 
+The random Fourier features take their cosine from _cosine, a float64
+polynomial accurate to 1.8e-10 and a smooth function of its argument, which
+costs less than libm's np.cos (below).
+
 Both policies read states through policy.inputs (the feature rows, or the
 int states): the action draw, score_batch and kl take inputs, which the
 sampler builds once and keeps for the k-step window (estimators.Batch).
@@ -33,6 +37,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import cumulative, inverse_cdf
+
+
+# cos(2 pi t) for |t| <= 1/2 as a polynomial of degree 7 in t^2, highest
+# power first: the interpolant of cos(2 pi sqrt(u)) at the 8 Chebyshev nodes
+# of [0, 1/4], solved in 50-digit arithmetic and rounded to float64.  Its
+# interpolation error is below 1.8e-10 (1.2e-10 on a fine grid).
+_COS_TURN_COEFFS = (
+    -1.4529875452477699,
+    7.8000222125709575,
+    -26.404630620590822,
+    60.242124930672276,
+    -85.45665775366736,
+    64.93938905248876,
+    -19.73920874308773,
+    0.9999999998846177,
+)
+
+
+def _cosine(z: np.ndarray) -> np.ndarray:
+    """cos(z) of a float64 array, elementwise and in place: z / 2pi less its
+    nearest integer is t in [-1/2, 1/2] (the subtraction is exact), and
+    Horner's rule evaluates the polynomial in t^2.
+
+    It is accurate to 1.8e-10 + eps (3 |z| + 180), eps = 2^-53: the
+    interpolation error, the two roundings of z / 2pi (t moves by 3 eps |t|)
+    and those of the square and of Horner's 14 operations.  That is far
+    below the about 1/sqrt(F) to which F random features approximate their
+    kernel (0.1 at the pendulum's 100).  It is also a smooth function of z
+    to float64 precision, so a change of an ulp in z stays a change of about
+    an ulp in the result.  A cosine rounded to float32 would not: its
+    result steps by a float32 ulp (6e-8) wherever z crosses a float32
+    rounding boundary, and the pendulum's records amplify those steps.
+    Its 18 elementwise numpy operations cost less than libm's scalar
+    float64 np.cos: one pendulum batch (52 trajectories, 200 steps) samples
+    in 15.9 ms with it and in 21.9 ms with np.cos on a 2-core Xeon."""
+    t = z * (0.5 / np.pi)
+    t -= np.rint(t)
+    t *= t
+    np.multiply(t, _COS_TURN_COEFFS[0], out=z)
+    z += _COS_TURN_COEFFS[1]
+    for c in _COS_TURN_COEFFS[2:]:
+        z *= t
+        z += c
+    return z
 
 
 def median_trick_bandwidth(states: np.ndarray) -> float:
@@ -68,8 +116,10 @@ class RbfFeatureMap:
         shape, phases = np.shape(self.frequencies), np.shape(self.phases)
         if len(shape) != 2 or phases != shape[:1]:
             raise ValueError(f"need frequencies (F, D) and phases (F,), got shapes {shape} and {phases}")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be positive and finite")
+        if not (np.isfinite(self.frequencies).all() and np.isfinite(self.phases).all()):
+            raise ValueError("frequencies and phases must be finite")
 
     @classmethod
     def create(cls, n_features: int, state_dim: int, bandwidth: float, seed: int) -> "RbfFeatureMap":
@@ -88,12 +138,12 @@ class RbfFeatureMap:
         """Features of a batch (N, D) -> (N, F), each row bitwise equal to the
         map of that state alone: a stacked matrix-vector product, where
         x @ frequencies.T rounds differently in most rows.  The divide, the
-        add and the cosine run in place on the product."""
+        add and the cosine (_cosine) run in place on the product."""
         x = np.asarray(states, dtype=float)
         z = np.matmul(self.frequencies, x[..., None])[..., 0]
         z /= self.bandwidth
         z += self.phases
-        return np.cos(z, out=z)
+        return _cosine(z)
 
 
 class BiasedFeatureMap:

@@ -24,7 +24,7 @@ import numpy as np
 
 from dualac.envs import PendulumEnv
 from dualac.estimators import BatchRow
-from dualac.policies import GaussianRbfPolicy
+from dualac.policies import _COS_TURN_COEFFS, GaussianRbfPolicy
 
 
 def _wrap_angle(theta: float) -> float:
@@ -88,8 +88,13 @@ class ScalarPendulum:
 def features(fmap, s) -> np.ndarray:
     """The random Fourier features of one state, cos(F s / bandwidth + b),
     written out here so that the sampler's feature rows are checked against
-    a formula of their own."""
-    return np.cos(fmap.frequencies @ s / fmap.bandwidth + fmap.phases)
+    a formula of their own: one state's product, its argument in turns less
+    the nearest whole turn, t, and the package's cosine polynomial in t^2
+    by np.polyval."""
+    z = fmap.frequencies @ s / fmap.bandwidth + fmap.phases
+    t = z * (0.5 / np.pi)
+    t -= np.rint(t)
+    return np.polyval(_COS_TURN_COEFFS, t * t)
 
 
 def _sample_action(policy, obs, rng):

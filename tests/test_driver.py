@@ -320,15 +320,15 @@ def test_iteration_determinism_bitwise():
 # per line; pinned so that rewrites of the sampler or the estimators can show
 # whole-run bitwise equivalence.  The pendulum's was captured with OpenBLAS at
 # its default thread count on a 2-core machine (its Fisher's Gram product and
-# its value fit's R^T R round differently at other thread counts) when each
-# batch's variates came to be drawn from one seed sequence (env.draw_variates).
+# its value fit's R^T R round differently at other thread counts) when the
+# feature cosine became a float64 polynomial, which moved it by rounding.
 # The gridworld ones do not depend on the thread count; they were recaptured
 # when the tabular Fisher came to be built and solved per state, which moved
 # only the kl field, by rounding.
 GOLDEN_RUNS = {
     ("gridworld", "full", 10): "389bdb7ecf6ad5ede33e2aa2205565d87491a45dd0a62e5d8f8e3691c7d113cd",
     ("gridworld", "naive", 5): "a8b8093af41a6ccb620138c9f3f9111949291b702246cedbda5abe1a2ef48b74",
-    ("pendulum", "full", 2): "f9c36b22524ed50dbd739346ee41a9ccec0f7c9d41a2732fe4b77fcdbde1a4b3",
+    ("pendulum", "full", 2): "a992a8f03ecaa9f211ebe5f835f447cad2cf0d2251d54bd3f32750f3421f7eda",
 }
 
 
@@ -384,19 +384,24 @@ def test_tabular_golden_records_do_not_depend_on_blas_threads():
 
 
 def test_pendulum_records_stable_under_feature_rounding(monkeypatch):
-    # the matrix form x @ F.T of the feature rows rounds differently from the
-    # stacked form in most rows; an exact policy step keeps that a rounding
-    # change in the records instead of amplifying it
+    # every feature entry moved up by one float64 ulp; the feature map is a
+    # smooth function of the state to that precision and an exact policy
+    # step keeps the move a rounding change in the records instead of
+    # amplifying it
     cfg = dataclasses.replace(default_config("pendulum"), iterations=10)
-    stacked = run_experiment(cfg, make_env("pendulum"))
+    exact = run_experiment(cfg, make_env("pendulum"))
+    rows = RbfFeatureMap.rows
 
-    def matrix_rows(self, states):
-        return np.cos(np.asarray(states, dtype=float) @ self.frequencies.T / self.bandwidth + self.phases)
+    def perturbed_rows(self, states):
+        return np.nextafter(rows(self, states), np.inf)
 
-    monkeypatch.setattr(RbfFeatureMap, "rows", matrix_rows)
-    matrix = run_experiment(cfg, make_env("pendulum"))
+    fmap = RbfFeatureMap.create(100, 3, bandwidth=1.0, seed=0)
+    states = np.random.default_rng(1).normal(size=(52, 3))
+    assert (perturbed_rows(fmap, states) != rows(fmap, states)).all()
+    monkeypatch.setattr(RbfFeatureMap, "rows", perturbed_rows)
+    perturbed = run_experiment(cfg, make_env("pendulum"))
     floats = [f.name for f in dataclasses.fields(IterationRecord) if f.type == "float" and f.compare]
-    for a, b in zip(stacked, matrix, strict=True):
+    for a, b in zip(exact, perturbed, strict=True):
         for name in floats:
             x, y = getattr(a, name), getattr(b, name)
             tol = 1e-6 if name in ("mean_return", "mean_disc_return") else 1e-4
@@ -607,9 +612,17 @@ def test_rbf_dimension_mismatch_rejected_on_construction_and_load(tmp_path):
     for frequencies, phases, bandwidth in bad:
         with pytest.raises(ValueError, match=r"need frequencies \(F, D\) and phases \(F,\)"):
             RbfFeatureMap(frequencies, phases, bandwidth)
-    for bandwidth in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="bandwidth must be positive"):
+    for bandwidth in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite$"):
             RbfFeatureMap(np.zeros((8, 3)), np.zeros(8), bandwidth)
+    for value in (math.nan, math.inf, -math.inf):
+        frequencies, phases = np.zeros((8, 3)), np.zeros(8)
+        frequencies[2, 1] = value
+        with pytest.raises(ValueError, match="frequencies and phases must be finite$"):
+            RbfFeatureMap(frequencies, np.zeros(8), 1.0)
+        phases[7] = value
+        with pytest.raises(ValueError, match="frequencies and phases must be finite$"):
+            RbfFeatureMap(np.zeros((8, 3)), phases, 1.0)
     state = init_state(dataclasses.replace(default_config("pendulum"), iterations=0), make_env("pendulum"))
     path = str(tmp_path / "ck.json")
     save_checkpoint(path, state)
@@ -634,9 +647,10 @@ def _assert_rejected(path, saved, edits):
 
 
 def test_load_checkpoint_names_malformed_fields(tmp_path):
-    # parameters that do not fit the rebuilt models, a malformed feature
-    # map, t or last batch, or a missing field, are rejected on load instead
-    # of failing inside the first iteration
+    # parameters that do not fit the rebuilt models or are not finite, a
+    # malformed feature map (non-finite entries included), t or last batch,
+    # or a missing field, are rejected on load instead of failing inside the
+    # first iteration
     state = init_state(dataclasses.replace(default_config("pendulum"), iterations=0), make_env("pendulum"))
     path = str(tmp_path / "ck.json")
     save_checkpoint(path, state)
@@ -649,6 +663,15 @@ def test_load_checkpoint_names_malformed_fields(tmp_path):
         (lambda p: p["value_params"].pop(), "value_params holds 100 entries, the model has 101"),
         (lambda p: p["feature_map"]["phases"].pop(), r"feature_map is malformed \(need frequencies"),
         (lambda p: p["feature_map"].update(bandwidth=0.0), "feature_map is malformed .bandwidth must be positive"),
+        (lambda p: p["feature_map"].update(bandwidth=math.inf),
+         r"feature_map is malformed \(bandwidth must be positive and finite\)$"),
+        (lambda p: p["feature_map"]["frequencies"][3].__setitem__(1, math.nan),
+         r"feature_map is malformed \(frequencies and phases must be finite\)$"),
+        (lambda p: p["feature_map"]["phases"].__setitem__(0, math.nan),
+         r"feature_map is malformed \(frequencies and phases must be finite\)$"),
+        (lambda p: p["policy_params"].__setitem__(5, math.nan), "policy_params must be finite$"),
+        (lambda p: p["value_params"].__setitem__(0, math.nan), "value_params must be finite$"),
+        (lambda p: p["value_params"].__setitem__(100, -math.inf), "value_params must be finite$"),
         (lambda p: p["feature_map"].pop("bandwidth"), "feature_map is malformed"),
         (lambda p: p.pop("feature_map"), "feature_map is malformed"),
         (lambda p: p.pop("t"), "t is missing$"),
@@ -678,6 +701,7 @@ def test_load_checkpoint_names_malformed_fields(tmp_path):
         (lambda p: p.pop("t"), "t is missing$"),
         (lambda p: p.update(t="3"), "t must be an int >= 0, got '3'$"),
         (lambda p: p.pop("env_name"), "env_name is missing$"),
+        (lambda p: p["policy_params"].__setitem__(7, math.inf), "policy_params must be finite$"),
     ])
     state = init_state(chain_config(), make_env("chain2"))
     save_checkpoint(path, state)

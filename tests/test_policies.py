@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
 from dualac.policies import (
+    _COS_TURN_COEFFS,
     BiasedFeatureMap,
     GaussianRbfPolicy,
     IndicatorFeatureMap,
@@ -12,6 +15,7 @@ from dualac.policies import (
 )
 from conftest import fd_grad
 from reference_prox import softmax_kl_grad
+from reference_sampler import features
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +78,57 @@ def test_rbf_kernel_approximation():
         approx = fx @ fy / fmap.n_features
         exact = 0.5 * np.exp(-np.sum((x - y) ** 2) / (2 * bw**2))
         assert abs(approx - exact) < 0.02
+
+
+def test_rbf_rows_are_the_cosine_polynomial_of_each_state():
+    # bitwise the reference's per-state formula (argument in turns less the
+    # nearest whole turn, then the polynomial in its square), as float64
+    fmap = RbfFeatureMap.create(100, 3, bandwidth=1.7, seed=3)
+    states = np.random.default_rng(4).normal(size=(257, 3)) * [1.0, 1.0, 8.0]
+    rows = fmap.rows(states)
+    assert rows.dtype == np.float64
+    assert np.array_equal(rows, np.stack([features(fmap, s) for s in states]))
+
+
+def test_rbf_rows_within_a_derived_bound_of_libm_cosine():
+    # |rows - np.cos(z)| from its parts, eps = 2^-53:
+    # - 0.5 / pi and z * (0.5 / pi) round: t = z / 2pi moves by 3 eps |t|,
+    #   so cos(2 pi t) by 2 pi 3 eps |t| = 3 eps |z|;
+    # - t - rint(t) is exact and t^2 rounds once: P(u) = cos(2 pi sqrt(u))
+    #   moves by eps u |P'(u)| = eps pi sqrt(u) |sin| <= (pi / 2) eps;
+    # - Horner's rule of degree n errs by at most 2 n eps sum_k |c_k| u^k
+    #   (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), and
+    #   the coefficients' own rounding by eps sum_k |c_k| u^k, u <= 1/4;
+    # - interpolating at the n + 1 Chebyshev nodes of [0, 1/4] errs by at
+    #   most 2 (1/16)^(n+1) max |P^(n+1)| / (n+1)!, the derivative bounded
+    #   termwise from P's Taylor series sum_k (-1)^k (2 pi)^(2k) u^k / (2k)!;
+    # - np.cos is within an ulp, eps.
+    eps = 2.0**-53
+    n = len(_COS_TURN_COEFFS) - 1
+    coeff_sum = sum(abs(c) * 0.25**k for k, c in enumerate(reversed(_COS_TURN_COEFFS)))
+    derivative = sum(
+        (2 * math.pi) ** (2 * k) * math.factorial(k) / (math.factorial(k - n - 1) * math.factorial(2 * k)) * 0.25 ** (k - n - 1)
+        for k in range(n + 1, n + 40)
+    )
+    interpolation = 2 * (1 / 16) ** (n + 1) * derivative / math.factorial(n + 1)
+    fixed = eps * (math.pi / 2 + (2 * n + 1) * coeff_sum + 1) + interpolation
+    assert fixed < 2e-10
+    for seed, scale in ((5, 1.0), (6, 10.0), (7, 100.0)):
+        fmap = RbfFeatureMap.create(100, 3, bandwidth=1.0, seed=seed)
+        states = np.random.default_rng(seed).normal(size=(400, 3)) * scale
+        z = np.stack([fmap.frequencies @ s / fmap.bandwidth + fmap.phases for s in states])
+        assert np.all(np.abs(fmap.rows(states) - np.cos(z)) <= 3 * eps * np.abs(z) + fixed)
+
+
+def test_rbf_batch_rows_equal_each_state_alone():
+    # N = 1..33 covers every SIMD tail length of the elementwise operations
+    fmap = RbfFeatureMap.create(100, 3, bandwidth=1.3, seed=8)
+    rng = np.random.default_rng(9)
+    for n in range(1, 34):
+        states = rng.normal(size=(n, 3)) * [1.0, 1.0, 8.0]
+        rows = fmap.rows(states)
+        for s, row in zip(states, rows, strict=True):
+            assert np.array_equal(row, fmap.rows(s[None])[0])
 
 
 def test_rbf_determinism():
